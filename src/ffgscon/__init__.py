@@ -13,7 +13,6 @@ from .instances import (
     TraversalCertificate,
     energy_of,
     energy_test_reject_prob,
-    energy_test_sample,
     load_instance,
     prepare_state_from_circuit,
     save_instance,
@@ -28,11 +27,9 @@ from .states import (
     RegisteredState,
     RegisterShape,
     apply_local_gate,
-    measure_register_sample,
     phase_optimized_distance,
     project_onto,
     swap_test_reject_prob,
-    swap_test_sample,
     tensor_with,
 )
 from .verifier import TestOutcome, product_test, run_protocol_round, run_test

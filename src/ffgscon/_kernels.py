@@ -1,14 +1,9 @@
 """Hot sampling kernels: counter-based uniforms and per-test tally loops.
 
-Every kernel exists in two interchangeable flavors:
-
-* a loop implementation compiled with numba ``@njit`` (the default), and
-* a vectorized pure-numpy fallback.
-
-Selection happens once at import time.  Setting the environment variable
-``FFGSCON_PURE_NUMPY=1`` forces the numpy path; the same path is used
-automatically when numba is not importable.  Both flavors are bit-identical
-(the test suite asserts this), so the choice only affects speed.
+Each kernel is one vectorized numpy implementation over an array of trial
+indices.  A single sampled shot is the same kernel run on the one-trial
+array ``[trial]``, so a shot's verdict is, by construction, the verdict of
+that trial in a bulk tally.
 
 The random source is Philox4x32-10, a counter-based generator.  A single
 uniform is addressed by the tuple ``(seed, stream, trial, draw)``:
@@ -19,40 +14,25 @@ uniform is addressed by the tuple ``(seed, stream, trial, draw)``:
 and the double in [0, 1) is built from the top 53 bits of output words 0:1.
 Because draws are addressed, not sequenced, partitioning trials across any
 number of workers cannot change a single sample.
+
+The Philox body is written once, for operands that are Python ints or
+``uint64`` arrays.  Arrays of at most ``SMALL_TRIALS`` trials go through it
+as Python ints, one trial at a time: on a one-element array numpy's per-call
+overhead makes a block cost about ten times the integer arithmetic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint64(0x9E3779B9)
-_W1 = np.uint64(0xBB67AE85)
-_MASK32 = np.uint64(0xFFFFFFFF)
+_M0 = 0xD2511F53
+_M1 = 0xCD9E8D57
+_W0 = 0x9E3779B9
+_W1 = 0xBB67AE85
+_MASK32 = 0xFFFFFFFF
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
-PURE_NUMPY_ENV = "FFGSCON_PURE_NUMPY"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get(PURE_NUMPY_ENV, "") not in ("1", "true", "yes")
+SMALL_TRIALS = 12  # int blocks beat one numpy block below ~15 trials on a 2-vCPU Xeon host
 
 
 # ---------------------------------------------------------------------------
@@ -60,86 +40,36 @@ USE_NUMBA = _HAVE_NUMBA and os.environ.get(PURE_NUMPY_ENV, "") not in ("1", "tru
 # ---------------------------------------------------------------------------
 
 
-def _philox_words01_py(c0, c1, c2, c3, k0, k1):
-    """One Philox4x32-10 block; returns output words 0 and 1 (uint64 scalars)."""
+def _philox_words01(c0, c1, c2, c3, k0, k1):
+    """One Philox4x32-10 block per lane; returns output words 0 and 1.
+
+    Operands are Python ints or ``uint64`` arrays (numpy ``uint64`` scalars
+    work too).  Every product of two 32-bit words fits in 64 bits, so both
+    kinds give the same words.
+    """
     for _ in range(10):
         p0 = _M0 * c0
         p1 = _M1 * c2
-        hi0 = p0 >> np.uint64(32)
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> np.uint64(32)
-        lo1 = p1 & _MASK32
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32
         k0 = (k0 + _W0) & _MASK32
         k1 = (k1 + _W1) & _MASK32
     return c0, c1
 
 
-_philox_words01 = njit(cache=True)(_philox_words01_py) if USE_NUMBA else _philox_words01_py
-
-
-def _uniform_one_py(seed, stream, trial, draw):
-    """Uniform double in [0, 1) addressed by (seed, stream, trial, draw)."""
-    c0 = np.uint64(trial) & _MASK32
-    c1 = (np.uint64(trial) >> np.uint64(32)) & _MASK32
-    c2 = np.uint64(draw) & _MASK32
-    c3 = np.uint64(stream) & _MASK32
-    k0 = np.uint64(seed) & _MASK32
-    k1 = (np.uint64(seed) >> np.uint64(32)) & _MASK32
-    w0, w1 = _philox_words01(c0, c1, c2, c3, k0, k1)
-    bits = ((w0 << np.uint64(32)) | w1) >> np.uint64(11)
-    return float(bits) * _INV53
-
-
-uniform_one = njit(cache=True)(_uniform_one_py) if USE_NUMBA else _uniform_one_py
-
-
-def _uniforms_numpy(seed, stream, trials, draw):
-    """Vectorized uniforms for an array of trial indices at one draw slot."""
+def uniforms(seed, stream, trials, draw):
+    """Uniform doubles in [0, 1) for an array of trial indices at one draw slot."""
     trials = np.asarray(trials, dtype=np.uint64)
-    c0 = trials & _MASK32
-    c1 = (trials >> np.uint64(32)) & _MASK32
-    c2 = np.full_like(trials, np.uint64(draw) & _MASK32)
-    c3 = np.full_like(trials, np.uint64(stream) & _MASK32)
-    k0 = np.uint64(seed) & _MASK32
-    k1 = (np.uint64(seed) >> np.uint64(32)) & _MASK32
-    for _ in range(10):
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        hi0 = p0 >> np.uint64(32)
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> np.uint64(32)
-        lo1 = p1 & _MASK32
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
-        k0 = (k0 + _W0) & _MASK32
-        k1 = (k1 + _W1) & _MASK32
-    bits = ((c0 << np.uint64(32)) | c1) >> np.uint64(11)
-    return bits.astype(np.float64) * _INV53
-
-
-def _uniforms_loop_py(seed, stream, trials, draw):
-    out = np.empty(trials.shape[0], dtype=np.float64)
-    for i in range(trials.shape[0]):
-        out[i] = uniform_one(seed, stream, trials[i], draw)
-    return out
-
-
-if USE_NUMBA:
-    _uniforms_loop = njit(cache=True)(_uniforms_loop_py)
-
-    def uniforms(seed, stream, trials, draw):
-        return _uniforms_loop(np.uint64(seed), np.uint64(stream), np.asarray(trials, dtype=np.uint64), np.uint64(draw))
-
-else:
-
-    def uniforms(seed, stream, trials, draw):
-        return _uniforms_numpy(seed, stream, trials, draw)
+    seed, stream, draw = int(seed), int(stream), int(draw)
+    c2, c3 = draw & _MASK32, stream & _MASK32
+    k0, k1 = seed & _MASK32, (seed >> 32) & _MASK32
+    if trials.size <= SMALL_TRIALS:
+        out = []
+        for t in trials.tolist():
+            w0, w1 = _philox_words01(t & _MASK32, t >> 32, c2, c3, k0, k1)
+            out.append((((w0 << 32) | w1) >> 11) * _INV53)
+        return np.array(out, dtype=np.float64)
+    w0, w1 = _philox_words01(trials & _MASK32, trials >> 32, c2, c3, k0, k1)
+    return (((w0 << 32) | w1) >> 11).astype(np.float64) * _INV53
 
 
 # ---------------------------------------------------------------------------
@@ -151,68 +81,34 @@ else:
 # ---------------------------------------------------------------------------
 
 
-def _tally_bernoulli_loop_py(seed, stream, trials, draw0, p_reject):
-    rej = 0
-    for i in range(trials.shape[0]):
-        if uniform_one(seed, stream, trials[i], draw0) < p_reject:
-            rej += 1
-    return trials.shape[0] - rej, rej
+def _pick(cdf, u):
+    """Inverse-CDF index of each uniform, clamped to the last outcome."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
 
 
-def _tally_bernoulli_numpy(seed, stream, trials, draw0, p_reject):
-    u = _uniforms_numpy(seed, stream, trials, draw0)
+def tally_bernoulli(seed, stream, trials, draw0, p_reject):
+    u = uniforms(seed, stream, trials, draw0)
     rej = int(np.count_nonzero(u < p_reject))
     return len(trials) - rej, rej
 
 
-def _tally_chain_loop_py(seed, stream, trials, draw0, probs):
-    # Reject iff every stage fires: u_k < probs[k] for all k.
-    rej = 0
-    for i in range(trials.shape[0]):
-        fired = True
-        for k in range(probs.shape[0]):
-            if uniform_one(seed, stream, trials[i], draw0 + k) >= probs[k]:
-                fired = False
-                break
-        if fired:
-            rej += 1
-    return trials.shape[0] - rej, rej
-
-
-def _tally_chain_numpy(seed, stream, trials, draw0, probs):
-    alive = np.ones(len(trials), dtype=bool)
+def tally_chain(seed, stream, trials, draw0, probs):
+    """Reject iff every stage fires: u_k < probs[k] for all k."""
     trials = np.asarray(trials, dtype=np.uint64)
+    alive = np.ones(len(trials), dtype=bool)
     for k in range(len(probs)):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
-        u = _uniforms_numpy(seed, stream, trials[idx], draw0 + k)
+        u = uniforms(seed, stream, trials[idx], draw0 + k)
         alive[idx[u >= probs[k]]] = False
     rej = int(np.count_nonzero(alive))
     return len(trials) - rej, rej
 
 
-def _tally_unique_loop_py(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
-    top = cdf_a.shape[0] - 1
-    rej = 0
-    for i in range(trials.shape[0]):
-        ua = uniform_one(seed, stream, trials[i], draw0)
-        ub = uniform_one(seed, stream, trials[i], draw0 + 1)
-        fa = min(np.searchsorted(cdf_a, ua, side="right"), top)
-        fb = min(np.searchsorted(cdf_b, ub, side="right"), top)
-        la, ga = fa // gate_dim, fa % gate_dim
-        lb, gb = fb // gate_dim, fb % gate_dim
-        if la == lb and (ga != gb or not valid[ga]):
-            rej += 1
-    return trials.shape[0] - rej, rej
-
-
-def _tally_unique_numpy(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
-    top = cdf_a.shape[0] - 1
-    ua = _uniforms_numpy(seed, stream, trials, draw0)
-    ub = _uniforms_numpy(seed, stream, trials, draw0 + 1)
-    fa = np.minimum(np.searchsorted(cdf_a, ua, side="right"), top)
-    fb = np.minimum(np.searchsorted(cdf_b, ub, side="right"), top)
+def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
+    fa = _pick(cdf_a, uniforms(seed, stream, trials, draw0))
+    fb = _pick(cdf_b, uniforms(seed, stream, trials, draw0 + 1))
     la, ga = fa // gate_dim, fa % gate_dim
     lb, gb = fb // gate_dim, fb % gate_dim
     bad = (la == lb) & ((ga != gb) | ~valid[ga])
@@ -220,119 +116,27 @@ def _tally_unique_numpy(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, val
     return len(trials) - rej, rej
 
 
-def _tally_boundary_loop_py(seed, stream, trials, draw0, label_cdf, target, q_reject):
-    top = label_cdf.shape[0] - 1
-    rej = 0
-    for i in range(trials.shape[0]):
-        u0 = uniform_one(seed, stream, trials[i], draw0)
-        lab = min(np.searchsorted(label_cdf, u0, side="right"), top)
-        if lab == target:
-            if uniform_one(seed, stream, trials[i], draw0 + 1) < q_reject:
-                rej += 1
-    return trials.shape[0] - rej, rej
-
-
-def _tally_boundary_numpy(seed, stream, trials, draw0, label_cdf, target, q_reject):
+def tally_boundary(seed, stream, trials, draw0, label_cdf, target, q_reject):
     trials = np.asarray(trials, dtype=np.uint64)
-    u0 = _uniforms_numpy(seed, stream, trials, draw0)
-    lab = np.minimum(np.searchsorted(label_cdf, u0, side="right"), label_cdf.shape[0] - 1)
+    lab = _pick(label_cdf, uniforms(seed, stream, trials, draw0))
     hit = np.nonzero(lab == target)[0]
     rej = 0
     if hit.size:
-        u1 = _uniforms_numpy(seed, stream, trials[hit], draw0 + 1)
+        u1 = uniforms(seed, stream, trials[hit], draw0 + 1)
         rej = int(np.count_nonzero(u1 < q_reject))
     return len(trials) - rej, rej
 
 
-def _tally_low_loop_py(seed, stream, trials, draw0, label_cdf, reject_table):
+def tally_low(seed, stream, trials, draw0, label_cdf, reject_table):
     n_terms = reject_table.shape[1]
-    top = label_cdf.shape[0] - 1
-    rej = 0
-    for i in range(trials.shape[0]):
-        u0 = uniform_one(seed, stream, trials[i], draw0)
-        lab = min(np.searchsorted(label_cdf, u0, side="right"), top)
-        u1 = uniform_one(seed, stream, trials[i], draw0 + 1)
-        term = int(u1 * n_terms)
-        if term >= n_terms:
-            term = n_terms - 1
-        if uniform_one(seed, stream, trials[i], draw0 + 2) < reject_table[lab, term]:
-            rej += 1
-    return trials.shape[0] - rej, rej
-
-
-def _tally_low_numpy(seed, stream, trials, draw0, label_cdf, reject_table):
-    trials = np.asarray(trials, dtype=np.uint64)
-    n_terms = reject_table.shape[1]
-    u0 = _uniforms_numpy(seed, stream, trials, draw0)
-    lab = np.minimum(np.searchsorted(label_cdf, u0, side="right"), label_cdf.shape[0] - 1)
-    u1 = _uniforms_numpy(seed, stream, trials, draw0 + 1)
+    lab = _pick(label_cdf, uniforms(seed, stream, trials, draw0))
+    u1 = uniforms(seed, stream, trials, draw0 + 1)
     term = np.minimum((u1 * n_terms).astype(np.int64), n_terms - 1)
-    u2 = _uniforms_numpy(seed, stream, trials, draw0 + 2)
+    u2 = uniforms(seed, stream, trials, draw0 + 2)
     rej = int(np.count_nonzero(u2 < reject_table[lab, term]))
     return len(trials) - rej, rej
 
 
-def _select_loop_py(seed, stream, trials, draw0, cdf):
-    top = cdf.shape[0] - 1
-    out = np.empty(trials.shape[0], dtype=np.int64)
-    for i in range(trials.shape[0]):
-        u = uniform_one(seed, stream, trials[i], draw0)
-        out[i] = min(np.searchsorted(cdf, u, side="right"), top)
-    return out
-
-
-def _select_numpy(seed, stream, trials, draw0, cdf):
-    u = _uniforms_numpy(seed, stream, trials, draw0)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1).astype(np.int64)
-
-
-if USE_NUMBA:
-    _tb = njit(cache=True, nogil=True)(_tally_bernoulli_loop_py)
-    _tc = njit(cache=True, nogil=True)(_tally_chain_loop_py)
-    _tu = njit(cache=True, nogil=True)(_tally_unique_loop_py)
-    _tbo = njit(cache=True, nogil=True)(_tally_boundary_loop_py)
-    _tl = njit(cache=True, nogil=True)(_tally_low_loop_py)
-    _ts = njit(cache=True, nogil=True)(_select_loop_py)
-
-    def tally_bernoulli(seed, stream, trials, draw0, p_reject):
-        return _tb(np.uint64(seed), np.uint64(stream), np.asarray(trials, np.uint64), np.uint64(draw0), float(p_reject))
-
-    def tally_chain(seed, stream, trials, draw0, probs):
-        return _tc(np.uint64(seed), np.uint64(stream), np.asarray(trials, np.uint64), np.uint64(draw0), np.asarray(probs, np.float64))
-
-    def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
-        return _tu(np.uint64(seed), np.uint64(stream), np.asarray(trials, np.uint64), np.uint64(draw0),
-                   np.asarray(cdf_a, np.float64), np.asarray(cdf_b, np.float64), np.int64(gate_dim),
-                   np.asarray(valid, np.bool_))
-
-    def tally_boundary(seed, stream, trials, draw0, label_cdf, target, q_reject):
-        return _tbo(np.uint64(seed), np.uint64(stream), np.asarray(trials, np.uint64), np.uint64(draw0),
-                    np.asarray(label_cdf, np.float64), np.int64(target), float(q_reject))
-
-    def tally_low(seed, stream, trials, draw0, label_cdf, reject_table):
-        return _tl(np.uint64(seed), np.uint64(stream), np.asarray(trials, np.uint64), np.uint64(draw0),
-                   np.asarray(label_cdf, np.float64), np.asarray(reject_table, np.float64))
-
-    def select(seed, stream, trials, draw0, cdf):
-        return _ts(np.uint64(seed), np.uint64(stream), np.asarray(trials, np.uint64), np.uint64(draw0),
-                   np.asarray(cdf, np.float64))
-
-else:
-    tally_bernoulli = _tally_bernoulli_numpy
-    tally_chain = _tally_chain_numpy
-    tally_unique = _tally_unique_numpy
-    tally_boundary = _tally_boundary_numpy
-    tally_low = _tally_low_numpy
-    select = _select_numpy
-
-
-# Always-available references for the benchmark and the equivalence tests.
-NUMPY_IMPLS = {
-    "uniforms": _uniforms_numpy,
-    "tally_bernoulli": _tally_bernoulli_numpy,
-    "tally_chain": _tally_chain_numpy,
-    "tally_unique": _tally_unique_numpy,
-    "tally_boundary": _tally_boundary_numpy,
-    "tally_low": _tally_low_numpy,
-    "select": _select_numpy,
-}
+def select(seed, stream, trials, draw0, cdf):
+    """Inverse-CDF pick per trial (the protocol round's test choice)."""
+    return _pick(cdf, uniforms(seed, stream, trials, draw0)).astype(np.int64)

@@ -20,7 +20,6 @@ from .instances import (
     GsconInstance,
     HamiltonianTerm,
     TraversalCertificate,
-    apply_gate_sequence,
     energy_of,
     gate_cnot,
     gate_givens00_11,
@@ -283,12 +282,11 @@ def brute_force_best_traversal(inst: GsconInstance) -> tuple[tuple[int, ...] | N
     psi = prepare_state_from_circuit(inst, "psi")
     best = (None, math.inf, math.inf)
     for seq in product(range(n_gates), repeat=inst.m):
-        state = apply_gate_sequence(inst, psi, seq)
         worst = 0.0
-        s = psi
+        state = psi
         for idx in seq:
-            s = apply_local_gate(s, inst.gate_set[idx], 0)
-            worst = max(worst, energy_of(inst, s))
+            state = apply_local_gate(state, inst.gate_set[idx], 0)
+            worst = max(worst, energy_of(inst, state))
         dist = phase_optimized_distance(state, phi)
         if worst <= ENERGY_FLOOR and dist <= inst.eta3 + PROMISE_TOL:
             return seq, worst, dist

@@ -1,8 +1,9 @@
 """Monte Carlo orchestration, the per-threshold adversary suite, and reports.
 
-Sampling is driven by precomputed branch probabilities (the same quantities
-exact mode sums analytically), realized per trial by the counter-based
-kernels in :mod:`ffgscon._kernels`.  Trials are addressed, not sequenced, so
+A run builds each test's :class:`~ffgscon.verifier.BranchPlan` once; the
+exact rows, the exact round and the sampled tallies all read from those
+eight plans.  Sampling runs each plan's kernel from :mod:`ffgscon._kernels`
+over arrays of trial indices.  Trials are addressed, not sequenced, so
 partitioning them across workers cannot change a single tally; reports
 serialize deterministically (wall-clock timings are kept out of the emitted
 document unless explicitly requested, and the worker count never enters it).
@@ -25,23 +26,8 @@ from .fixtures import builtin_instances, get_fixture
 from .instances import GsconInstance, TraversalCertificate, load_instance, prepare_state_from_circuit, validate_instance
 from .ledger import LEDGER_DPS, ParameterLedger, derive_parameters
 from .rng import STREAM_ROUND, stream_for_test
-from .states import (
-    _apply_matrix_axes,
-    apply_local_gate,
-    conditional_state,
-    phase_optimized_distance,
-    swap_test_reject_prob,
-)
-from .verifier import (
-    MODE_EXACT,
-    TEST_NAMES,
-    _boundary_branch_probs,
-    _low_energy_table,
-    _sequence_branch_probs,
-    _uniform_branch_probs,
-    run_protocol_round,
-    run_test,
-)
+from .states import apply_local_gate, phase_optimized_distance
+from .verifier import MODE_EXACT, TEST_NAMES, branch_plan, exact_round, round_cdf, run_test
 from .witnesses import (
     WITNESS_DPS,
     AdversaryKind,
@@ -230,76 +216,8 @@ def build_witnesses(inst: GsconInstance, cert, adversary=(), *, extended: bool =
 
 
 # ---------------------------------------------------------------------------
-# sampling plans: float branch probabilities feeding the kernels
+# sampling: branch plans realized over arrays of trial indices
 # ---------------------------------------------------------------------------
-
-
-def sampling_plan(test_id: int, witnesses, inst: GsconInstance) -> dict:
-    u, up, s, sp = witnesses.as_tuple() if isinstance(witnesses, ForgedWitnesses) else witnesses
-    if test_id in (1, 4):
-        q = swap_test_reject_prob(u.state if test_id == 1 else s.state, up.state if test_id == 1 else sp.state)
-        return {"kind": "bernoulli", "p_reject": float(q)}
-    if test_id == 2:
-        pa = np.asarray(u.outcome_probabilities(), dtype=np.float64).ravel()
-        pb = np.asarray(up.outcome_probabilities(), dtype=np.float64).ravel()
-        valid = np.arange(inst.G) < len(inst.gate_set)
-        return {
-            "kind": "unique",
-            "cdf_a": np.cumsum(pa),
-            "cdf_b": np.cumsum(pb),
-            "gate_dim": inst.G,
-            "valid": valid,
-        }
-    if test_id == 3:
-        p_gbar, q_label = _uniform_branch_probs(u, inst)
-        probs = [float(p_gbar), 0.0 if q_label is None else float(q_label)]
-        return {"kind": "chain", "probs": np.array(probs)}
-    if test_id == 5:
-        p_gate, p_label, q_swap, _ = _sequence_branch_probs(u, s, sp, inst)
-        probs = [float(p_gate), 0.0 if p_label is None else float(p_label), 0.0 if q_swap is None else float(q_swap)]
-        return {"kind": "chain", "probs": np.array(probs)}
-    if test_id in (6, 7):
-        which = "psi" if test_id == 6 else "phi"
-        target, p_label, q = _boundary_branch_probs(s, inst, which)
-        label_probs = np.clip(np.asarray(np.abs(s.state.as_tensor()) ** 2, dtype=np.float64).reshape(s.label_dim, -1).sum(axis=1), 0, 1)
-        return {
-            "kind": "boundary",
-            "label_cdf": np.cumsum(label_probs),
-            "target": target,
-            "q_reject": 0.0 if q is None else float(q),
-        }
-    if test_id == 8:
-        probs, _ = _low_energy_table(s, inst)
-        table = np.zeros((s.label_dim, inst.R))
-        for i in range(s.label_dim):
-            p, data = conditional_state(s.state, 0, i, drop=True)
-            if data is None:
-                continue
-            t = np.asarray(data.as_tensor(), dtype=np.complex128)
-            for r, term in enumerate(inst.terms):
-                val = float((np.conj(t) * _apply_matrix_axes(t, term.matrix, term.support)).sum().real)
-                table[i, r] = min(max(val, 0.0), 1.0)
-        return {
-            "kind": "low",
-            "label_cdf": np.cumsum(np.clip(np.asarray(probs, dtype=np.float64), 0, 1)),
-            "reject_table": table,
-        }
-    raise ValueError(f"unknown test id {test_id}")
-
-
-def _run_plan(plan: dict, seed: int, stream: int, trials_idx: np.ndarray, draw0: int) -> tuple[int, int]:
-    kind = plan["kind"]
-    if kind == "bernoulli":
-        return _kernels.tally_bernoulli(seed, stream, trials_idx, draw0, plan["p_reject"])
-    if kind == "chain":
-        return _kernels.tally_chain(seed, stream, trials_idx, draw0, plan["probs"])
-    if kind == "unique":
-        return _kernels.tally_unique(seed, stream, trials_idx, draw0, plan["cdf_a"], plan["cdf_b"], plan["gate_dim"], plan["valid"])
-    if kind == "boundary":
-        return _kernels.tally_boundary(seed, stream, trials_idx, draw0, plan["label_cdf"], plan["target"], plan["q_reject"])
-    if kind == "low":
-        return _kernels.tally_low(seed, stream, trials_idx, draw0, plan["label_cdf"], plan["reject_table"])
-    raise ValueError(f"unknown plan kind {kind}")
 
 
 def sample_test(plan, seed, stream, trials, draw0=0, workers=1) -> tuple[int, int]:
@@ -313,9 +231,9 @@ def sample_test_indices(plan, seed, stream, trials_idx, draw0=0, workers=1) -> t
         return 0, 0
     chunks = np.array_split(trials_idx, min(workers, len(trials_idx)))
     if len(chunks) == 1:
-        return _run_plan(plan, seed, stream, chunks[0], draw0)
+        return plan.tally(seed, stream, chunks[0], draw0)
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda ch: _run_plan(plan, seed, stream, ch, draw0), chunks))
+        parts = list(pool.map(lambda ch: plan.tally(seed, stream, ch, draw0), chunks))
     acc = sum(p[0] for p in parts)
     rej = sum(p[1] for p in parts)
     return acc, rej
@@ -324,8 +242,7 @@ def sample_test_indices(plan, seed, stream, trials_idx, draw0=0, workers=1) -> t
 def sample_round(plans: dict, ledger: ParameterLedger, seed: int, trials: int, workers=1) -> tuple[int, int]:
     """Dispatcher sampling: draw 0 picks the test, the test consumes draws 1+."""
     idx = np.arange(trials, dtype=np.uint64)
-    cdf = np.cumsum(np.asarray(ledger.p_float()))
-    picks = _kernels.select(seed, STREAM_ROUND, idx, 0, cdf)
+    picks = _kernels.select(seed, STREAM_ROUND, idx, 0, round_cdf(ledger))
     acc = rej = 0
     for t in range(8):
         sub = idx[picks == t]
@@ -380,22 +297,22 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(config_echo, name, ledger.as_decimal_dict())
     t_setup = time.perf_counter()
 
+    plans = {i: branch_plan(i, witnesses, inst) for i in range(1, 9)}
     exact_accepts = {}
     if cfg.mode in ("exact", "both"):
         for i in range(1, 9):
-            out = run_test(i, witnesses, inst, mode=MODE_EXACT)
+            out = plans[i].exact()
             exact_accepts[i] = out.accept_probability
             report.rows.append(
                 TestRow("test", i, TEST_NAMES[i], _prob_str(out.accept_probability), _prob_str(out.reject_probability))
             )
-        round_out = run_protocol_round(witnesses, inst, ledger, mode=MODE_EXACT)
+        round_out = exact_round(plans, ledger)
         report.rows.append(
             TestRow("round", "ROUND", "dispatch", _prob_str(round_out.accept_probability), _prob_str(round_out.reject_probability))
         )
     t_exact = time.perf_counter()
 
     if cfg.mode in ("sampled", "both"):
-        plans = {i: sampling_plan(i, witnesses, inst) for i in range(1, 9)}
         sampled_rows = {}
         for i in range(1, 9):
             acc, rej = sample_test(plans[i], cfg.seed, stream_for_test(i), cfg.trials, 0, cfg.workers)

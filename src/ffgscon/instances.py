@@ -208,20 +208,32 @@ def validate_instance(inst: GsconInstance) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def energy_of(inst: GsconInstance, s: RegisteredState) -> float:
-    """Sum of per-term expectation values <s|H_i|s> on a data-register state."""
+def term_energies(inst: GsconInstance, s: RegisteredState) -> list:
+    """Per-term expectation values <s|H_i|s> on a data-register state, in term order."""
     if s.shape.dims != (2,) * inst.n:
         raise ValueError(f"expected a {inst.n}-qubit data state, got layout {s.shape.dims}")
     t = s.as_tensor()
-    total = 0.0
+    values = []
     for term in inst.terms:
-        ht = _apply_matrix_axes(t, term.matrix, term.support)
-        val = (np.conj(t) * ht).sum()
-        imag = abs(float(val.imag)) if not s.extended else abs(float(val.imag))
+        val = (np.conj(t) * _apply_matrix_axes(t, term.matrix, term.support)).sum()
+        imag = abs(float(val.imag))
         if imag > EPS_ALGEBRA:
             raise ValueError(f"energy acquired imaginary residue {imag:.3e}")
-        total = total + val.real
-    return total if s.extended else float(total)
+        values.append(val.real)
+    return values
+
+
+def energy_sum(values, extended: bool):
+    """Total of per-term expectations, summed in term order (exact reports depend on it)."""
+    total = 0.0
+    for val in values:
+        total = total + val
+    return total if extended else float(total)
+
+
+def energy_of(inst: GsconInstance, s: RegisteredState) -> float:
+    """Sum of per-term expectation values <s|H_i|s> on a data-register state."""
+    return energy_sum(term_energies(inst, s), s.extended)
 
 
 def dense_hamiltonian(inst: GsconInstance) -> np.ndarray:
@@ -244,26 +256,6 @@ def energy_test_reject_prob(inst: GsconInstance, s: RegisteredState) -> float:
         raise ValueError("instance has no Hamiltonian terms")
     return energy_of(inst, s) / inst.R
 
-def energy_test_sample(inst: GsconInstance, s: RegisteredState, stream) -> bool:
-    """One energy-measurement shot; True means accept.
-
-    Draws a uniformly random term index, then realizes the two-outcome POVM
-    {H_i, 1 - H_i} through the term's eigendecomposition.
-    """
-    if inst.R == 0:
-        raise ValueError("instance has no Hamiltonian terms")
-    idx = min(int(stream.uniform() * inst.R), inst.R - 1)
-    term = inst.terms[idx]
-    evals, evecs = np.linalg.eigh(term.matrix)
-    t = np.asarray(s.as_tensor(), dtype=np.complex128)
-    p_reject = 0.0
-    for lam, k in zip(evals, range(evals.shape[0])):
-        vec = np.zeros_like(t)
-        coeff = np.tensordot(np.conj(evecs[:, k].reshape((2,) * len(term.support))), t,
-                             axes=(tuple(range(len(term.support))), term.support))
-        p_reject += max(float(lam), 0.0) * float((np.abs(coeff) ** 2).sum())
-    return not stream.bernoulli(min(p_reject, 1.0))
-
 
 # ---------------------------------------------------------------------------
 # circuits
@@ -278,12 +270,6 @@ def prepare_state_from_circuit(inst: GsconInstance, which: str, *, extended: boo
     state = basis_state(inst.data_shape, (0,) * inst.n, extended=extended)
     for gate in circuit:
         state = apply_local_gate(state, gate, 0)
-    return state
-
-
-def apply_gate_sequence(inst: GsconInstance, state: RegisteredState, indices) -> RegisteredState:
-    for idx in indices:
-        state = apply_local_gate(state, inst.gate_set[idx], 0)
     return state
 
 

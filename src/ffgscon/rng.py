@@ -6,6 +6,11 @@ in :mod:`ffgscon._kernels`.  There is no sequential generator state, so the
 same (config, seed) pair yields the same samples no matter how trials are
 chunked or parallelized.
 
+A :class:`CounterStream` names one ``(seed, stream, trial)`` cell.  Sampled
+verifier shots run a tally kernel on that cell's trial, from draw
+``stream.draw`` on; ``uniform`` and ``bernoulli`` hand out the cell's draws
+one by one (the product test uses them).
+
 Stream ids (documented, frozen):
 
 * 1..8   -- verifier test i run stand-alone
@@ -41,22 +46,12 @@ class CounterStream:
     draw: int = field(default=0)
 
     def uniform(self) -> float:
-        u = _kernels.uniform_one(self.seed, self.stream, self.trial, self.draw)
+        u = _kernels.uniforms(self.seed, self.stream, (self.trial,), self.draw)[0]
         self.draw += 1
         return float(u)
 
     def bernoulli(self, p: float) -> bool:
         return self.uniform() < p
-
-    def choice(self, probs) -> int:
-        """Categorical draw by inverse CDF; probs need not be exactly normalized."""
-        u = self.uniform() * float(sum(probs))
-        acc = 0.0
-        for k, p in enumerate(probs):
-            acc += float(p)
-            if u < acc:
-                return k
-        return len(probs) - 1
 
     def for_trial(self, trial: int) -> "CounterStream":
         return CounterStream(self.seed, self.stream, trial)

@@ -329,30 +329,6 @@ def conditional_state(state: RegisteredState, register: int, value: int, *, drop
     return prob, RegisteredState(state.shape, out.ravel(), check=False)
 
 
-def measure_register_sample(state: RegisteredState, register: int, stream) -> tuple[int, RegisteredState]:
-    """Sample a computational-basis measurement of one register.
-
-    The outcome follows the Born distribution (clamped to [0,1] and
-    renormalized against accumulated rounding); the returned state is the
-    renormalized conditional state with the register collapsed.
-    """
-    probs = np.clip(np.asarray(register_distribution(state, register), dtype=np.float64), 0.0, 1.0)
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("measurement distribution vanished")
-    outcome = stream.choice(probs / total)
-    _, post = conditional_state(state, register, int(outcome))
-    if post is None:  # sampled branch of vanishing weight: re-expose the basis state
-        post = basis_state(state.shape, _basis_values_for(state.shape, register, int(outcome)), extended=state.extended)
-    return int(outcome), post
-
-
-def _basis_values_for(shape: RegisterShape, register: int, value: int) -> tuple[int, ...]:
-    vals = [0] * len(shape.dims)
-    vals[register] = value
-    return tuple(vals)
-
-
 def shift_register(state: RegisteredState, register: int, offset: int) -> RegisteredState:
     """Cyclically relabel one register: |v> -> |v + offset mod d>."""
     t = np.roll(state.as_tensor(), offset, axis=register)
@@ -396,11 +372,6 @@ def swap_test_reject_prob(a: RegisteredState, b: RegisteredState):
     if not isinstance(r, mpmath.mpf):
         r = min(max(float(r), 0.0), 0.5)
     return r
-
-
-def swap_test_sample(a: RegisteredState, b: RegisteredState, stream) -> bool:
-    """One swap-test shot; True means accept."""
-    return not stream.bernoulli(float(swap_test_reject_prob(a, b)))
 
 
 def phase_optimized_distance(a: RegisteredState, b: RegisteredState):

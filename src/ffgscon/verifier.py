@@ -1,14 +1,20 @@
 """The eight verification tests, the dispatching round, and the product test.
 
-Exact mode computes acceptance by analytic branch summation over measurement
-outcomes; nothing is ever estimated by averaging samples.  Accept and reject
-masses are accumulated through *separate* branch sums so that rejection
-probabilities far below double resolution of 1 survive (an acceptance of
-1 - 1e-70 rounds to 1.0, but its rejection branch sum is a healthy 1e-70).
+Each test's branch tree is defined once, by :func:`branch_plan`: its branch
+probabilities at the witnesses' precision, plus the tally kernel of
+:mod:`ffgscon._kernels` that realizes the tree trial by trial.
 
-Sampled mode realizes one branch of the same tree per shot, drawing from a
-counter-based stream, so exact and sampled modes share a single source of
-branch probabilities.
+Exact mode is the analytic branch sum over the plan; nothing is ever
+estimated by averaging samples.  Accept and reject masses are accumulated
+through *separate* branch sums so that rejection probabilities far below
+double resolution of 1 survive (an acceptance of 1 - 1e-70 rounds to 1.0,
+but its rejection branch sum is a healthy 1e-70).
+
+Sampled mode runs the plan's kernel, on the float mirror of the plan's
+probabilities, for the one-trial array ``[stream.trial]`` from draw
+``stream.draw`` on.  A shot reads the draws at its address without
+consuming them, and its verdict is the verdict of that trial in
+:func:`ffgscon.harness.sample_test` and ``sample_round``.
 
 Where a projection can fail, failure is an absorbing *accept* branch
 contributing its full probability mass (tests 3 and 5); the sequence test's
@@ -18,13 +24,17 @@ registers are perfectly correlated after the equal-label projection.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import mpmath
 import numpy as np
 
-from .instances import GsconInstance, energy_of, prepare_state_from_circuit
+from . import _kernels
+from .instances import GsconInstance, energy_sum, prepare_state_from_circuit, term_energies
 from .states import (
     RegisteredState,
     RegisterShape,
@@ -110,27 +120,70 @@ def _verdict(accepted: bool) -> str:
     return "accept" if accepted else "reject"
 
 
+def _precision(dps):
+    return mpmath.workdps(dps) if dps else contextlib.nullcontext()
+
+
+@dataclass
+class BranchPlan:
+    """One test's branch tree, computed once at the witnesses' precision.
+
+    ``trace`` names the branch probabilities.  The exact branch sum
+    (``reject``) and the kernel's float arguments (``args``) are derived on
+    first use only: test 2's sum is a Python loop over every joint outcome
+    and costs as much as a whole sampled shot.
+    """
+
+    test_id: int
+    trace: tuple
+    kernel: Callable  # the _kernels tally realizing the tree per trial
+    branch_sum: Callable[[], object]
+    kernel_args: Callable[[], tuple]
+    reject_name: str | None = None  # trace name of the reject sum, for trees with one summary value
+    dps: int | None = None  # mpmath digits of extended witnesses
+
+    @cached_property
+    def reject(self):
+        with _precision(self.dps):
+            return self.branch_sum()
+
+    @cached_property
+    def args(self) -> tuple:
+        return self.kernel_args()
+
+    def exact(self) -> TestOutcome:
+        with _precision(self.dps):
+            accept = 1 - self.reject
+        trace = self.trace + (((self.reject_name, self.reject),) if self.reject_name else ())
+        return _outcome(self.test_id, MODE_EXACT, accept, self.reject, trace=trace)
+
+    def tally(self, seed, stream, trials, draw0=0) -> tuple[int, int]:
+        """(accepts, rejects) over an array of trial indices, from draw ``draw0`` on."""
+        return self.kernel(seed, stream, trials, draw0, *self.args)
+
+
+def _label_cdf(probs) -> np.ndarray:
+    return np.cumsum(np.clip(np.asarray(probs, dtype=np.float64), 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # tests 1 and 4: swap consistency
 # ---------------------------------------------------------------------------
 
 
-def _swap_test(test_id, a: RegisteredState, b: RegisteredState, mode, stream):
+def _swap_plan(test_id, a: RegisteredState, b: RegisteredState) -> BranchPlan:
     q = swap_test_reject_prob(a, b)
-    if mode == MODE_EXACT:
-        return _outcome(test_id, mode, 1 - q, q, trace=(("swap_reject", q),))
-    rejected = stream.bernoulli(float(q))
-    return _outcome(test_id, mode, None, None, _verdict(not rejected), (("swap_reject", float(q)),), stream)
+    return BranchPlan(test_id, (), _kernels.tally_bernoulli, lambda: q, lambda: (float(q),), "swap_reject")
 
 
-def test1_swap_u(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
+def _swap_u_plan(witnesses, inst) -> BranchPlan:
     u, up, _, _ = _unpack(witnesses)
-    return _swap_test(1, u.state, up.state, mode, stream)
+    return _swap_plan(1, u.state, up.state)
 
 
-def test4_swap_s(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
+def _swap_s_plan(witnesses, inst) -> BranchPlan:
     _, _, s, sp = _unpack(witnesses)
-    return _swap_test(4, s.state, sp.state, mode, stream)
+    return _swap_plan(4, s.state, sp.state)
 
 
 # ---------------------------------------------------------------------------
@@ -138,80 +191,68 @@ def test4_swap_s(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcom
 # ---------------------------------------------------------------------------
 
 
-def _unique_reject_prob(u: WitnessU, up: WitnessU, inst: GsconInstance):
-    """Branch sum over joint outcomes; never formed as 1 - accept."""
+def _unique_plan(witnesses, inst: GsconInstance) -> BranchPlan:
+    u, up, _, _ = _unpack(witnesses)
     pa = u.outcome_probabilities()
     pb = up.outcome_probabilities()
     n_set = len(inst.gate_set)
     G = inst.G
-    reject = 0.0
-    for i in range(u.label_dim):
-        for g in range(G):
-            for g2 in range(G):
-                if g != g2 or g >= n_set:
-                    reject = reject + pa[i, g] * pb[i, g2]
-    return reject
 
+    def branch_sum():
+        # over joint outcomes; never formed as 1 - accept
+        reject = 0.0
+        for i in range(u.label_dim):
+            for g in range(G):
+                for g2 in range(G):
+                    if g != g2 or g >= n_set:
+                        reject = reject + pa[i, g] * pb[i, g2]
+        return reject
 
-def test2_unique(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
-    u, up, _, _ = _unpack(witnesses)
-    if mode == MODE_EXACT:
-        rej = _unique_reject_prob(u, up, inst)
-        return _outcome(2, mode, 1 - rej, rej, trace=(("joint_mismatch", rej),))
-    pa = np.asarray(u.outcome_probabilities(), dtype=np.float64).ravel()
-    pb = np.asarray(up.outcome_probabilities(), dtype=np.float64).ravel()
-    fa = stream.choice(pa)
-    fb = stream.choice(pb)
-    G = inst.G
-    la, ga = divmod(fa, G)
-    lb, gb = divmod(fb, G)
-    ok = la != lb or (ga == gb and ga < len(inst.gate_set))
-    trace = (("labels", (la, lb)), ("gates", (ga, gb)))
-    return _outcome(2, mode, None, None, _verdict(ok), trace, stream)
+    def kernel_args():
+        cdf_a = np.cumsum(np.asarray(pa, dtype=np.float64).ravel())
+        cdf_b = np.cumsum(np.asarray(pb, dtype=np.float64).ravel())
+        return cdf_a, cdf_b, G, np.arange(G) < n_set
+
+    return BranchPlan(2, (), _kernels.tally_unique, branch_sum, kernel_args, "joint_mismatch")
 
 
 # ---------------------------------------------------------------------------
-# test 3: uniform gate register, then uniform labels
+# tests 3 and 5: chains of projections; reject iff every stage fires
 # ---------------------------------------------------------------------------
 
 
-def _uniform_branch_probs(u: WitnessU, inst: GsconInstance):
+def _chain_plan(test_id, stages) -> BranchPlan:
+    """Stage probabilities in order; a stage of None had no surviving mass and never fires."""
+    probs = [p for _, p in stages]
+    return BranchPlan(
+        test_id,
+        tuple(stages),
+        _kernels.tally_chain,
+        lambda: 0.0 if any(p is None for p in probs) else math.prod(probs),
+        lambda: (np.array([0.0 if p is None else float(p) for p in probs]),),
+    )
+
+
+def _uniform_plan(witnesses, inst: GsconInstance) -> BranchPlan:
+    """Test 3: uniform gate register, then uniform labels."""
+    u = _unpack(witnesses)[0]
     gbar = uniform_vector(inst.G, extended=u.state.extended)
     p_gbar, post = project_onto(u.state, 1, gbar)
-    if post is None:
-        return p_gbar, None
-    lbar = uniform_vector(u.label_dim, extended=u.state.extended)
-    q_label = projection_deficit(post, 0, lbar)
-    return p_gbar, q_label
+    q_label = None
+    if post is not None:
+        lbar = uniform_vector(u.label_dim, extended=u.state.extended)
+        q_label = projection_deficit(post, 0, lbar)
+    return _chain_plan(3, (("gate_uniform_prob", p_gbar), ("label_nonuniform_prob", q_label)))
 
 
-def test3_uniform(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
-    u, _, _, _ = _unpack(witnesses)
-    p_gbar, q_label = _uniform_branch_probs(u, inst)
-    trace = (("gate_uniform_prob", p_gbar), ("label_nonuniform_prob", q_label))
-    if mode == MODE_EXACT:
-        if q_label is None:
-            return _outcome(3, mode, 1.0, 0.0, trace=trace)
-        rej = p_gbar * q_label
-        return _outcome(3, mode, 1 - rej, rej, trace=trace)
-    if not stream.bernoulli(float(p_gbar)):
-        return _outcome(3, mode, None, None, "accept", (("gate_projection", "failed, accept"),), stream)
-    rejected = q_label is not None and stream.bernoulli(float(q_label))
-    return _outcome(3, mode, None, None, _verdict(not rejected), trace, stream)
+def _sequence_plan(witnesses, inst: GsconInstance) -> BranchPlan:
+    """Test 5: probabilistic shift-and-gate, then swap against the second copy.
 
-
-# ---------------------------------------------------------------------------
-# test 5: probabilistic shift-and-gate, then swap against the second copy
-# ---------------------------------------------------------------------------
-
-
-def _sequence_branch_probs(u: WitnessU, s: WitnessS, sp: WitnessS, inst: GsconInstance):
-    """(gate-projection prob, label-match prob, final swap reject prob).
-
-    Later entries are None when an earlier projection has no surviving mass.
-    For honest witnesses the joint projection success is exactly 1/(2mG):
-    1/G for the gate projection times 1/(2m) for the label match.
+    Stages: gate projection, label match, final swap rejection.  For honest
+    witnesses the joint projection success is exactly 1/(2mG): 1/G for the
+    gate projection times 1/(2m) for the label match.
     """
+    u, _, s, sp = _unpack(witnesses)
     if u.state.extended != s.state.extended or s.state.extended != sp.state.extended:
         raise ShapeMismatchError("witnesses must share one precision level")
     ext = u.state.extended
@@ -226,38 +267,19 @@ def _sequence_branch_probs(u: WitnessU, s: WitnessS, sp: WitnessS, inst: GsconIn
 
     gbar = uniform_vector(inst.G, extended=ext)
     p_gate, post = project_onto(controlled, 1, gbar)
-    if post is None:
-        return p_gate, None, None, None
-    # drop the gate register (it is exactly |gbar> after the projection)
-    reduced = np.tensordot(np.conj(gbar), post.as_tensor(), axes=([0], [1]))  # (2m, 2m, data...)
-
-    two_m = u.label_dim
-    diag = np.array([reduced[i, i] for i in range(two_m)])  # (2m, data...)
-    p_label = (np.abs(diag) ** 2).sum()
-    if float(p_label) < 1e-15:
-        return p_gate, p_label, None, None
-    diag = diag / (mpmath.sqrt(p_label) if ext else math.sqrt(p_label))
-    shifted = np.roll(diag, 1, axis=0)  # cyclic label shift, 2m -> 1
-    t_prime = RegisteredState(RegisterShape((two_m,) + (2,) * inst.n), shifted.ravel(), check=False)
-    q_swap = swap_test_reject_prob(t_prime, sp.state)
-    return p_gate, p_label, q_swap, t_prime
-
-
-def test5_sequence(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
-    u, _, s, sp = _unpack(witnesses)
-    p_gate, p_label, q_swap, _ = _sequence_branch_probs(u, s, sp, inst)
-    trace = (("gate_projection_prob", p_gate), ("label_match_prob", p_label), ("swap_reject", q_swap))
-    if mode == MODE_EXACT:
-        if p_label is None or q_swap is None:
-            return _outcome(5, mode, 1.0, 0.0, trace=trace)
-        rej = p_gate * p_label * q_swap
-        return _outcome(5, mode, 1 - rej, rej, trace=trace)
-    if not stream.bernoulli(float(p_gate)):
-        return _outcome(5, mode, None, None, "accept", (("gate_projection", "failed, accept"),), stream)
-    if p_label is None or not stream.bernoulli(float(p_label)):
-        return _outcome(5, mode, None, None, "accept", (("label_projection", "failed, accept"),), stream)
-    rejected = q_swap is not None and stream.bernoulli(float(q_swap))
-    return _outcome(5, mode, None, None, _verdict(not rejected), trace, stream)
+    p_label = q_swap = None
+    if post is not None:
+        # drop the gate register (it is exactly |gbar> after the projection)
+        reduced = np.tensordot(np.conj(gbar), post.as_tensor(), axes=([0], [1]))  # (2m, 2m, data...)
+        two_m = u.label_dim
+        diag = np.array([reduced[i, i] for i in range(two_m)])  # (2m, data...)
+        p_label = (np.abs(diag) ** 2).sum()
+        if float(p_label) >= 1e-15:
+            diag = diag / (mpmath.sqrt(p_label) if ext else math.sqrt(p_label))
+            shifted = np.roll(diag, 1, axis=0)  # cyclic label shift, 2m -> 1
+            t_prime = RegisteredState(RegisterShape((two_m,) + (2,) * inst.n), shifted.ravel(), check=False)
+            q_swap = swap_test_reject_prob(t_prime, sp.state)
+    return _chain_plan(5, (("gate_projection_prob", p_gate), ("label_match_prob", p_label), ("swap_reject", q_swap)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,41 +287,31 @@ def test5_sequence(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutc
 # ---------------------------------------------------------------------------
 
 
-def _boundary_branch_probs(s: WitnessS, inst: GsconInstance, which: str):
+def _boundary_plan(test_id, which, witnesses, inst: GsconInstance) -> BranchPlan:
+    s = _unpack(witnesses)[2]
     target = 0 if which == "psi" else inst.m
     probs = register_distribution(s.state, 0)
     p_label = probs[target]
-    if float(p_label) < 1e-15:
-        return target, p_label, None
-    _, data = conditional_state(s.state, 0, target, drop=True)
-    anchor = prepare_state_from_circuit(inst, which, extended=s.state.extended)
-    return target, p_label, swap_test_reject_prob(data, anchor)
+    q = None
+    if float(p_label) >= 1e-15:
+        _, data = conditional_state(s.state, 0, target, drop=True)
+        anchor = prepare_state_from_circuit(inst, which, extended=s.state.extended)
+        q = swap_test_reject_prob(data, anchor)
+    return BranchPlan(
+        test_id,
+        (("label_prob", p_label), ("swap_reject", q)),
+        _kernels.tally_boundary,
+        lambda: 0.0 if q is None else p_label * q,
+        lambda: (_label_cdf(probs), target, 0.0 if q is None else float(q)),
+    )
 
 
-def _boundary_test(test_id, which, s, inst, mode, stream):
-    target, p_label, q = _boundary_branch_probs(s, inst, which)
-    trace = (("label_prob", p_label), ("swap_reject", q))
-    if mode == MODE_EXACT:
-        if q is None:
-            return _outcome(test_id, mode, 1.0, 0.0, trace=trace)
-        rej = p_label * q
-        return _outcome(test_id, mode, 1 - rej, rej, trace=trace)
-    probs = np.clip(np.asarray(register_distribution(s.state, 0), dtype=np.float64), 0, 1)
-    lab = stream.choice(probs)
-    if lab != target:
-        return _outcome(test_id, mode, None, None, "accept", (("label", lab),), stream)
-    rejected = q is not None and stream.bernoulli(float(q))
-    return _outcome(test_id, mode, None, None, _verdict(not rejected), (("label", lab), ("swap_reject", q)), stream)
+def _start_plan(witnesses, inst) -> BranchPlan:
+    return _boundary_plan(6, "psi", witnesses, inst)
 
 
-def test6_start(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
-    _, _, s, _ = _unpack(witnesses)
-    return _boundary_test(6, "psi", s, inst, mode, stream)
-
-
-def test7_end(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
-    _, _, s, _ = _unpack(witnesses)
-    return _boundary_test(7, "phi", s, inst, mode, stream)
+def _end_plan(witnesses, inst) -> BranchPlan:
+    return _boundary_plan(7, "phi", witnesses, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -307,85 +319,116 @@ def test7_end(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _low_energy_table(s: WitnessS, inst: GsconInstance):
-    """(label probabilities, per-label energies). reject = sum p_i E_i / R."""
+def _low_plan(witnesses, inst: GsconInstance) -> BranchPlan:
+    """Measure the label, pick a term uniformly, reject with <H_term>: reject = sum p_i E_i / R."""
+    s = _unpack(witnesses)[2]
     probs = register_distribution(s.state, 0)
-    energies = []
+    table = []  # per label: per-term expectations, or None where the label has no mass
     for i in range(s.label_dim):
-        p, data = conditional_state(s.state, 0, i, drop=True)
-        energies.append(0.0 if data is None else energy_of(inst, data))
-    return probs, energies
+        _, data = conditional_state(s.state, 0, i, drop=True)
+        table.append(None if data is None else term_energies(inst, data))
+    energies = [0.0 if row is None else energy_sum(row, s.state.extended) for row in table]
 
+    def kernel_args():
+        reject_table = np.zeros((s.label_dim, inst.R))
+        for i, row in enumerate(table):
+            if row is not None:
+                reject_table[i] = [min(max(float(v), 0.0), 1.0) for v in row]
+        return _label_cdf(probs), reject_table
 
-def test8_low(witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
-    _, _, s, _ = _unpack(witnesses)
-    probs, energies = _low_energy_table(s, inst)
-    rej = sum(p * e for p, e in zip(probs, energies)) / inst.R
-    trace = (("mean_energy_over_R", rej),)
-    if mode == MODE_EXACT:
-        return _outcome(8, mode, 1 - rej, rej, trace=trace)
-    lab = stream.choice(np.clip(np.asarray(probs, dtype=np.float64), 0, 1))
-    term = min(int(stream.uniform() * inst.R), inst.R - 1)
-    _, data = conditional_state(s.state, 0, int(lab), drop=True)
-    if data is None:
-        return _outcome(8, mode, None, None, "accept", (("label", lab),), stream)
-    t = data.as_tensor()
-    hterm = inst.terms[term]
-    p_term = float((np.conj(t) * _apply_matrix_axes(t, hterm.matrix, hterm.support)).sum().real)
-    rejected = stream.bernoulli(min(max(p_term, 0.0), 1.0))
-    return _outcome(8, mode, None, None, _verdict(not rejected), (("label", lab), ("term", term)), stream)
+    return BranchPlan(
+        8,
+        (),
+        _kernels.tally_low,
+        lambda: sum(p * e for p, e in zip(probs, energies)) / inst.R,
+        kernel_args,
+        "mean_energy_over_R",
+    )
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-TEST_FUNCTIONS = {
-    1: test1_swap_u,
-    2: test2_unique,
-    3: test3_uniform,
-    4: test4_swap_s,
-    5: test5_sequence,
-    6: test6_start,
-    7: test7_end,
-    8: test8_low,
+_PLAN_BUILDERS = {
+    1: _swap_u_plan,
+    2: _unique_plan,
+    3: _uniform_plan,
+    4: _swap_s_plan,
+    5: _sequence_plan,
+    6: _start_plan,
+    7: _end_plan,
+    8: _low_plan,
 }
+
+
+def branch_plan(test_id: int, witnesses, inst: GsconInstance) -> BranchPlan:
+    """The branch tree of test ``test_id`` (1..8) on the given witnesses."""
+    dps = None
+    if any(w.state.extended for w in _unpack(witnesses)):
+        # extended amplitudes carry WITNESS_DPS digits; arithmetic must too,
+        # or the branch sums measure rounding noise instead of the deviation
+        dps = max(mpmath.mp.dps, WITNESS_DPS)
+    with _precision(dps):
+        plan = _PLAN_BUILDERS[test_id](witnesses, inst)
+    plan.dps = dps
+    return plan
+
+
+def _shot(plan: BranchPlan, stream, draw0: int) -> bool:
+    """True when the stream's trial rejects, reading draws from ``draw0`` on."""
+    _, rejected = plan.tally(stream.seed, stream.stream, np.array([stream.trial], dtype=np.uint64), draw0)
+    return bool(rejected)
 
 
 def run_test(test_id: int, witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
     if mode == MODE_SAMPLED and stream is None:
         raise ValueError("sampled mode needs a counter stream")
-    parts = _unpack(witnesses)
-    if any(w.state.extended for w in parts):
-        # extended amplitudes carry WITNESS_DPS digits; arithmetic must too,
-        # or the branch sums measure rounding noise instead of the deviation
-        with mpmath.workdps(max(mpmath.mp.dps, WITNESS_DPS)):
-            return TEST_FUNCTIONS[test_id](witnesses, inst, mode=mode, stream=stream)
-    return TEST_FUNCTIONS[test_id](witnesses, inst, mode=mode, stream=stream)
+    plan = branch_plan(test_id, witnesses, inst)
+    if mode == MODE_EXACT:
+        return plan.exact()
+    rejected = _shot(plan, stream, stream.draw)
+    return _outcome(test_id, mode, None, None, _verdict(not rejected), plan.trace, stream)
+
+
+def round_cdf(ledger) -> np.ndarray:
+    """Cumulative test-choice distribution p_1..p_8 of one round."""
+    return np.cumsum(np.asarray(ledger.p_float()))
+
+
+def exact_round(plans: dict, ledger) -> TestOutcome:
+    """Total acceptance sum(p_i * a_i) of one round, from the eight test plans.
+
+    Evaluated in the ledger's extended precision through its complement
+    1 - sum(p_i rej_i): the rejection side is a sum of small positives and
+    stays exact where the acceptance side would round to 1.  The per-test
+    exact probabilities go in the trace.
+    """
+    with mpmath.workdps(max(mpmath.mp.dps, 120)):
+        total_rej = mpmath.mpf(0)
+        trace = []
+        for i in range(1, 9):
+            out = plans[i].exact()
+            total_rej += ledger.p[i - 1] * mpmath.mpf(out.reject_probability)
+            trace.append((f"accept_{i}", out.accept_probability))
+            trace.append((f"reject_{i}", out.reject_probability))
+        return _outcome("ROUND", MODE_EXACT, 1 - total_rej, total_rej, trace=trace)
 
 
 def run_protocol_round(witnesses, inst, ledger, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
     """One verifier round: pick test i with probability p_i, run it.
 
-    Exact mode returns the total acceptance sum(p_i * a_i) in the ledger's
-    extended precision, with the per-test exact probabilities in the trace.
+    Exact mode returns :func:`exact_round`.  Sampled mode picks the test with
+    ``select`` at draw ``stream.draw`` and runs it from the next draw on.
     """
     if mode == MODE_EXACT:
         with mpmath.workdps(max(mpmath.mp.dps, 120)):
-            # sum(p_i a_i) evaluated through its complement 1 - sum(p_i rej_i):
-            # the rejection side is a sum of small positives and stays exact
-            # where the acceptance side would round to 1.
-            total_rej = mpmath.mpf(0)
-            trace = []
-            for i in range(1, 9):
-                out = run_test(i, witnesses, inst, mode=MODE_EXACT)
-                total_rej += ledger.p[i - 1] * mpmath.mpf(out.reject_probability)
-                trace.append((f"accept_{i}", out.accept_probability))
-                trace.append((f"reject_{i}", out.reject_probability))
-            return _outcome("ROUND", MODE_EXACT, 1 - total_rej, total_rej, trace=tuple(trace))
-    pick = stream.choice(ledger.p_float())
-    out = run_test(pick + 1, witnesses, inst, mode=MODE_SAMPLED, stream=stream)
-    return _outcome("ROUND", MODE_SAMPLED, None, None, out.verdict, (("test", pick + 1),) + out.trace, stream)
+            return exact_round({i: branch_plan(i, witnesses, inst) for i in range(1, 9)}, ledger)
+    trial = np.array([stream.trial], dtype=np.uint64)
+    pick = int(_kernels.select(stream.seed, stream.stream, trial, stream.draw, round_cdf(ledger))[0]) + 1
+    plan = branch_plan(pick, witnesses, inst)
+    rejected = _shot(plan, stream, stream.draw + 1)
+    return _outcome("ROUND", MODE_SAMPLED, None, None, _verdict(not rejected), (("test", pick),) + plan.trace, stream)
 
 
 # ---------------------------------------------------------------------------

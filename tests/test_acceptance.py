@@ -20,13 +20,12 @@ from ffgscon.harness import (
     run_monte_carlo,
     sample_round,
     sample_test,
-    sampling_plan,
 )
 from ffgscon.instances import dense_hamiltonian, energy_test_reject_prob, prepare_state_from_circuit
 from ffgscon.ledger import derive_parameters, qma2_tuning
 from ffgscon.rng import stream_for_test
 from ffgscon.states import apply_local_gate, swap_test_reject_prob
-from ffgscon.verifier import run_protocol_round, run_test
+from ffgscon.verifier import branch_plan, run_protocol_round, run_test
 from ffgscon.witnesses import AdversaryKind, AdversarySpec, apply_W, build_honest_S, honest_gate_assignment
 
 from oracles import random_registered_state, swap_circuit_reject_prob
@@ -180,7 +179,7 @@ def test_criterion_8_monte_carlo_fidelity():
             ]
             for adv in settings:
                 witnesses = build_witnesses(inst, fx.certificate, adv)
-                plans = {i: sampling_plan(i, witnesses, inst) for i in range(1, 9)}
+                plans = {i: branch_plan(i, witnesses, inst) for i in range(1, 9)}
                 for i in range(1, 9):
                     exact = float(run_test(i, witnesses, inst).accept_probability)
                     acc, rej = sample_test(plans[i], seed, stream_for_test(i), trials)

@@ -20,7 +20,6 @@ from ffgscon.harness import (
     resolve_instance,
     run_lemma_suite,
     run_monte_carlo,
-    sampling_plan,
 )
 from ffgscon.instances import GsconInstance, HamiltonianTerm, gate_i, gate_x, save_instance
 from ffgscon.ledger import derive_parameters
@@ -181,13 +180,18 @@ def test_dispatch_choice_frequencies_at_scale():
 
 def test_sampling_plan_shapes():
     fx = get_fixture("bell-flip")
+    from ffgscon import _kernels
     from ffgscon.harness import build_witnesses
+    from ffgscon.verifier import branch_plan
 
     w = build_witnesses(fx.instance, fx.certificate)
+    kernels = (_kernels.tally_bernoulli, _kernels.tally_chain, _kernels.tally_unique, _kernels.tally_boundary,
+               _kernels.tally_low)
     for i in range(1, 9):
-        plan = sampling_plan(i, w, fx.instance)
-        assert plan["kind"] in ("bernoulli", "chain", "unique", "boundary", "low")
-    assert sampling_plan(8, w, fx.instance)["reject_table"].shape == (2 * fx.instance.m, fx.instance.R)
+        plan = branch_plan(i, w, fx.instance)
+        assert plan.kernel in kernels
+    _, reject_table = branch_plan(8, w, fx.instance).args
+    assert reject_table.shape == (2 * fx.instance.m, fx.instance.R)
 
 
 # ---------------------------------------------------------------------------

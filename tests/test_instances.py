@@ -14,7 +14,6 @@ from ffgscon.instances import (
     dense_hamiltonian,
     energy_of,
     energy_test_reject_prob,
-    energy_test_sample,
     gate_cnot,
     gate_h,
     gate_i,
@@ -27,10 +26,11 @@ from ffgscon.instances import (
     load_instance,
     prepare_state_from_circuit,
     save_instance,
+    term_energies,
     validate_instance,
 )
+from ffgscon._kernels import tally_low
 from ffgscon.fixtures import builtin_instances, get_fixture
-from ffgscon.rng import CounterStream
 from ffgscon.states import RegisteredState, RegisterShape, basis_state
 
 from oracles import random_registered_state
@@ -134,13 +134,18 @@ def test_energy_test_zero_terms_rejected():
         energy_test_reject_prob(inst, basis_state(RegisterShape((2,)), (0,)))
 
 
+def energy_test_tally(inst, s, seed, stream, n):
+    """(accepts, rejects) of n one-shot energy measurements on one data state."""
+    table = np.array([term_energies(inst, s)])
+    return tally_low(seed, stream, np.arange(n, dtype=np.uint64), 0, np.array([1.0]), table)
+
+
 def test_energy_test_maximal_state_rejects_surely():
     # two identical projector terms: <H> = R on |1>, so reject probability 1
     inst = single_qubit_instance(terms=(proj1(), proj1()))
     one = basis_state(RegisterShape((2,)), (1,))
     assert abs(energy_test_reject_prob(inst, one) - 1.0) < 1e-12
-    stream = CounterStream(3, 20, 0)
-    assert all(not energy_test_sample(inst, one, stream.for_trial(t)) for t in range(200))
+    assert energy_test_tally(inst, one, 3, 20, 200) == (0, 200)
 
 
 def test_energy_test_sample_rate_matches_exact():
@@ -149,8 +154,7 @@ def test_energy_test_sample_rate_matches_exact():
     p = energy_test_reject_prob(inst, s)  # (0.5 + 0.125)/2
     assert abs(p - 0.3125) < 1e-12
     n = 50_000
-    stream = CounterStream(8, 21, 0)
-    rejects = sum(0 if energy_test_sample(inst, s, stream.for_trial(t)) else 1 for t in range(n))
+    _, rejects = energy_test_tally(inst, s, 8, 21, n)
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(rejects / n - p) <= 4 * sigma
 

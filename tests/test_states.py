@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ffgscon.rng import CounterStream
+from ffgscon._kernels import select, tally_bernoulli
 from ffgscon.states import (
     DimensionCapError,
     LocalGate,
@@ -20,14 +20,12 @@ from ffgscon.states import (
     conditional_state,
     drop_register_via,
     inner_product,
-    measure_register_sample,
     phase_optimized_distance,
     project_onto,
     projection_deficit,
     register_distribution,
     shift_register,
     swap_test_reject_prob,
-    swap_test_sample,
     tensor_with,
     uniform_vector,
 )
@@ -206,8 +204,9 @@ def test_register_distribution_and_conditional():
 
 def test_measure_deterministic_outcome():
     one = basis_state(RegisterShape((2,)), (1,))
-    outcome, post = measure_register_sample(one, 0, CounterStream(1, 16, 0))
+    outcome = int(select(1, 16, [0], 0, np.cumsum(register_distribution(one, 0)))[0])
     assert outcome == 1
+    _, post = conditional_state(one, 0, outcome)
     assert abs(abs(post.amplitude((1,))) - 1.0) < 1e-12
 
 
@@ -215,11 +214,8 @@ def test_measure_uniform_label_frequencies():
     # uniform 4-value register: each outcome 0.25 within 4 sigma over 1e5 draws
     s = RegisteredState(RegisterShape((4, 2)), np.kron(uniform_vector(4), [1, 0]))
     n = 100_000
-    counts = np.zeros(4)
-    stream = CounterStream(99, 17, 0)
-    for trial in range(n):
-        outcome, _ = measure_register_sample(s, 0, stream.for_trial(trial))
-        counts[outcome] += 1
+    outcomes = select(99, 17, np.arange(n, dtype=np.uint64), 0, np.cumsum(register_distribution(s, 0)))
+    counts = np.bincount(outcomes, minlength=4)
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert np.all(np.abs(counts / n - 0.25) <= 4 * sigma)
 
@@ -287,11 +283,8 @@ def test_swap_sample_rates():
     cases.append((zero, b, 0.25))
     n = 100_000
     for idx, (sa, sb, expect) in enumerate(cases):
-        rejects = 0
-        stream = CounterStream(31 + idx, 18, 0)
-        for trial in range(n):
-            if not swap_test_sample(sa, sb, stream.for_trial(trial)):
-                rejects += 1
+        trials = np.arange(n, dtype=np.uint64)
+        _, rejects = tally_bernoulli(31 + idx, 18, trials, 0, float(swap_test_reject_prob(sa, sb)))
         sigma = math.sqrt(expect * (1 - expect) / n)
         assert abs(rejects / n - expect) <= 4 * sigma
 
@@ -299,8 +292,8 @@ def test_swap_sample_rates():
 def test_swap_identical_sample_always_accepts():
     rng = np.random.default_rng(29)
     a = random_registered_state((5,), rng)
-    stream = CounterStream(5, 19, 0)
-    assert all(swap_test_sample(a, a, stream.for_trial(t)) for t in range(500))
+    trials = np.arange(500, dtype=np.uint64)
+    assert tally_bernoulli(5, 19, trials, 0, float(swap_test_reject_prob(a, a))) == (500, 0)
 
 
 def test_phase_optimized_distance():

@@ -8,10 +8,10 @@ import pytest
 from mpmath import mpf
 
 from ffgscon.fixtures import builtin_instances, get_fixture
-from ffgscon.harness import build_witnesses
+from ffgscon.harness import build_witnesses, demo_magnitude, sample_round, sample_test
 from ffgscon.instances import GsconInstance
 from ffgscon.ledger import derive_parameters
-from ffgscon.rng import CounterStream, stream_for_test
+from ffgscon.rng import STREAM_ROUND, CounterStream, stream_for_test
 from ffgscon.states import (
     RegisteredState,
     RegisterShape,
@@ -19,7 +19,7 @@ from ffgscon.states import (
     basis_state,
     uniform_vector,
 )
-from ffgscon.verifier import MODE_SAMPLED, product_test, run_protocol_round, run_test
+from ffgscon.verifier import MODE_SAMPLED, branch_plan, product_test, run_protocol_round, run_test
 from ffgscon.witnesses import (
     AdversaryKind,
     AdversarySpec,
@@ -407,6 +407,31 @@ def test_sampled_paths_match_exact_rates():
             hits += out.verdict == "accept"
         sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / n)
         assert abs(hits / n - exact) <= 4 * sigma, test_id
+
+
+SHOT_CASES = [("idle", None), ("bell-stepwise", None)] + [("bell-flip", kind) for kind in AdversaryKind]
+
+
+@pytest.mark.parametrize(
+    "name,kind", SHOT_CASES, ids=[name if kind is None else f"{name}-{kind.value}" for name, kind in SHOT_CASES]
+)
+def test_shot_equals_bulk(name, kind):
+    # a sampled shot is its plan's kernel on the one-trial array [t], so the
+    # rejecting shots over t < n are exactly the bulk reject tally over n trials
+    fx = get_fixture(name)
+    inst = fx.instance
+    led = derive_parameters(inst)
+    specs = () if kind is None else (AdversarySpec(kind, demo_magnitude(kind, inst, led)),)
+    w = build_witnesses(inst, fx.certificate, specs)
+    plans = {i: branch_plan(i, w, inst) for i in range(1, 9)}
+    n, seed = 2000, 41
+    for i in range(1, 9):
+        streams = (CounterStream(seed, stream_for_test(i), t) for t in range(n))
+        shots = sum(run_test(i, w, inst, mode=MODE_SAMPLED, stream=st).verdict == "reject" for st in streams)
+        assert shots == sample_test(plans[i], seed, stream_for_test(i), n)[1], i
+    streams = (CounterStream(seed, STREAM_ROUND, t) for t in range(n))
+    shots = sum(run_protocol_round(w, inst, led, mode=MODE_SAMPLED, stream=st).verdict == "reject" for st in streams)
+    assert shots == sample_round(plans, led, seed, n)[1]
 
 
 def test_sampled_needs_stream():
