@@ -162,10 +162,7 @@ def _dispatch(args) -> int:
             seed=args.seed,
             adversary=adversary,
             certificate=_parse_certificate(args.certificate),
-            out=args.out,
-            out_format=args.format,
             workers=args.workers,
-            include_timings=args.timings,
         )
         report = run_monte_carlo(cfg)
         print(f"instance: {name}  mode: {args.mode}  seed: {args.seed}")
@@ -177,6 +174,7 @@ def _dispatch(args) -> int:
                 bits.append(f"sampled {row.accepts}/{row.trials} (sigma={row.sigma})")
             print("  ".join(bits))
         if args.out:
+            emit_report(report, args.out, args.format, include_timings=args.timings)
             print(f"report written to {args.out}")
         return EXIT_OK
 

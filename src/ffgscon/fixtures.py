@@ -269,32 +269,6 @@ def brute_force_no_check(inst: GsconInstance, cap: int = BRUTE_FORCE_CAP) -> Bru
     return BruteForceResult(True, total, None)
 
 
-def brute_force_best_traversal(inst: GsconInstance) -> tuple[tuple[int, ...] | None, float, float]:
-    """(best YES-style sequence or None, its max energy, its final distance).
-
-    A sequence qualifies when it meets the YES conditions: intermediate
-    energies at the frustration-free floor and final distance within eta3.
-    """
-    n_gates = len(inst.gate_set)
-    if n_gates**inst.m > BRUTE_FORCE_CAP:
-        raise ValueError("instance too large for exhaustive search")
-    phi = prepare_state_from_circuit(inst, "phi")
-    psi = prepare_state_from_circuit(inst, "psi")
-    best = (None, math.inf, math.inf)
-    for seq in product(range(n_gates), repeat=inst.m):
-        worst = 0.0
-        state = psi
-        for idx in seq:
-            state = apply_local_gate(state, inst.gate_set[idx], 0)
-            worst = max(worst, energy_of(inst, state))
-        dist = phase_optimized_distance(state, phi)
-        if worst <= ENERGY_FLOOR and dist <= inst.eta3 + PROMISE_TOL:
-            return seq, worst, dist
-        if dist < best[2]:
-            best = (None, worst, dist)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # synthetic threshold grid for ledger property checks
 # ---------------------------------------------------------------------------

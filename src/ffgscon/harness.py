@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from . import _kernels
-from .fixtures import builtin_instances, get_fixture
-from .instances import GsconInstance, TraversalCertificate, load_instance, prepare_state_from_circuit, validate_instance
+from .fixtures import builtin_instances, get_fixture, verify_certificate
+from .instances import GsconInstance, TraversalCertificate, load_instance, validate_instance
 from .ledger import LEDGER_DPS, ParameterLedger, derive_parameters
 from .rng import STREAM_ROUND, stream_for_test
-from .states import apply_local_gate, phase_optimized_distance
-from .verifier import MODE_EXACT, TEST_NAMES, branch_plan, exact_round, round_cdf, run_test
+from .verifier import MODE_EXACT, TEST_NAMES, branch_plan, exact_round, run_test, sample_round
 from .witnesses import (
     WITNESS_DPS,
     AdversaryKind,
@@ -59,10 +57,7 @@ class ExperimentConfig:
     seed: int = 0
     adversary: tuple[AdversarySpec, ...] = ()
     certificate: tuple[int, ...] | None = None  # override for file-loaded instances
-    out: str | None = None
-    out_format: str = "json"
     workers: int = 1
-    include_timings: bool = False
 
     def check(self):
         if self.mode not in ("exact", "sampled", "both"):
@@ -71,8 +66,6 @@ class ExperimentConfig:
             raise HarnessError("sampled mode needs trials >= 1")
         if self.workers < 1:
             raise HarnessError("workers must be >= 1")
-        if self.out_format not in ("json", "csv"):
-            raise HarnessError(f"format must be json or csv, got {self.out_format!r}")
 
 
 @dataclass
@@ -190,6 +183,7 @@ def resolve_instance(source: str, certificate=None):
         pass
     if os.path.exists(source):
         inst = load_instance(source)
+        enforce_desk_caps(inst)
         cert = TraversalCertificate(certificate) if certificate is not None else None
         return inst, cert, os.path.basename(source)
     raise HarnessError(
@@ -216,43 +210,6 @@ def build_witnesses(inst: GsconInstance, cert, adversary=(), *, extended: bool =
 
 
 # ---------------------------------------------------------------------------
-# sampling: branch plans realized over arrays of trial indices
-# ---------------------------------------------------------------------------
-
-
-def sample_test(plan, seed, stream, trials, draw0=0, workers=1) -> tuple[int, int]:
-    """Tally (accepts, rejects) over trial indices 0..trials-1, chunked per worker."""
-    idx = np.arange(trials, dtype=np.uint64)
-    return sample_test_indices(plan, seed, stream, idx, draw0, workers)
-
-
-def sample_test_indices(plan, seed, stream, trials_idx, draw0=0, workers=1) -> tuple[int, int]:
-    if len(trials_idx) == 0:
-        return 0, 0
-    chunks = np.array_split(trials_idx, min(workers, len(trials_idx)))
-    if len(chunks) == 1:
-        return plan.tally(seed, stream, chunks[0], draw0)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda ch: plan.tally(seed, stream, ch, draw0), chunks))
-    acc = sum(p[0] for p in parts)
-    rej = sum(p[1] for p in parts)
-    return acc, rej
-
-
-def sample_round(plans: dict, ledger: ParameterLedger, seed: int, trials: int, workers=1) -> tuple[int, int]:
-    """Dispatcher sampling: draw 0 picks the test, the test consumes draws 1+."""
-    idx = np.arange(trials, dtype=np.uint64)
-    picks = _kernels.select(seed, STREAM_ROUND, idx, 0, round_cdf(ledger))
-    acc = rej = 0
-    for t in range(8):
-        sub = idx[picks == t]
-        a, r = sample_test_indices(plans[t + 1], seed, STREAM_ROUND, sub, 1, workers)
-        acc += a
-        rej += r
-    return acc, rej
-
-
-# ---------------------------------------------------------------------------
 # the experiment entry points
 # ---------------------------------------------------------------------------
 
@@ -272,12 +229,32 @@ def _sigma_str(p_exact, trials) -> str:
     return repr(math.sqrt(p * (1.0 - p) / trials))
 
 
+def _sample_all(plans: dict, cdf, seed: int, trials: int, workers: int) -> list[tuple[int, int]]:
+    """(accepts, rejects) of tests 1..8 and the round over trials 0..trials-1.
+
+    The trials are split once, one chunk per worker; each chunk runs the nine
+    tallies.  Trials are addressed, so the split cannot change a count.  A
+    single chunk runs on the calling thread.
+    """
+
+    def tally(chunk):
+        counts = [plans[i].tally(seed, stream_for_test(i), chunk) for i in range(1, 9)]
+        return counts + [sample_round(plans.__getitem__, cdf, seed, STREAM_ROUND, chunk)[:2]]
+
+    chunks = np.array_split(np.arange(trials, dtype=np.uint64), min(workers, trials))
+    if len(chunks) == 1:
+        parts = [tally(chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(tally, chunks))
+    return [tuple(map(sum, zip(*counts))) for counts in zip(*parts)]
+
+
 def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
     """Exact probabilities and/or counter-based sampled tallies for all tests."""
     cfg.check()
     t_start = time.perf_counter()
     inst, cert, name = resolve_instance(cfg.instance, cfg.certificate)
-    enforce_desk_caps(inst)
     val = validate_instance(inst)
     if not val.ok:
         raise HarnessError("instance failed validation:\n" + "\n".join(val.lines()))
@@ -298,43 +275,29 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
     t_setup = time.perf_counter()
 
     plans = {i: branch_plan(i, witnesses, inst) for i in range(1, 9)}
-    exact_accepts = {}
+    keys = list(range(1, 9)) + ["ROUND"]
+    exact = {}
     if cfg.mode in ("exact", "both"):
-        for i in range(1, 9):
-            out = plans[i].exact()
-            exact_accepts[i] = out.accept_probability
-            report.rows.append(
-                TestRow("test", i, TEST_NAMES[i], _prob_str(out.accept_probability), _prob_str(out.reject_probability))
-            )
-        round_out = exact_round(plans, ledger)
-        report.rows.append(
-            TestRow("round", "ROUND", "dispatch", _prob_str(round_out.accept_probability), _prob_str(round_out.reject_probability))
-        )
+        exact = {i: plans[i].exact() for i in range(1, 9)}
+        exact["ROUND"] = exact_round(plans, ledger)
     t_exact = time.perf_counter()
 
+    tallies = {}
     if cfg.mode in ("sampled", "both"):
-        sampled_rows = {}
-        for i in range(1, 9):
-            acc, rej = sample_test(plans[i], cfg.seed, stream_for_test(i), cfg.trials, 0, cfg.workers)
-            sampled_rows[i] = (acc, rej)
-        racc, rrej = sample_round(plans, ledger, cfg.seed, cfg.trials, cfg.workers)
-
-        if cfg.mode == "sampled":
-            for i in range(1, 9):
-                acc, rej = sampled_rows[i]
-                sigma = _sigma_str(acc / cfg.trials, cfg.trials)
-                report.rows.append(TestRow("test", i, TEST_NAMES[i], None, None, cfg.trials, acc, rej, sigma))
-            report.rows.append(TestRow("round", "ROUND", "dispatch", None, None, cfg.trials, racc, rrej, _sigma_str(racc / cfg.trials, cfg.trials)))
-        else:
-            for row in report.rows:
-                if row.section == "test":
-                    acc, rej = sampled_rows[row.test_id]
-                    row.trials, row.accepts, row.rejects = cfg.trials, acc, rej
-                    row.sigma = _sigma_str(exact_accepts[row.test_id], cfg.trials)
-                elif row.section == "round":
-                    row.trials, row.accepts, row.rejects = cfg.trials, racc, rrej
-                    row.sigma = _sigma_str(racc / cfg.trials, cfg.trials)
+        tallies = dict(zip(keys, _sample_all(plans, ledger.round_cdf, cfg.seed, cfg.trials, cfg.workers)))
     t_sampled = time.perf_counter()
+
+    for key in keys:
+        row = TestRow("round", key, "dispatch") if key == "ROUND" else TestRow("test", key, TEST_NAMES[key])
+        if key in exact:
+            row.exact_accept = _prob_str(exact[key].accept_probability)
+            row.exact_reject = _prob_str(exact[key].reject_probability)
+        if key in tallies:
+            row.trials, row.accepts, row.rejects = cfg.trials, *tallies[key]
+            # test rows measure sigma at the exact acceptance when there is one; the round at its own rate
+            p = exact[key].accept_probability if key in exact and key != "ROUND" else row.accepts / cfg.trials
+            row.sigma = _sigma_str(p, cfg.trials)
+        report.rows.append(row)
 
     report.timings = {
         "setup_s": t_setup - t_start,
@@ -342,8 +305,6 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
         "sampled_s": t_sampled - t_exact,
         "total_s": t_sampled - t_start,
     }
-    if cfg.out:
-        emit_report(report, cfg.out, cfg.out_format, include_timings=cfg.include_timings)
     return report
 
 
@@ -390,6 +351,7 @@ def run_lemma_suite(inst: GsconInstance, cert: TraversalCertificate | None = Non
     targeted test's exact branch sum, and asserts rejection >= the ledger
     threshold r_i with a nonnegative margin.
     """
+    enforce_desk_caps(inst)
     val = validate_instance(inst)
     if not val.ok:
         raise HarnessError("instance failed validation:\n" + "\n".join(val.lines()))
@@ -444,11 +406,7 @@ def _mag_str(m) -> str:
 
 def _final_state_note(inst, cert, ledger) -> str:
     """Distance of the replayed traversal endpoint from the target vs eta3 + 3h."""
-    state = prepare_state_from_circuit(inst, "psi")
-    for idx in cert.gates:
-        state = apply_local_gate(state, inst.gate_set[idx], 0)
-    phi = prepare_state_from_circuit(inst, "phi")
-    dist = phase_optimized_distance(state, phi)
+    dist = verify_certificate(inst, cert).final_distance
     bound = float(ledger.eta3 + 3 * ledger.h)
     status = "holds" if dist < bound else "VIOLATED"
     return f"final-state condition: ||U_m...U_1 psi - phi|| = {dist!r} < eta3 + 3h = {bound!r} ({status})"

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
+import numpy as np
 from mpmath import mpf
 
 from .instances import GsconInstance
@@ -78,8 +80,12 @@ class ParameterLedger:
     def p_float(self) -> list[float]:
         return [float(v) for v in self.p]
 
-    def r_float(self) -> list[float]:
-        return [float(v) for v in self.r]
+    @cached_property
+    def round_cdf(self) -> np.ndarray:
+        """Cumulative test-choice distribution p_1..p_8 of one round, in doubles (read-only)."""
+        cdf = np.cumsum(self.p_float())
+        cdf.flags.writeable = False
+        return cdf
 
     def as_decimal_dict(self, digits: int = 30) -> dict:
         scalars = {

@@ -214,11 +214,6 @@ def uniform_vector(dim: int, *, extended: bool = False) -> np.ndarray:
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
 
 
-def random_state(shape: RegisterShape, rng: np.random.Generator) -> RegisteredState:
-    amps = rng.normal(size=shape.size) + 1j * rng.normal(size=shape.size)
-    return RegisteredState(shape, amps, normalize=True)
-
-
 # ---------------------------------------------------------------------------
 # core operations
 # ---------------------------------------------------------------------------
@@ -327,27 +322,6 @@ def conditional_state(state: RegisteredState, register: int, value: int, *, drop
     out = np.zeros_like(t) if not state.extended else zeros_like_dtype(t.size, True).reshape(t.shape)
     out[tuple(sl)] = cond
     return prob, RegisteredState(state.shape, out.ravel(), check=False)
-
-
-def shift_register(state: RegisteredState, register: int, offset: int) -> RegisteredState:
-    """Cyclically relabel one register: |v> -> |v + offset mod d>."""
-    t = np.roll(state.as_tensor(), offset, axis=register)
-    return RegisteredState(state.shape, t.ravel(), check=False)
-
-
-def drop_register_via(state: RegisteredState, register: int, vector) -> RegisteredState:
-    """Remove a register known to factor out in state |vector>.
-
-    Raises if the register is in fact not in that product state (the
-    contraction would lose norm).
-    """
-    t = state.as_tensor()
-    tv = np.asarray(vector).ravel()
-    coeff = np.tensordot(np.conj(tv), t, axes=([0], [register]))
-    nrm2 = _abs2_sum(coeff)
-    if abs(float(nrm2) - 1.0) > 1e-6:
-        raise ValueError("register does not factor out in the given state")
-    return RegisteredState(state.shape.drop(register), (coeff / _sqrt(nrm2)).ravel(), check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ double resolution of 1 survive (an acceptance of 1 - 1e-70 rounds to 1.0,
 but its rejection branch sum is a healthy 1e-70).
 
 Sampled mode runs the plan's kernel, on the float mirror of the plan's
-probabilities, for the one-trial array ``[stream.trial]`` from draw
-``stream.draw`` on.  A shot reads the draws at its address without
-consuming them, and its verdict is the verdict of that trial in
-:func:`ffgscon.harness.sample_test` and ``sample_round``.
+probabilities, over an array of trial indices.  A test shot at the address
+``CounterStream(seed, stream, trial, draw)`` is :meth:`BranchPlan.tally` on
+``[trial]`` from ``draw`` on.  :func:`sample_round` is the one round
+dispatcher: a draw picks the test, the picked plan reads the draws after
+it.  A round shot is that dispatcher on ``[trial]``, so every shot's verdict
+is the verdict of its trial in a bulk tally.
 
 Where a projection can fail, failure is an absorbing *accept* branch
 contributing its full probability mass (tests 3 and 5); the sequence test's
@@ -375,25 +377,14 @@ def branch_plan(test_id: int, witnesses, inst: GsconInstance) -> BranchPlan:
     return plan
 
 
-def _shot(plan: BranchPlan, stream, draw0: int) -> bool:
-    """True when the stream's trial rejects, reading draws from ``draw0`` on."""
-    _, rejected = plan.tally(stream.seed, stream.stream, np.array([stream.trial], dtype=np.uint64), draw0)
-    return bool(rejected)
-
-
 def run_test(test_id: int, witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
     if mode == MODE_SAMPLED and stream is None:
         raise ValueError("sampled mode needs a counter stream")
     plan = branch_plan(test_id, witnesses, inst)
     if mode == MODE_EXACT:
         return plan.exact()
-    rejected = _shot(plan, stream, stream.draw)
+    _, rejected = plan.tally(stream.seed, stream.stream, [stream.trial], stream.draw)
     return _outcome(test_id, mode, None, None, _verdict(not rejected), plan.trace, stream)
-
-
-def round_cdf(ledger) -> np.ndarray:
-    """Cumulative test-choice distribution p_1..p_8 of one round."""
-    return np.cumsum(np.asarray(ledger.p_float()))
 
 
 def exact_round(plans: dict, ledger) -> TestOutcome:
@@ -404,7 +395,7 @@ def exact_round(plans: dict, ledger) -> TestOutcome:
     stays exact where the acceptance side would round to 1.  The per-test
     exact probabilities go in the trace.
     """
-    with mpmath.workdps(max(mpmath.mp.dps, 120)):
+    with mpmath.workdps(max(mpmath.mp.dps, WITNESS_DPS)):
         total_rej = mpmath.mpf(0)
         trace = []
         for i in range(1, 9):
@@ -415,20 +406,43 @@ def exact_round(plans: dict, ledger) -> TestOutcome:
         return _outcome("ROUND", MODE_EXACT, 1 - total_rej, total_rej, trace=trace)
 
 
+def sample_round(plan_of: Callable[[int], BranchPlan], cdf, seed, stream, trials, draw0=0):
+    """(accepts, rejects, picks) of the round over an array of trial indices.
+
+    Draw ``draw0`` picks each trial's test from ``cdf`` (``picks`` holds the
+    test ids 1..8); the picked plan's kernel reads the draws from
+    ``draw0 + 1`` on.  ``plan_of(i)`` is called only for tests some trial
+    picked.
+    """
+    trials = np.asarray(trials, dtype=np.uint64)
+    picks = _kernels.select(seed, stream, trials, draw0, cdf)
+    picks += 1
+    acc = rej = 0
+    for i in np.flatnonzero(np.bincount(picks)).tolist():
+        a, r = plan_of(i).tally(seed, stream, trials[picks == i], draw0 + 1)
+        acc += a
+        rej += r
+    return acc, rej, picks
+
+
 def run_protocol_round(witnesses, inst, ledger, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
     """One verifier round: pick test i with probability p_i, run it.
 
-    Exact mode returns :func:`exact_round`.  Sampled mode picks the test with
-    ``select`` at draw ``stream.draw`` and runs it from the next draw on.
+    Exact mode returns :func:`exact_round`.  Sampled mode is
+    :func:`sample_round` on the stream's trial, from draw ``stream.draw``.
     """
     if mode == MODE_EXACT:
-        with mpmath.workdps(max(mpmath.mp.dps, 120)):
-            return exact_round({i: branch_plan(i, witnesses, inst) for i in range(1, 9)}, ledger)
-    trial = np.array([stream.trial], dtype=np.uint64)
-    pick = int(_kernels.select(stream.seed, stream.stream, trial, stream.draw, round_cdf(ledger))[0]) + 1
-    plan = branch_plan(pick, witnesses, inst)
-    rejected = _shot(plan, stream, stream.draw + 1)
-    return _outcome("ROUND", MODE_SAMPLED, None, None, _verdict(not rejected), (("test", pick),) + plan.trace, stream)
+        return exact_round({i: branch_plan(i, witnesses, inst) for i in range(1, 9)}, ledger)
+    plans = {}
+
+    def plan_of(i):
+        plans[i] = branch_plan(i, witnesses, inst)
+        return plans[i]
+
+    _, rejected, picks = sample_round(plan_of, ledger.round_cdf, stream.seed, stream.stream, [stream.trial], stream.draw)
+    pick = int(picks[0])
+    trace = (("test", pick),) + plans[pick].trace
+    return _outcome("ROUND", MODE_SAMPLED, None, None, _verdict(not rejected), trace, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +469,14 @@ def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream=None) -> T
         rejects.append(swap_test_reject_prob(a, b))
     trace = tuple((f"swap_reject_{k+1}", q) for k, q in enumerate(rejects))
     if mode == MODE_EXACT:
-        accept = 1
+        # part k rejects when parts 1..k-1 accepted: a branch sum, never 1 - accept
+        accept, reject = 1, 0
         for q in rejects:
+            reject = reject + accept * q
             accept = accept * (1 - q)
-        return _outcome("PRODUCT", mode, accept, 1 - accept, trace=trace)
-    ok = all(not stream.bernoulli(float(q)) for q in rejects)
+        return _outcome("PRODUCT", mode, accept, reject, trace=trace)
+    ok = all(
+        _kernels.uniforms(stream.seed, stream.stream, [stream.trial], stream.draw + k)[0] >= float(q)
+        for k, q in enumerate(rejects)
+    )
     return _outcome("PRODUCT", mode, None, None, _verdict(ok), trace, stream)

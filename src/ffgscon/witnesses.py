@@ -26,7 +26,8 @@ import mpmath
 import numpy as np
 
 from .instances import GsconInstance, TraversalCertificate, adjoint_index, dense_hamiltonian, energy_of, prepare_state_from_circuit
-from .rng import STREAM_USER, CounterStream
+from ._kernels import uniforms
+from .rng import STREAM_USER
 from .states import (
     RegisteredState,
     RegisterShape,
@@ -124,10 +125,6 @@ class WitnessS:
     @property
     def label_dim(self) -> int:
         return self.state.shape.dims[0]
-
-    def data_state(self, label_index: int) -> tuple:
-        """(probability of the label, conditional data state or None)."""
-        return conditional_state(self.state, 0, label_index, drop=True)
 
 
 @dataclass(frozen=True)
@@ -235,14 +232,19 @@ def reference_certificate(inst: GsconInstance, cert: TraversalCertificate | None
     return cert if cert is not None else TraversalCertificate((0,) * inst.m)
 
 
-def _orthogonal_state(psi: RegisteredState, stream: CounterStream | None) -> RegisteredState:
+def _seeded_index(seed: int, draw: int, dim: int) -> int:
+    """Index in range(dim) from the uniform at (seed, STREAM_USER, trial 0, draw)."""
+    return int(uniforms(seed, STREAM_USER, [0], draw)[0] * dim) % dim
+
+
+def _orthogonal_state(psi: RegisteredState, seed: int | None) -> RegisteredState:
     """A normalized state orthogonal to psi (data dimension >= 2)."""
     amps = psi.amplitudes
     dim = amps.shape[0]
-    if stream is None:
+    if seed is None:
         j = int(np.argmin(np.abs(np.asarray(amps, dtype=np.complex128))))
     else:
-        j = int(stream.uniform() * dim) % dim
+        j = _seeded_index(seed, 0, dim)
     e = zeros_like_dtype(dim, psi.extended)
     e[j] = _one(psi.extended)
     overlap = (np.conj(amps) * e).sum()  # <psi|e_j>
@@ -257,12 +259,12 @@ def _orthogonal_state(psi: RegisteredState, stream: CounterStream | None) -> Reg
     return RegisteredState(psi.shape, res / _sqrtv(nrm2, psi.extended), check=False)
 
 
-def _rotate_toward(base: RegisteredState, cos_theta, stream) -> RegisteredState:
+def _rotate_toward(base: RegisteredState, cos_theta, seed) -> RegisteredState:
     """cos(t) base + sin(t) base_perp with the requested cosine."""
     ext = base.extended
     one = _one(ext)
     sin_theta = _sqrtv(one - cos_theta * cos_theta, ext)
-    perp = _orthogonal_state(base, stream)
+    perp = _orthogonal_state(base, seed)
     return RegisteredState(base.shape, cos_theta * base.amplitudes + sin_theta * perp.amplitudes, check=False)
 
 
@@ -323,7 +325,6 @@ def _forge(inst, cert, spec, extended, base=None):
     cert = reference_certificate(inst, cert)
     assignment = honest_gate_assignment(inst, cert)
     two_m = 2 * inst.m
-    stream = CounterStream(spec.seed, STREAM_USER) if spec.seed is not None else None
 
     if base is None:
         u = build_honest_U(inst, cert, extended=extended)
@@ -337,7 +338,7 @@ def _forge(inst, cert, spec, extended, base=None):
         if not 0 < delta <= 1.0 / two_m:
             raise MagnitudeRangeError(f"probability gap must lie in (0, 1/(2m)], got {float(delta)}")
         u0 = assignment[0]
-        alt = _pick_other_index(u0, inst.G, stream)
+        alt = _pick_other_index(u0, inst.G, spec.seed)
         amps = u.state.as_tensor().copy()
         amps[0, u0] = _sqrtv(_one(extended) / two_m - delta, extended)
         amps[0, alt] = _sqrtv(delta, extended)
@@ -350,7 +351,7 @@ def _forge(inst, cert, spec, extended, base=None):
         if not (0 < x <= 1 and 0 < c < 1):
             raise MagnitudeRangeError(f"need 0 < x <= 1 and 0 < c < 1, got {(float(x), float(c))}")
         u0 = assignment[0]
-        alt = _pick_other_index(u0, inst.G, stream)
+        alt = _pick_other_index(u0, inst.G, spec.seed)
         amps = zeros_like_dtype(u.state.shape.size, extended).reshape(two_m, inst.G)
         amps[0, u0] = _sqrtv(x * (1 - c), extended)
         amps[0, alt] = _sqrtv(x * c, extended)
@@ -389,7 +390,7 @@ def _forge(inst, cert, spec, extended, base=None):
             raise MagnitudeRangeError(f"per-label defect must lie in (0, 2/m], got {float(z)}")
         cos_theta = _one(extended) - inst.m * z
         _, psi0 = conditional_state(s.state, 0, 0, drop=True)
-        s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, cos_theta, stream))
+        s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, cos_theta, spec.seed))
         measured = _max_slice_defect(s.state, s_prime.state)
         desc = f"copy defect <d|d> = {float(measured):.3e} at label 1"
 
@@ -399,7 +400,7 @@ def _forge(inst, cert, spec, extended, base=None):
             raise MagnitudeRangeError(f"link defect must lie in (0, 2/m], got {float(z)}")
         cos_theta = _one(extended) - inst.m * z
         _, psi1 = conditional_state(s.state, 0, 1, drop=True)
-        broken = _replace_data_slice(s, 1, _rotate_toward(psi1, cos_theta, stream))
+        broken = _replace_data_slice(s, 1, _rotate_toward(psi1, cos_theta, spec.seed))
         s = s_prime = broken
         shifted = apply_W(inst, assignment, s)
         measured = _max_slice_defect(shifted.state, s_prime.state)
@@ -412,7 +413,7 @@ def _forge(inst, cert, spec, extended, base=None):
         cos_theta = _one(extended) - w_req * w_req / 2
         label = 0 if kind is AdversaryKind.WRONG_START else inst.m
         anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi", extended=extended)
-        planted = _rotate_toward(anchor, cos_theta, stream)
+        planted = _rotate_toward(anchor, cos_theta, spec.seed)
         s = s_prime = _replace_data_slice(s, label, planted)
         _, got = conditional_state(s.state, 0, label, drop=True)
         measured = phase_optimized_distance(got, anchor)
@@ -466,15 +467,15 @@ def _check_measured(requested, measured, kind):
             )
 
 
-def _pick_other_index(taken: int, dim: int, stream) -> int:
+def _pick_other_index(taken: int, dim: int, seed) -> int:
     if dim < 2:
         raise MagnitudeRangeError("gate register of dimension 1 admits no mismatch")
-    if stream is None:
+    if seed is None:
         return (taken + 1) % dim
-    while True:
-        j = int(stream.uniform() * dim) % dim
-        if j != taken:
-            return j
+    draw = 0
+    while (j := _seeded_index(seed, draw, dim)) == taken:
+        draw += 1
+    return j
 
 
 def _max_prob_gap(a: WitnessU, b: WitnessU):

@@ -18,14 +18,12 @@ from ffgscon.harness import (
     demo_magnitude,
     run_lemma_suite,
     run_monte_carlo,
-    sample_round,
-    sample_test,
 )
 from ffgscon.instances import dense_hamiltonian, energy_test_reject_prob, prepare_state_from_circuit
 from ffgscon.ledger import derive_parameters, qma2_tuning
-from ffgscon.rng import stream_for_test
+from ffgscon.rng import STREAM_ROUND, stream_for_test
 from ffgscon.states import apply_local_gate, swap_test_reject_prob
-from ffgscon.verifier import branch_plan, run_protocol_round, run_test
+from ffgscon.verifier import branch_plan, run_protocol_round, run_test, sample_round
 from ffgscon.witnesses import AdversaryKind, AdversarySpec, apply_W, build_honest_S, honest_gate_assignment
 
 from oracles import random_registered_state, swap_circuit_reject_prob
@@ -169,6 +167,7 @@ def test_criterion_8_monte_carlo_fidelity():
     with criterion(8, "sampled acceptance within 4 sigma of exact for every test, fixture and adversary; worker-count invariant bytes"):
         seed = 2026
         trials = 100_000
+        idx = np.arange(trials, dtype=np.uint64)
         for fx in FIXTURES:
             inst = fx.instance
             led = derive_parameters(inst)
@@ -182,11 +181,11 @@ def test_criterion_8_monte_carlo_fidelity():
                 plans = {i: branch_plan(i, witnesses, inst) for i in range(1, 9)}
                 for i in range(1, 9):
                     exact = float(run_test(i, witnesses, inst).accept_probability)
-                    acc, rej = sample_test(plans[i], seed, stream_for_test(i), trials)
+                    acc, rej = plans[i].tally(seed, stream_for_test(i), idx)
                     sigma = math.sqrt(exact * (1 - exact) / trials)
                     assert abs(acc / trials - exact) <= 4 * sigma + 1e-12, (fx.name, adv, i)
                 round_exact = float(run_protocol_round(witnesses, inst, led).accept_probability)
-                acc, rej = sample_round(plans, led, seed, trials)
+                acc, rej, _ = sample_round(plans.__getitem__, led.round_cdf, seed, STREAM_ROUND, idx)
                 sigma = math.sqrt(round_exact * (1 - round_exact) / trials)
                 assert abs(acc / trials - round_exact) <= 4 * sigma + 1e-12, (fx.name, adv)
         docs = {

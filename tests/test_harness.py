@@ -33,8 +33,6 @@ def test_config_validation():
         ExperimentConfig("idle", mode="sampled", trials=0).check()
     with pytest.raises(HarnessError):
         ExperimentConfig("idle", workers=0).check()
-    with pytest.raises(HarnessError):
-        ExperimentConfig("idle", out_format="xml").check()
 
 
 def test_desk_caps_enforced():
@@ -47,6 +45,26 @@ def test_desk_caps_enforced():
     )
     with pytest.raises(HarnessError):
         enforce_desk_caps(big)
+
+
+def test_desk_caps_at_every_verb(tmp_path, capsys):
+    # an over-cap instance file is refused before any state is built
+    big = GsconInstance(
+        n=DESK_CAPS["n"] + 1,
+        m=1,
+        terms=(HamiltonianTerm(np.diag([0.0, 1.0]), (0,)),),
+        eta2=0.5, eta3=0.25, eta4=0.75, delta=0.25,
+        psi_circuit=(), phi_circuit=(), gate_set=(gate_i(0), gate_x(0)),
+    )
+    path = tmp_path / "big.json"
+    save_instance(big, path)
+    capsys.readouterr()
+    for verb in ("validate", "ledger", "lemmas", "verify"):
+        argv = [verb, str(path)] + (["--mode", "exact", "--certificate", "0"] if verb == "verify" else [])
+        assert cli_main(argv) == 1, verb
+        assert "desk-scale caps" in capsys.readouterr().err, verb
+    with pytest.raises(HarnessError, match="desk-scale caps"):
+        run_lemma_suite(big)
 
 
 def test_resolve_instance_paths(tmp_path):
@@ -245,6 +263,13 @@ def test_cli_verify_writes_reports(capsys, tmp_path):
     ])
     assert rc == 0 and out_csv.read_text().startswith(CSV_HEADER)
     capsys.readouterr()
+
+
+def test_cli_refuses_unknown_report_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "idle", "--mode", "exact", "--out", "r.xml", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_bad_adversary_and_io_error(capsys, tmp_path):

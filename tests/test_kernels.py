@@ -1,6 +1,9 @@
 """Counter-based RNG and tally kernels: known answers, int and array paths, numpy references, invariance."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from ffgscon import _kernels as K
 from ffgscon.rng import CounterStream
@@ -165,11 +168,15 @@ def test_partition_invariance():
 
 
 def test_counter_stream_matches_kernel_addressing():
+    # a CounterStream is a frozen address: its fields index the kernel's draws
     s = CounterStream(seed=77, stream=4, trial=123)
-    draws = [s.uniform() for _ in range(5)]
-    assert draws == [uniform_at(77, 4, 123, d) for d in range(5)]
+    bulk = [K.uniforms(77, 4, np.arange(200, dtype=np.uint64), d) for d in range(5)]
+    draws = [uniform_at(s.seed, s.stream, s.trial, s.draw + d) for d in range(5)]
+    assert draws == [uniform_at(77, 4, 123, d) for d in range(5)] == [b[123] for b in bulk]
     sibling = s.for_trial(124)
-    assert sibling.uniform() == uniform_at(77, 4, 124, 0)
+    assert uniform_at(sibling.seed, sibling.stream, sibling.trial, sibling.draw) == bulk[0][124]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.draw = 1
 
 
 def test_select_inverse_cdf_frequencies():

@@ -18,13 +18,11 @@ from ffgscon.states import (
     apply_local_gate,
     basis_state,
     conditional_state,
-    drop_register_via,
     inner_product,
     phase_optimized_distance,
     project_onto,
     projection_deficit,
     register_distribution,
-    shift_register,
     swap_test_reject_prob,
     tensor_with,
     uniform_vector,
@@ -218,23 +216,6 @@ def test_measure_uniform_label_frequencies():
     counts = np.bincount(outcomes, minlength=4)
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert np.all(np.abs(counts / n - 0.25) <= 4 * sigma)
-
-
-def test_shift_register_cycles():
-    s = basis_state(RegisterShape((4, 2)), (3, 0))
-    assert shift_register(s, 0, 1).amplitude((0, 0)) == 1.0
-    assert shift_register(s, 0, -3).amplitude((0, 0)) == 1.0
-
-
-def test_drop_register_via():
-    plus = RegisteredState(RegisterShape((2,)), [1, 1], normalize=True)
-    one = basis_state(RegisterShape((2,)), (1,))
-    joint = tensor_with(plus, one)
-    reduced = drop_register_via(joint, 1, [0, 1])
-    assert reduced.shape.dims == (2,)
-    assert np.allclose(np.asarray(reduced.amplitudes, complex), plus.amplitudes)
-    with pytest.raises(ValueError):
-        drop_register_via(joint, 0, [1, 0])  # register 0 does not factor as |0>
 
 
 def test_swap_reject_identical_and_orthogonal():

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mpf
 
 from ffgscon.fixtures import builtin_instances, get_fixture
-from ffgscon.harness import build_witnesses, demo_magnitude, sample_round, sample_test
+from ffgscon.harness import build_witnesses, demo_magnitude
 from ffgscon.instances import GsconInstance
 from ffgscon.ledger import derive_parameters
 from ffgscon.rng import STREAM_ROUND, CounterStream, stream_for_test
@@ -19,7 +19,14 @@ from ffgscon.states import (
     basis_state,
     uniform_vector,
 )
-from ffgscon.verifier import MODE_SAMPLED, branch_plan, product_test, run_protocol_round, run_test
+from ffgscon.verifier import (
+    MODE_SAMPLED,
+    branch_plan,
+    product_test,
+    run_protocol_round,
+    run_test,
+    sample_round,
+)
 from ffgscon.witnesses import (
     AdversaryKind,
     AdversarySpec,
@@ -425,13 +432,14 @@ def test_shot_equals_bulk(name, kind):
     w = build_witnesses(inst, fx.certificate, specs)
     plans = {i: branch_plan(i, w, inst) for i in range(1, 9)}
     n, seed = 2000, 41
+    trials = np.arange(n, dtype=np.uint64)
     for i in range(1, 9):
         streams = (CounterStream(seed, stream_for_test(i), t) for t in range(n))
         shots = sum(run_test(i, w, inst, mode=MODE_SAMPLED, stream=st).verdict == "reject" for st in streams)
-        assert shots == sample_test(plans[i], seed, stream_for_test(i), n)[1], i
+        assert shots == plans[i].tally(seed, stream_for_test(i), trials)[1], i
     streams = (CounterStream(seed, STREAM_ROUND, t) for t in range(n))
     shots = sum(run_protocol_round(w, inst, led, mode=MODE_SAMPLED, stream=st).verdict == "reject" for st in streams)
-    assert shots == sample_round(plans, led, seed, n)[1]
+    assert shots == sample_round(plans.__getitem__, led.round_cdf, seed, STREAM_ROUND, trials)[1]
 
 
 def test_sampled_needs_stream():
@@ -475,6 +483,21 @@ def test_product_accept_is_product_of_swap_factors():
         o = abs(np.vdot(np.asarray(sa.amplitudes, complex), np.asarray(sb.amplitudes, complex))) ** 2
         expect *= (1 + o) / 2
     assert abs(float(out.accept_probability) - expect) < 1e-12
+    assert abs(float(out.reject_probability) - (1 - expect)) < 1e-12
+
+
+def test_product_reject_keeps_mass_below_double_resolution():
+    # first parts differ by an angle of 1e-10: swap rejection 5e-21, far below
+    # the spacing of doubles near 1, so 1 - accept would read 0.0
+    theta = 1e-10
+    zero = basis_state(RegisterShape((2,)), (0,))
+    tilted = RegisteredState(RegisterShape((2,)), [math.cos(theta), math.sin(theta)])
+    a = [zero, zero, zero, zero]
+    b = [tilted, zero, zero, zero]
+    out = product_test(a, b)
+    q1 = dict(out.trace)["swap_reject_1"]
+    assert abs(q1 - 5e-21) <= 1e-30
+    assert out.reject_probability == q1
 
 
 def test_product_sampled_rate():
