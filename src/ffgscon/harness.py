@@ -3,8 +3,10 @@
 A run builds each test's :class:`~ffgscon.verifier.BranchPlan` once; the
 exact rows, the exact round and the sampled tallies all read from those
 eight plans.  Sampling runs each plan's kernel from :mod:`ffgscon._kernels`
-over arrays of trial indices.  Trials are addressed, not sequenced, so
-partitioning them across workers cannot change a single tally; reports
+over blocks of at most ``BLOCK_TRIALS`` trial indices, sized so that a
+block's temporaries stay in a per-core L2 cache; the blocks are what workers
+share.  Trials are addressed, not sequenced, so neither the blocking nor the
+sharing can change a single tally; reports
 serialize deterministically (wall-clock timings are kept out of the emitted
 document unless explicitly requested, and the worker count never enters it).
 """
@@ -41,6 +43,7 @@ from .witnesses import (
 )
 
 DESK_CAPS = {"n": 6, "m": 4, "G": 16}
+BLOCK_TRIALS = 1 << 14  # a block's ~16 live uint64 temporaries (128 KiB each) fit a 2 MiB L2
 CSV_HEADER = "# ffgscon-report-csv-v1"
 CSV_COLUMNS = "section,id,name,mode,accept,reject,trials,accepts,rejects,sigma,extra"
 
@@ -66,6 +69,10 @@ class ExperimentConfig:
             raise HarnessError("sampled mode needs trials >= 1")
         if self.workers < 1:
             raise HarnessError("workers must be >= 1")
+        for seed in (self.seed, *(sp.seed for sp in self.adversary if sp.seed is not None)):
+            # a seed is the 64-bit Philox key: any other value would alias one inside the range
+            if not 0 <= seed < 2**64:
+                raise HarnessError(f"seed must be in [0, 2**64), got {seed}")
 
 
 @dataclass
@@ -232,21 +239,29 @@ def _sigma_str(p_exact, trials) -> str:
 def _sample_all(plans: dict, cdf, seed: int, trials: int, workers: int) -> list[tuple[int, int]]:
     """(accepts, rejects) of tests 1..8 and the round over trials 0..trials-1.
 
-    The trials are split once, one chunk per worker; each chunk runs the nine
-    tallies.  Trials are addressed, so the split cannot change a count.  A
-    single chunk runs on the calling thread.
+    Trials are tallied in blocks of at most ``BLOCK_TRIALS``; each block runs
+    the nine tallies on its own ``arange`` and the block counts are summed, so
+    memory does not grow with ``trials``.  Worker ``w`` of ``k`` takes every
+    k-th block from block ``w``.  Trials are addressed, so neither the blocks
+    nor their sharing can change a count, and the pool is never larger than
+    the block count or the CPU count.  One worker runs on the calling thread.
     """
 
-    def tally(chunk):
-        counts = [plans[i].tally(seed, stream_for_test(i), chunk) for i in range(1, 9)]
-        return counts + [sample_round(plans.__getitem__, cdf, seed, STREAM_ROUND, chunk)[:2]]
+    def run(starts):
+        total = [(0, 0)] * 9
+        for start in starts:
+            block = np.arange(start, min(start + BLOCK_TRIALS, trials), dtype=np.uint64)
+            counts = [plans[i].tally(seed, stream_for_test(i), block) for i in range(1, 9)]
+            counts.append(sample_round(plans.__getitem__, cdf, seed, STREAM_ROUND, block)[:2])
+            total = [(a + da, r + dr) for (a, r), (da, dr) in zip(total, counts)]
+        return total
 
-    chunks = np.array_split(np.arange(trials, dtype=np.uint64), min(workers, trials))
-    if len(chunks) == 1:
-        parts = [tally(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(tally, chunks))
+    starts = range(0, trials, BLOCK_TRIALS)
+    threads = min(workers, len(starts), os.cpu_count() or 1)
+    if threads == 1:
+        return run(starts)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(run, [starts[w::threads] for w in range(threads)]))
     return [tuple(map(sum, zip(*counts))) for counts in zip(*parts)]
 
 

@@ -2,18 +2,22 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ffgscon import harness
 from ffgscon.cli import main as cli_main
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import (
+    BLOCK_TRIALS,
     CSV_HEADER,
     DESK_CAPS,
     ExperimentConfig,
     HarnessError,
     boundary_specs,
+    build_witnesses,
     demo_magnitude,
     emit_report,
     enforce_desk_caps,
@@ -23,6 +27,8 @@ from ffgscon.harness import (
 )
 from ffgscon.instances import GsconInstance, HamiltonianTerm, gate_i, gate_x, save_instance
 from ffgscon.ledger import derive_parameters
+from ffgscon.rng import STREAM_ROUND, stream_for_test
+from ffgscon.verifier import branch_plan, sample_round
 from ffgscon.witnesses import AdversaryKind, AdversarySpec
 
 
@@ -33,6 +39,8 @@ def test_config_validation():
         ExperimentConfig("idle", mode="sampled", trials=0).check()
     with pytest.raises(HarnessError):
         ExperimentConfig("idle", workers=0).check()
+    with pytest.raises(HarnessError):
+        ExperimentConfig("idle", adversary=(AdversarySpec(AdversaryKind.MISMATCHED_U, 0.1, seed=-1),)).check()
 
 
 def test_desk_caps_enforced():
@@ -117,6 +125,66 @@ def test_reports_byte_identical_across_runs_and_workers():
     assert one == mk(1)
     assert one == mk(3)
     assert one == mk(5)
+
+
+def test_blocked_counts_equal_one_unblocked_call(monkeypatch):
+    # two full blocks and a remainder; with 8 CPUs reported, workers 2 and 5
+    # run 2 and 3 threads that share the three blocks
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    trials, seed = 2 * BLOCK_TRIALS + 7, 9
+    inst, cert, _ = resolve_instance("tilted-target")
+    plans = {i: branch_plan(i, build_witnesses(inst, cert), inst) for i in range(1, 9)}
+    idx = np.arange(trials, dtype=np.uint64)
+    want = [plans[i].tally(seed, stream_for_test(i), idx) for i in range(1, 9)]
+    want.append(sample_round(plans.__getitem__, derive_parameters(inst).round_cdf, seed, STREAM_ROUND, idx)[:2])
+    for workers in (1, 2, 5):
+        rep = run_monte_carlo(ExperimentConfig("tilted-target", mode="sampled", trials=trials, seed=seed, workers=workers))
+        assert [(r.accepts, r.rejects) for r in rep.rows] == want, workers
+
+
+def test_worker_pool_bounded_by_blocks_and_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # runs the shares on the calling thread, so the test starts no thread
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    run = lambda trials, workers: run_monte_carlo(
+        ExperimentConfig("idle", mode="sampled", trials=trials, seed=5, workers=workers)
+    ).to_json()
+    one = run(3 * BLOCK_TRIALS, 1)
+    for cpus, pool in ((64, [3]), (2, [2]), (None, [])):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert run(3 * BLOCK_TRIALS, 10**6) == one
+        assert sizes == pool, cpus
+    sizes.clear()
+    run(BLOCK_TRIALS, 10**6)
+    assert sizes == []
+
+
+def test_sampled_memory_flat_in_trials():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_monte_carlo(ExperimentConfig("idle", mode="sampled", trials=trials, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_monte_carlo(ExperimentConfig("idle", mode="sampled", trials=BLOCK_TRIALS, seed=3))  # warm caches
+    assert peak(8 * BLOCK_TRIALS) <= 1.5 * peak(BLOCK_TRIALS)
 
 
 def test_single_trial_sigma_not_applicable():
@@ -276,6 +344,14 @@ def test_cli_bad_adversary_and_io_error(capsys, tmp_path):
     assert cli_main(["verify", "idle", "--adversary", "NOPE"]) == 1
     assert cli_main(["verify", "idle", "--mode", "exact", "--out", "/no/dir/x.json"]) == 2
     capsys.readouterr()
+
+
+def test_cli_refuses_seeds_outside_the_philox_key(capsys):
+    # a seed outside [0, 2**64) would silently draw another seed's stream
+    for seed in ("-1", str(2**64)):
+        assert cli_main(["verify", "idle", "--mode", "sampled", "--trials", "100", "--seed", seed]) == 1
+        assert "seed" in capsys.readouterr().err
+    assert cli_main(["verify", "idle", "--mode", "sampled", "--trials", "100", "--seed", str(2**64 - 1)]) == 0
 
 
 def test_cli_verify_prints_rows(capsys):
