@@ -5,15 +5,16 @@ indices.  A single sampled shot is the same kernel run on the one-trial
 array ``[trial]``, so a shot's verdict is, by construction, the verdict of
 that trial in a bulk tally.
 
-The random source is Philox4x32-10, a counter-based generator.  A single
-uniform is addressed by the tuple ``(seed, stream, trial, draw)``:
+The random source is Philox4x32-10, a counter-based generator.  Draw slot
+``draw`` of ``(seed, stream, trial)`` is one Philox block at
 
     counter = (trial & 0xffffffff, trial >> 32, draw, stream)
     key     = (seed  & 0xffffffff, seed  >> 32)
 
-and the double in [0, 1) is built from the top 53 bits of output words 0:1.
-Because draws are addressed, not sequenced, partitioning trials across any
-number of workers cannot change a single sample.
+and gives two doubles in [0, 1): the first from the top 53 bits of output
+words 0:1, the second from words 2:3.  Because draws are addressed, not
+sequenced, partitioning trials across any number of workers cannot change a
+single sample.
 
 The Philox body is written once, for operands that are Python ints or
 ``uint64`` arrays.  Arrays of at most ``SMALL_TRIALS`` trials go through it
@@ -40,44 +41,70 @@ SMALL_TRIALS = 12  # int blocks beat one numpy block below ~15 trials on a 2-vCP
 # ---------------------------------------------------------------------------
 
 
-def _philox_words01(c0, c1, c2, c3, k0, k1):
-    """One Philox4x32-10 block per lane; returns output words 0 and 1.
+def _philox(c0, c1, c2, c3, k0, k1):
+    """One Philox4x32-10 block per lane; returns the four output words.
 
     Operands are Python ints or ``uint64`` arrays (numpy ``uint64`` scalars
     work too).  Every product of two 32-bit words fits in 64 bits, so both
-    kinds give the same words.
+    kinds give the same words.  Each round updates only values it has just
+    created, in place, so an array block allocates two products and two
+    words per round and never writes to its operands.
     """
     for _ in range(10):
         p0 = _M0 * c0
         p1 = _M1 * c2
-        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32
+        c0 = p1 >> 32
+        c0 ^= c1
+        c0 ^= k0
+        c2 = p0 >> 32
+        c2 ^= c3
+        c2 ^= k1
+        p1 &= _MASK32
+        p0 &= _MASK32
+        c1, c3 = p1, p0
         k0 = (k0 + _W0) & _MASK32
         k1 = (k1 + _W1) & _MASK32
-    return c0, c1
+    return c0, c1, c2, c3
+
+
+def _unit(hi, lo):
+    """The double in [0, 1) from the top 53 bits of the 64-bit word ``hi:lo`` (``hi`` is consumed)."""
+    hi <<= 32
+    hi |= lo
+    hi >>= 11
+    u = hi.astype(np.float64)
+    u *= _INV53
+    return u
 
 
 def uniforms(seed, stream, trials, draw):
-    """Uniform doubles in [0, 1) for an array of trial indices at one draw slot."""
+    """The two uniform doubles in [0, 1) of draw slot ``draw`` for an array of trial indices.
+
+    Returns ``(first, second)``: the first from Philox words 0:1, the second
+    from words 2:3 of the slot's block.
+    """
     trials = np.asarray(trials, dtype=np.uint64)
     seed, stream, draw = int(seed), int(stream), int(draw)
     c2, c3 = draw & _MASK32, stream & _MASK32
     k0, k1 = seed & _MASK32, (seed >> 32) & _MASK32
     if trials.size <= SMALL_TRIALS:
-        out = []
+        first, second = [], []
         for t in trials.tolist():
-            w0, w1 = _philox_words01(t & _MASK32, t >> 32, c2, c3, k0, k1)
-            out.append((((w0 << 32) | w1) >> 11) * _INV53)
-        return np.array(out, dtype=np.float64)
-    w0, w1 = _philox_words01(trials & _MASK32, trials >> 32, c2, c3, k0, k1)
-    return (((w0 << 32) | w1) >> 11).astype(np.float64) * _INV53
+            w0, w1, w2, w3 = _philox(t & _MASK32, t >> 32, c2, c3, k0, k1)
+            first.append((((w0 << 32) | w1) >> 11) * _INV53)
+            second.append((((w2 << 32) | w3) >> 11) * _INV53)
+        return np.array(first, dtype=np.float64), np.array(second, dtype=np.float64)
+    w0, w1, w2, w3 = _philox(trials & _MASK32, trials >> 32, c2, c3, k0, k1)
+    return _unit(w0, w1), _unit(w2, w3)
 
 
 # ---------------------------------------------------------------------------
 # Per-test tally kernels
 #
-# Each kernel consumes a fixed number of draw slots per trial, starting at
-# ``draw0`` (the protocol-round dispatcher reserves slot 0 for test choice).
-# All return (accepts, rejects) with accepts + rejects == len(trials).
+# Each kernel reads a fixed number of draw slots per trial, starting at
+# ``draw0`` (the protocol-round dispatcher reserves slot 0 for test choice);
+# a slot holds two uniforms.  All return (accepts, rejects) with
+# accepts + rejects == len(trials).
 # ---------------------------------------------------------------------------
 
 
@@ -87,28 +114,33 @@ def _pick(cdf, u):
 
 
 def tally_bernoulli(seed, stream, trials, draw0, p_reject):
-    u = uniforms(seed, stream, trials, draw0)
+    u, _ = uniforms(seed, stream, trials, draw0)
     rej = int(np.count_nonzero(u < p_reject))
     return len(trials) - rej, rej
 
 
 def tally_chain(seed, stream, trials, draw0, probs):
-    """Reject iff every stage fires: u_k < probs[k] for all k."""
-    trials = np.asarray(trials, dtype=np.uint64)
-    alive = np.ones(len(trials), dtype=bool)
-    for k in range(len(probs)):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
+    """Reject iff every stage fires: u_k < probs[k] for all k.
+
+    Stages 2j and 2j + 1 read the two uniforms of slot ``draw0 + j``, on the
+    trials that survived every earlier stage.
+    """
+    alive = np.asarray(trials, dtype=np.uint64)
+    for j in range(0, len(probs), 2):
+        if alive.size == 0:
             break
-        u = uniforms(seed, stream, trials[idx], draw0 + k)
-        alive[idx[u >= probs[k]]] = False
-    rej = int(np.count_nonzero(alive))
+        u, v = uniforms(seed, stream, alive, draw0 + j // 2)
+        fire = u < probs[j]
+        if j + 1 < len(probs):
+            fire &= v < probs[j + 1]
+        alive = alive[fire]
+    rej = alive.size
     return len(trials) - rej, rej
 
 
 def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
-    fa = _pick(cdf_a, uniforms(seed, stream, trials, draw0))
-    fb = _pick(cdf_b, uniforms(seed, stream, trials, draw0 + 1))
+    u, v = uniforms(seed, stream, trials, draw0)
+    fa, fb = _pick(cdf_a, u), _pick(cdf_b, v)
     la, ga = fa // gate_dim, fa % gate_dim
     lb, gb = fb // gate_dim, fb % gate_dim
     bad = (la == lb) & ((ga != gb) | ~valid[ga])
@@ -117,26 +149,21 @@ def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
 
 
 def tally_boundary(seed, stream, trials, draw0, label_cdf, target, q_reject):
-    trials = np.asarray(trials, dtype=np.uint64)
-    lab = _pick(label_cdf, uniforms(seed, stream, trials, draw0))
-    hit = np.nonzero(lab == target)[0]
-    rej = 0
-    if hit.size:
-        u1 = uniforms(seed, stream, trials[hit], draw0 + 1)
-        rej = int(np.count_nonzero(u1 < q_reject))
+    u, v = uniforms(seed, stream, trials, draw0)
+    rej = int(np.count_nonzero((_pick(label_cdf, u) == target) & (v < q_reject)))
     return len(trials) - rej, rej
 
 
 def tally_low(seed, stream, trials, draw0, label_cdf, reject_table):
     n_terms = reject_table.shape[1]
-    lab = _pick(label_cdf, uniforms(seed, stream, trials, draw0))
-    u1 = uniforms(seed, stream, trials, draw0 + 1)
-    term = np.minimum((u1 * n_terms).astype(np.int64), n_terms - 1)
-    u2 = uniforms(seed, stream, trials, draw0 + 2)
-    rej = int(np.count_nonzero(u2 < reject_table[lab, term]))
+    u, v = uniforms(seed, stream, trials, draw0)
+    lab = _pick(label_cdf, u)
+    term = np.minimum((v * n_terms).astype(np.int64), n_terms - 1)
+    w, _ = uniforms(seed, stream, trials, draw0 + 1)
+    rej = int(np.count_nonzero(w < reject_table[lab, term]))
     return len(trials) - rej, rej
 
 
 def select(seed, stream, trials, draw0, cdf):
     """Inverse-CDF pick per trial (the protocol round's test choice)."""
-    return _pick(cdf, uniforms(seed, stream, trials, draw0)).astype(np.int64)
+    return _pick(cdf, uniforms(seed, stream, trials, draw0)[0]).astype(np.int64)

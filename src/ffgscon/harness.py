@@ -44,7 +44,7 @@ from .witnesses import (
 
 DESK_CAPS = {"n": 6, "m": 4, "G": 16}
 BLOCK_TRIALS = 1 << 14  # a block's ~16 live uint64 temporaries (128 KiB each) fit a 2 MiB L2
-CSV_HEADER = "# ffgscon-report-csv-v1"
+CSV_HEADER = "# ffgscon-report-csv-v2"
 CSV_COLUMNS = "section,id,name,mode,accept,reject,trials,accepts,rejects,sigma,extra"
 
 
@@ -124,7 +124,7 @@ class RunReport:
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         doc = {
-            "format": "ffgscon-report-v1",
+            "format": "ffgscon-report-v2",
             "config": self.config,
             "instance": self.instance_name,
             "ledger": self.ledger,

@@ -401,6 +401,8 @@ def instance_to_dict(inst: GsconInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> GsconInstance:
+    if not isinstance(d, dict):
+        raise InstanceFormatError(f"instance document must be a JSON object, not {type(d).__name__}")
     if d.get("format") != INSTANCE_FORMAT:
         raise InstanceFormatError(f"unknown instance format {d.get('format')!r}")
     try:

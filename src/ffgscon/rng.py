@@ -1,20 +1,22 @@
 """Counter-based random streams for reproducible, partition-invariant sampling.
 
 Every random draw in the package is addressed by the four integers
-``(seed, stream, trial, draw)`` and produced by the Philox4x32-10 generator
-in :mod:`ffgscon._kernels`.  There is no sequential generator state, so the
-same (config, seed) pair yields the same samples no matter how trials are
-chunked or parallelized.
+``(seed, stream, trial, draw)``: ``draw`` names a slot, one Philox4x32-10
+block in :mod:`ffgscon._kernels` that gives two uniforms (from output words
+0:1 and 2:3).  There is no sequential generator state, so the same
+(config, seed) pair yields the same samples no matter how trials are chunked
+or parallelized.
 
 A :class:`CounterStream` is one such address, frozen.  A sampled verifier
 shot runs its test's tally kernel on the one-trial array ``[trial]`` from
-draw ``draw`` on; it reads the draws at the address and never advances it.
+slot ``draw`` on; it reads the slots at the address and never advances it.
 
 Stream ids (documented, frozen):
 
 * 1..8   -- verifier test i run stand-alone
-* 0      -- protocol round: draw 0 picks the test, draws 1.. feed the test
-* 9      -- the product test
+* 0      -- protocol round: slot 0's first uniform picks the test, slots 1..
+  feed the test
+* 9      -- the product test (part k reads the first uniform of slot ``draw + k``)
 * 16+    -- free for callers (seeded adversaries, ad-hoc sampling in tests)
 """
 
@@ -30,7 +32,7 @@ STREAM_USER = 16
 
 @dataclass(frozen=True)
 class CounterStream:
-    """The address ``(seed, stream, trial, draw)`` of a sampled shot's first draw.
+    """The address ``(seed, stream, trial, draw)`` of a sampled shot's first draw slot.
 
     Addresses for different trials never interact; ``for_trial`` is the cheap
     way to get a sibling.

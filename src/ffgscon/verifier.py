@@ -409,10 +409,10 @@ def exact_round(plans: dict, ledger) -> TestOutcome:
 def sample_round(plan_of: Callable[[int], BranchPlan], cdf, seed, stream, trials, draw0=0):
     """(accepts, rejects, picks) of the round over an array of trial indices.
 
-    Draw ``draw0`` picks each trial's test from ``cdf`` (``picks`` holds the
-    test ids 1..8); the picked plan's kernel reads the draws from
-    ``draw0 + 1`` on.  ``plan_of(i)`` is called only for tests some trial
-    picked.
+    The first uniform of slot ``draw0`` picks each trial's test from ``cdf``
+    (``picks`` holds the test ids 1..8); the picked plan's kernel reads the
+    slots from ``draw0 + 1`` on.  ``plan_of(i)`` is called only for tests
+    some trial picked.
     """
     trials = np.asarray(trials, dtype=np.uint64)
     picks = _kernels.select(seed, stream, trials, draw0, cdf)
@@ -476,7 +476,7 @@ def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream=None) -> T
             accept = accept * (1 - q)
         return _outcome("PRODUCT", mode, accept, reject, trace=trace)
     ok = all(
-        _kernels.uniforms(stream.seed, stream.stream, [stream.trial], stream.draw + k)[0] >= float(q)
+        _kernels.uniforms(stream.seed, stream.stream, [stream.trial], stream.draw + k)[0][0] >= float(q)
         for k, q in enumerate(rejects)
     )
     return _outcome("PRODUCT", mode, None, None, _verdict(ok), trace, stream)

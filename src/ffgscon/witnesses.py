@@ -233,8 +233,8 @@ def reference_certificate(inst: GsconInstance, cert: TraversalCertificate | None
 
 
 def _seeded_index(seed: int, draw: int, dim: int) -> int:
-    """Index in range(dim) from the uniform at (seed, STREAM_USER, trial 0, draw)."""
-    return int(uniforms(seed, STREAM_USER, [0], draw)[0] * dim) % dim
+    """Index in range(dim) from the first uniform of slot (seed, STREAM_USER, trial 0, draw)."""
+    return int(uniforms(seed, STREAM_USER, [0], draw)[0][0] * dim) % dim
 
 
 def _orthogonal_state(psi: RegisteredState, seed: int | None) -> RegisteredState:

@@ -159,6 +159,16 @@ def test_cli_malformed_instance_file_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", ["validate", "ledger", "lemmas", "verify"])
+def test_cli_non_object_instance_document_exits_one(tmp_path, capsys, verb):
+    for doc in ("[1, 2]", "null", '"idle"', "3"):
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        assert cli_main([verb, str(path)]) == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, doc
+
+
 def test_validation_failure_exit_code_on_lemmas(tmp_path, capsys):
     bad = GsconInstance(
         n=1, m=1, terms=(HamiltonianTerm(np.diag([0.0, 1.0]), (0,)),),

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffgscon import harness
+from ffgscon import _kernels, harness
 from ffgscon.cli import main as cli_main
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import (
@@ -185,6 +185,22 @@ def test_sampled_memory_flat_in_trials():
 
     run_monte_carlo(ExperimentConfig("idle", mode="sampled", trials=BLOCK_TRIALS, seed=3))  # warm caches
     assert peak(8 * BLOCK_TRIALS) <= 1.5 * peak(BLOCK_TRIALS)
+
+
+def test_philox_lanes_per_trial(monkeypatch):
+    # one Philox block gives two uniforms; a kernel that reads one uniform per
+    # block again needs about 14.6 lanes per trial on this run
+    lanes = []
+    body = _kernels._philox
+
+    def counting(c0, *rest):
+        lanes.append(np.size(c0))
+        return body(c0, *rest)
+
+    monkeypatch.setattr(_kernels, "_philox", counting)
+    trials = 2 * BLOCK_TRIALS
+    run_monte_carlo(ExperimentConfig("idle", mode="sampled", trials=trials))
+    assert sum(lanes) / trials <= 11.5
 
 
 def test_single_trial_sigma_not_applicable():

@@ -1,9 +1,12 @@
-"""Counter-based RNG and tally kernels: known answers, int and array paths, numpy references, invariance."""
+"""Counter-based RNG and tally kernels: known answers, draw slots, int and array paths, numpy references, invariance."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffgscon import _kernels as K
 from ffgscon.rng import CounterStream
@@ -12,26 +15,25 @@ MASK = np.uint64(0xFFFFFFFF)
 
 
 def philox_words(c0, c1, c2, c3, k0, k1):
-    return K._philox_words01(np.uint64(c0), np.uint64(c1), np.uint64(c2), np.uint64(c3), np.uint64(k0), np.uint64(k1))
+    words = K._philox(np.uint64(c0), np.uint64(c1), np.uint64(c2), np.uint64(c3), np.uint64(k0), np.uint64(k1))
+    return tuple(int(w) for w in words)
 
 
 def test_philox_known_answer_vectors():
-    # Random123 philox4x32-10 counter/key -> first two output words
-    w0, w1 = philox_words(0, 0, 0, 0, 0, 0)
-    assert (int(w0), int(w1)) == (0x6627E8D5, 0xE169C58D)
+    # Random123 philox4x32-10 counter/key -> all four output words
+    assert philox_words(0, 0, 0, 0, 0, 0) == (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)
     ff = 0xFFFFFFFF
-    w0, w1 = philox_words(ff, ff, ff, ff, ff, ff)
-    assert (int(w0), int(w1)) == (0x408F276D, 0x41C83B0E)
-    w0, w1 = philox_words(0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344, 0xA4093822, 0x299F31D0)
-    assert (int(w0), int(w1)) == (0xD16CFE09, 0x94FDCCEB)
+    assert philox_words(ff, ff, ff, ff, ff, ff) == (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)
+    words = philox_words(0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344, 0xA4093822, 0x299F31D0)
+    assert words == (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
 
 
-def uniform_at(seed, stream, trial, draw):
-    return K.uniforms(seed, stream, [trial], draw)[0]
+def uniform_at(seed, stream, trial, draw, half=0):
+    return K.uniforms(seed, stream, [trial], draw)[half][0]
 
 
-def reference_uniforms(seed, stream, trials, draw):
-    """Philox4x32-10 in the Random123 round form, on uint64 arrays only."""
+def reference_words(seed, stream, trials, draw):
+    """Philox4x32-10 in the Random123 round form, on uint64 arrays only: the four output words."""
     t = np.asarray(trials, dtype=np.uint64)
     n = t.size
     ctr = [t & MASK, t >> np.uint64(32), np.full(n, draw & 0xFFFFFFFF, np.uint64), np.full(n, stream & 0xFFFFFFFF, np.uint64)]
@@ -43,8 +45,13 @@ def reference_uniforms(seed, stream, trials, draw):
         hi1, lo1 = p1 >> np.uint64(32), p1 & MASK
         ctr = [hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0]
         key = [(key[0] + np.uint64(0x9E3779B9)) & MASK, (key[1] + np.uint64(0xBB67AE85)) & MASK]
-    bits = ((ctr[0] << np.uint64(32)) | ctr[1]) >> np.uint64(11)
-    return bits.astype(np.float64) / 2.0**53
+    return ctr
+
+
+def reference_uniforms(seed, stream, trials, draw):
+    """The slot's two uniforms: the top 53 bits of words 0:1, then of words 2:3."""
+    w = reference_words(seed, stream, trials, draw)
+    return tuple((((hi << np.uint64(32)) | lo) >> np.uint64(11)).astype(np.float64) / 2.0**53 for hi, lo in (w[:2], w[2:]))
 
 
 def reference_pick(cdf, u):
@@ -64,10 +71,38 @@ def test_uniforms_vector_matches_scalar_and_numpy():
     trials = np.arange(10_000, dtype=np.uint64)
     fast = K.uniforms(42, 7, trials, 3)
     ref = reference_uniforms(42, 7, trials, 3)
-    assert np.array_equal(fast, ref)
-    for t in (0, 17, 9999):
-        assert fast[t] == uniform_at(42, 7, t, 3)
-    assert np.all((fast >= 0) & (fast < 1))
+    for half in (0, 1):
+        assert np.array_equal(fast[half], ref[half])
+        for t in (0, 17, 9999):
+            assert fast[half][t] == uniform_at(42, 7, t, 3, half)
+        assert np.all((fast[half] >= 0) & (fast[half] < 1))
+
+
+def test_first_uniform_of_a_slot_is_the_words01_draw():
+    # one block per slot: its first uniform is the one-uniform-per-block draw
+    # of earlier report formats (values and digest recorded from that layout)
+    pinned = {
+        (0, 0, 0, 0): "0x1.989fa35785a70p-2",
+        (42, 7, 3, 3): "0x1.b44a655614db0p-5",
+        (2**64 - 1, 9, 2**32 + 7, 5): "0x1.a279fe87dc30ep-1",
+        (11, 16, 0, 2): "0x1.9c0bf3f0ac706p-1",
+        (77, 4, 123, 0): "0x1.88d0ea54a3200p-1",
+    }
+    for (seed, stream, trial, draw), value in pinned.items():
+        assert uniform_at(seed, stream, trial, draw) == float.fromhex(value)
+    first, _ = K.uniforms(42, 7, np.arange(10_000, dtype=np.uint64), 3)
+    assert hashlib.sha256(first.tobytes()).hexdigest() == "07abf2e4f1ef44a7a9287ac48468abf8be14eb7e7cd706c90f5dffb866abd070"
+
+
+def test_philox_body_leaves_its_operands_unchanged():
+    trials = np.array([0, 5, 2**32 + 1, 2**64 - 1] * 5, dtype=np.uint64)
+    ops = [trials & MASK, trials >> np.uint64(32), np.full(trials.size, 3, np.uint64), np.full(trials.size, 7, np.uint64)]
+    keys = [np.uint64(9), np.uint64(2**32 - 1)]
+    before = [a.copy() for a in ops]
+    words = K._philox(*ops, *keys)
+    assert all(np.array_equal(a, b) for a, b in zip(ops, before))
+    assert not any(np.shares_memory(w, a) for w in words for a in ops)
+    assert [w.tolist() for w in words] == [w.tolist() for w in reference_words(2**32 * (2**32 - 1) + 9, 7, trials, 3)]
 
 
 def test_philox_int_and_array_paths_agree():
@@ -79,13 +114,14 @@ def test_philox_int_and_array_paths_agree():
     assert trials.size > K.SMALL_TRIALS
     for seed in (42, 2**33 + 5, 2**64 - 1):
         whole = K.uniforms(seed, 7, trials, 3)  # array path
-        singles = [uniform_at(seed, 7, int(t), 3) for t in trials]  # int path
-        assert np.array_equal(whole, singles)
-        assert np.all((whole >= 0) & (whole < 1))
+        for half in (0, 1):
+            singles = [uniform_at(seed, 7, int(t), 3, half) for t in trials]  # int path
+            assert np.array_equal(whole[half], singles)
+            assert np.all((whole[half] >= 0) & (whole[half] < 1))
         c0, c1 = trials & MASK, trials >> np.uint64(32)
-        w0, w1 = K._philox_words01(c0, c1, 3, 7, seed & 0xFFFFFFFF, seed >> 32)
+        words = K._philox(c0, c1, 3, 7, seed & 0xFFFFFFFF, seed >> 32)
         for i, t in enumerate(trials.tolist()):
-            assert (int(w0[i]), int(w1[i])) == K._philox_words01(t & 0xFFFFFFFF, t >> 32, 3, 7, seed & 0xFFFFFFFF, seed >> 32)
+            assert tuple(int(w[i]) for w in words) == K._philox(t & 0xFFFFFFFF, t >> 32, 3, 7, seed & 0xFFFFFFFF, seed >> 32)
     # every tally agrees between one array and per-trial arrays on the int path
     probs = np.array([0.6, 0.3, 0.8])
     cdf12 = np.cumsum(np.full(12, 1 / 12))
@@ -107,11 +143,40 @@ def test_philox_int_and_array_paths_agree():
     assert np.array_equal(picks, np.concatenate([K.select(1, 0, trials[i:i + 1], 0, lab_cdf) for i in range(trials.size)]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**32 - 1),
+    draw=st.integers(0, 2**32 - 1),
+    trials=st.lists(
+        st.one_of(st.integers(0, 64), st.integers(2**32 - 4, 2**32 + 4), st.integers(0, 2**64 - 1)),
+        min_size=1,
+        max_size=2 * K.SMALL_TRIALS + 2,
+    ),
+)
+def test_philox_paths_agree_with_reference_property(seed, stream, draw, trials):
+    # sizes on both sides of SMALL_TRIALS pick the int path or the array path
+    trials = np.array(trials, dtype=np.uint64)
+    ref_words = reference_words(seed, stream, trials, draw)
+    ref = reference_uniforms(seed, stream, trials, draw)
+    fast = K.uniforms(seed, stream, trials, draw)
+    arr_words = K._philox(trials & MASK, trials >> np.uint64(32), draw, stream, seed & 0xFFFFFFFF, seed >> 32)
+    for i, t in enumerate(trials.tolist()):
+        int_words = K._philox(t & 0xFFFFFFFF, t >> 32, draw, stream, seed & 0xFFFFFFFF, seed >> 32)
+        assert int_words == tuple(int(w[i]) for w in arr_words) == tuple(int(w[i]) for w in ref_words)
+        single = K.uniforms(seed, stream, [t], draw)
+        for half in (0, 1):
+            assert single[half][0] == fast[half][i] == ref[half][i]
+
+
 def test_uniform_distribution_moments():
     trials = np.arange(200_000, dtype=np.uint64)
-    u = K.uniforms(7, 1, trials, 0)
-    assert abs(u.mean() - 0.5) < 4 * np.sqrt(1 / 12 / len(u))
-    assert abs(u.var() - 1 / 12) < 1e-3
+    first, second = K.uniforms(7, 1, trials, 0)
+    for u in (first, second):
+        assert abs(u.mean() - 0.5) < 4 * np.sqrt(1 / 12 / len(u))
+        assert abs(u.var() - 1 / 12) < 1e-3
+    # the two halves of a slot are uncorrelated
+    assert abs(np.corrcoef(first, second)[0, 1]) < 4 / np.sqrt(len(first))
 
 
 def test_tally_kernels_match_numpy_reference():
@@ -130,15 +195,18 @@ def test_tally_kernels_match_numpy_reference():
         rej = int(np.count_nonzero(reject))
         return n - rej, rej
 
-    # every draw slot is computed for every trial; the kernels skip the slots they do not need
-    chain = np.all([u(9, 3, 1 + k) < probs[k] for k in range(len(probs))], axis=0)
-    fa, fb = reference_pick(cdf12, u(4, 2, 0)), reference_pick(cdf12, u(4, 2, 1))
+    # every draw slot is computed for every trial; the kernels skip the slots they do not need.
+    # A slot holds two uniforms: chain stages 2j, 2j+1 read slot j; unique reads both halves
+    # of one slot; boundary reads label and reject from one slot; low reads label and term
+    # from its first slot and the reject from the next.
+    chain = np.all([u(9, 3, 1 + k // 2)[k % 2] < probs[k] for k in range(len(probs))], axis=0)
+    fa, fb = (reference_pick(cdf12, x) for x in u(4, 2, 0))
     unique = (fa // 4 == fb // 4) & ((fa % 4 != fb % 4) | ~valid[fa % 4])
-    boundary = (reference_pick(lab_cdf, u(8, 6, 0)) == 2) & (u(8, 6, 1) < 0.4)
-    term = np.minimum((u(8, 8, 1) * 3).astype(np.int64), 2)
-    low = u(8, 8, 2) < table[reference_pick(lab_cdf, u(8, 8, 0)), term]
+    boundary = (reference_pick(lab_cdf, u(8, 6, 0)[0]) == 2) & (u(8, 6, 0)[1] < 0.4)
+    term = np.minimum((u(8, 8, 0)[1] * 3).astype(np.int64), 2)
+    low = u(8, 8, 1)[0] < table[reference_pick(lab_cdf, u(8, 8, 0)[0]), term]
     pairs = [
-        (K.tally_bernoulli(9, 1, trials, 0, 0.37), counts(u(9, 1, 0) < 0.37)),
+        (K.tally_bernoulli(9, 1, trials, 0, 0.37), counts(u(9, 1, 0)[0] < 0.37)),
         (K.tally_chain(9, 3, trials, 1, probs), counts(chain)),
         (K.tally_unique(4, 2, trials, 0, cdf12, cdf12, 4, valid), counts(unique)),
         (K.tally_boundary(8, 6, trials, 0, lab_cdf, 2, 0.4), counts(boundary)),
@@ -146,7 +214,7 @@ def test_tally_kernels_match_numpy_reference():
     ]
     for fast, ref in pairs:
         assert fast == ref
-    assert np.array_equal(K.select(1, 0, trials, 0, lab_cdf), reference_pick(lab_cdf, u(1, 0, 0)))
+    assert np.array_equal(K.select(1, 0, trials, 0, lab_cdf), reference_pick(lab_cdf, u(1, 0, 0)[0]))
 
 
 def test_tally_bernoulli_rate():
@@ -172,9 +240,9 @@ def test_counter_stream_matches_kernel_addressing():
     s = CounterStream(seed=77, stream=4, trial=123)
     bulk = [K.uniforms(77, 4, np.arange(200, dtype=np.uint64), d) for d in range(5)]
     draws = [uniform_at(s.seed, s.stream, s.trial, s.draw + d) for d in range(5)]
-    assert draws == [uniform_at(77, 4, 123, d) for d in range(5)] == [b[123] for b in bulk]
+    assert draws == [uniform_at(77, 4, 123, d) for d in range(5)] == [b[0][123] for b in bulk]
     sibling = s.for_trial(124)
-    assert uniform_at(sibling.seed, sibling.stream, sibling.trial, sibling.draw) == bulk[0][124]
+    assert uniform_at(sibling.seed, sibling.stream, sibling.trial, sibling.draw) == bulk[0][0][124]
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.draw = 1
 
