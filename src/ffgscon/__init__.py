@@ -36,13 +36,12 @@ from .verifier import TestOutcome, product_test, run_protocol_round, run_test
 from .witnesses import (
     AdversaryKind,
     AdversarySpec,
-    ForgedWitnesses,
+    Proof,
     WitnessS,
     WitnessU,
     apply_W,
     build_honest_S,
     build_honest_U,
-    dump_amplitude_table,
     forge_adversary,
     forge_composed,
     honest_gate_assignment,

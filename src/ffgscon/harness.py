@@ -1,7 +1,8 @@
 """Monte Carlo orchestration, the per-threshold adversary suite, and reports.
 
-A run builds each test's :class:`~ffgscon.verifier.BranchPlan` once; the
-exact rows, the exact round and the sampled tallies all read from those
+A run builds one :class:`~ffgscon.witnesses.Proof` and each test's
+:class:`~ffgscon.verifier.BranchPlan` on it once, before any worker starts;
+the exact rows, the exact round and the sampled tallies all read from those
 eight plans.  Sampling runs each plan's kernel from :mod:`ffgscon._kernels`
 over blocks of at most ``BLOCK_TRIALS`` trial indices, sized so that a
 block's temporaries stay in a per-core L2 cache; the blocks are what workers
@@ -28,19 +29,7 @@ from .instances import GsconInstance, TraversalCertificate, load_instance, valid
 from .ledger import LEDGER_DPS, ParameterLedger, derive_parameters
 from .rng import STREAM_ROUND, stream_for_test
 from .verifier import MODE_EXACT, TEST_NAMES, branch_plan, exact_round, run_test, sample_round
-from .witnesses import (
-    WITNESS_DPS,
-    AdversaryKind,
-    AdversarySpec,
-    ForgedWitnesses,
-    WitnessS,
-    WitnessU,
-    build_honest_S,
-    build_honest_U,
-    forge_composed,
-    forge_adversary,
-    reference_certificate,
-)
+from .witnesses import WITNESS_DPS, AdversaryKind, AdversarySpec, Proof, forge_adversary, forge_composed, honest_proof
 
 DESK_CAPS = {"n": 6, "m": 4, "G": 16}
 BLOCK_TRIALS = 1 << 14  # a block's ~16 live uint64 temporaries (128 KiB each) fit a 2 MiB L2
@@ -206,14 +195,11 @@ def enforce_desk_caps(inst: GsconInstance):
         )
 
 
-def build_witnesses(inst: GsconInstance, cert, adversary=(), *, extended: bool = False) -> ForgedWitnesses | tuple:
-    """Honest 4-tuple, or the forged tuple when adversary specs are given."""
+def build_witnesses(inst: GsconInstance, cert, adversary=(), *, extended: bool = False) -> Proof:
+    """The honest proof, or the forged one when adversary specs are given."""
     if adversary:
         return forge_composed(inst, cert, adversary, extended=extended)
-    base = reference_certificate(inst, cert)
-    u = build_honest_U(inst, base, extended=extended)
-    s = build_honest_S(inst, base, extended=extended)
-    return u, WitnessU(u.state), s, WitnessS(s.state)
+    return honest_proof(inst, cert, extended=extended)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +260,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
     if not val.ok:
         raise HarnessError("instance failed validation:\n" + "\n".join(val.lines()))
     ledger = derive_parameters(inst)
-    witnesses = build_witnesses(inst, cert, cfg.adversary)
+    proof = build_witnesses(inst, cert, cfg.adversary)
 
     config_echo = {
         "instance": cfg.instance,
@@ -289,7 +275,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(config_echo, name, ledger.as_decimal_dict())
     t_setup = time.perf_counter()
 
-    plans = {i: branch_plan(i, witnesses, inst) for i in range(1, 9)}
+    plans = {i: branch_plan(i, proof, inst) for i in range(1, 9)}
     keys = list(range(1, 9)) + ["ROUND"]
     exact = {}
     if cfg.mode in ("exact", "both"):

@@ -413,6 +413,8 @@ def instance_from_dict(d: dict) -> GsconInstance:
             )
             for t in d["terms"]
         )
+        if not terms:
+            raise InstanceFormatError("instance has no Hamiltonian terms")
         return GsconInstance(
             n=int(d["n"]),
             m=int(d["m"]),

@@ -1,8 +1,11 @@
 """The eight verification tests, the dispatching round, and the product test.
 
 Each test's branch tree is defined once, by :func:`branch_plan`: its branch
-probabilities at the witnesses' precision, plus the tally kernel of
-:mod:`ffgscon._kernels` that realizes the tree trial by trial.
+probabilities at the proof's precision, plus the tally kernel of
+:mod:`ffgscon._kernels` that realizes the tree trial by trial.  A
+:class:`~ffgscon.witnesses.Proof` keeps the plans built on it, so the exact
+sums, the bulk tallies and every single shot on one proof and instance read
+one plan per test, built once.
 
 Exact mode is the analytic branch sum over the plan; nothing is ever
 estimated by averaging samples.  Accept and reject masses are accumulated
@@ -38,6 +41,7 @@ import numpy as np
 from . import _kernels
 from .instances import GsconInstance, energy_sum, prepare_state_from_circuit, term_energies
 from .states import (
+    P_FLOOR,
     RegisteredState,
     RegisterShape,
     ShapeMismatchError,
@@ -50,7 +54,7 @@ from .states import (
     tensor_with,
     uniform_vector,
 )
-from .witnesses import WITNESS_DPS, ForgedWitnesses, WitnessS, WitnessU
+from .witnesses import WITNESS_DPS, Proof
 
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
@@ -87,30 +91,6 @@ class TestOutcome:
     def accepted(self) -> bool | None:
         return None if self.verdict is None else self.verdict == "accept"
 
-    def record(self) -> str:
-        """One-line serialization: id, mode, probabilities/verdict, seed, trace."""
-
-        def fmt(v):
-            if v is None:
-                return "-"
-            if isinstance(v, mpmath.mpf):
-                return mpmath.nstr(v, 17)
-            return repr(v) if isinstance(v, float) else str(v)
-
-        trace = ";".join(f"{k}={fmt(v)}" for k, v in self.trace) or "-"
-        return (
-            f"test={self.test_id} mode={self.mode} accept={fmt(self.accept_probability)} "
-            f"reject={fmt(self.reject_probability)} verdict={fmt(self.verdict)} "
-            f"seed={fmt(self.seed)} trial={fmt(self.trial)} trace={trace}"
-        )
-
-
-def _unpack(witnesses) -> tuple[WitnessU, WitnessU, WitnessS, WitnessS]:
-    if isinstance(witnesses, ForgedWitnesses):
-        return witnesses.as_tuple()
-    u, up, s, sp = witnesses
-    return u, up, s, sp
-
 
 def _outcome(test_id, mode, accept, reject, verdict=None, trace=(), stream=None):
     seed = getattr(stream, "seed", None) if stream is not None else None
@@ -128,7 +108,7 @@ def _precision(dps):
 
 @dataclass
 class BranchPlan:
-    """One test's branch tree, computed once at the witnesses' precision.
+    """One test's branch tree, computed once at the proof's precision.
 
     ``trace`` names the branch probabilities.  The exact branch sum
     (``reject``) and the kernel's float arguments (``args``) are derived on
@@ -142,7 +122,7 @@ class BranchPlan:
     branch_sum: Callable[[], object]
     kernel_args: Callable[[], tuple]
     reject_name: str | None = None  # trace name of the reject sum, for trees with one summary value
-    dps: int | None = None  # mpmath digits of extended witnesses
+    dps: int | None = None  # mpmath digits of an extended proof
 
     @cached_property
     def reject(self):
@@ -178,14 +158,12 @@ def _swap_plan(test_id, a: RegisteredState, b: RegisteredState) -> BranchPlan:
     return BranchPlan(test_id, (), _kernels.tally_bernoulli, lambda: q, lambda: (float(q),), "swap_reject")
 
 
-def _swap_u_plan(witnesses, inst) -> BranchPlan:
-    u, up, _, _ = _unpack(witnesses)
-    return _swap_plan(1, u.state, up.state)
+def _swap_u_plan(proof: Proof, inst) -> BranchPlan:
+    return _swap_plan(1, proof.u.state, proof.u_prime.state)
 
 
-def _swap_s_plan(witnesses, inst) -> BranchPlan:
-    _, _, s, sp = _unpack(witnesses)
-    return _swap_plan(4, s.state, sp.state)
+def _swap_s_plan(proof: Proof, inst) -> BranchPlan:
+    return _swap_plan(4, proof.s.state, proof.s_prime.state)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +171,10 @@ def _swap_s_plan(witnesses, inst) -> BranchPlan:
 # ---------------------------------------------------------------------------
 
 
-def _unique_plan(witnesses, inst: GsconInstance) -> BranchPlan:
-    u, up, _, _ = _unpack(witnesses)
+def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
+    u = proof.u
     pa = u.outcome_probabilities()
-    pb = up.outcome_probabilities()
+    pb = proof.u_prime.outcome_probabilities()
     n_set = len(inst.gate_set)
     G = inst.G
 
@@ -235,9 +213,9 @@ def _chain_plan(test_id, stages) -> BranchPlan:
     )
 
 
-def _uniform_plan(witnesses, inst: GsconInstance) -> BranchPlan:
+def _uniform_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Test 3: uniform gate register, then uniform labels."""
-    u = _unpack(witnesses)[0]
+    u = proof.u
     gbar = uniform_vector(inst.G, extended=u.state.extended)
     p_gbar, post = project_onto(u.state, 1, gbar)
     q_label = None
@@ -247,14 +225,14 @@ def _uniform_plan(witnesses, inst: GsconInstance) -> BranchPlan:
     return _chain_plan(3, (("gate_uniform_prob", p_gbar), ("label_nonuniform_prob", q_label)))
 
 
-def _sequence_plan(witnesses, inst: GsconInstance) -> BranchPlan:
+def _sequence_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Test 5: probabilistic shift-and-gate, then swap against the second copy.
 
     Stages: gate projection, label match, final swap rejection.  For honest
     witnesses the joint projection success is exactly 1/(2mG): 1/G for the
     gate projection times 1/(2m) for the label match.
     """
-    u, _, s, sp = _unpack(witnesses)
+    u, s, sp = proof.u, proof.s, proof.s_prime
     if u.state.extended != s.state.extended or s.state.extended != sp.state.extended:
         raise ShapeMismatchError("witnesses must share one precision level")
     ext = u.state.extended
@@ -276,7 +254,7 @@ def _sequence_plan(witnesses, inst: GsconInstance) -> BranchPlan:
         two_m = u.label_dim
         diag = np.array([reduced[i, i] for i in range(two_m)])  # (2m, data...)
         p_label = (np.abs(diag) ** 2).sum()
-        if float(p_label) >= 1e-15:
+        if float(p_label) >= P_FLOOR:
             diag = diag / (mpmath.sqrt(p_label) if ext else math.sqrt(p_label))
             shifted = np.roll(diag, 1, axis=0)  # cyclic label shift, 2m -> 1
             t_prime = RegisteredState(RegisterShape((two_m,) + (2,) * inst.n), shifted.ravel(), check=False)
@@ -289,13 +267,13 @@ def _sequence_plan(witnesses, inst: GsconInstance) -> BranchPlan:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_plan(test_id, which, witnesses, inst: GsconInstance) -> BranchPlan:
-    s = _unpack(witnesses)[2]
+def _boundary_plan(test_id, which, proof: Proof, inst: GsconInstance) -> BranchPlan:
+    s = proof.s
     target = 0 if which == "psi" else inst.m
     probs = register_distribution(s.state, 0)
     p_label = probs[target]
     q = None
-    if float(p_label) >= 1e-15:
+    if float(p_label) >= P_FLOOR:
         _, data = conditional_state(s.state, 0, target, drop=True)
         anchor = prepare_state_from_circuit(inst, which, extended=s.state.extended)
         q = swap_test_reject_prob(data, anchor)
@@ -308,12 +286,12 @@ def _boundary_plan(test_id, which, witnesses, inst: GsconInstance) -> BranchPlan
     )
 
 
-def _start_plan(witnesses, inst) -> BranchPlan:
-    return _boundary_plan(6, "psi", witnesses, inst)
+def _start_plan(proof: Proof, inst) -> BranchPlan:
+    return _boundary_plan(6, "psi", proof, inst)
 
 
-def _end_plan(witnesses, inst) -> BranchPlan:
-    return _boundary_plan(7, "phi", witnesses, inst)
+def _end_plan(proof: Proof, inst) -> BranchPlan:
+    return _boundary_plan(7, "phi", proof, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +299,9 @@ def _end_plan(witnesses, inst) -> BranchPlan:
 # ---------------------------------------------------------------------------
 
 
-def _low_plan(witnesses, inst: GsconInstance) -> BranchPlan:
+def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Measure the label, pick a term uniformly, reject with <H_term>: reject = sum p_i E_i / R."""
-    s = _unpack(witnesses)[2]
+    s = proof.s
     probs = register_distribution(s.state, 0)
     table = []  # per label: per-term expectations, or None where the label has no mass
     for i in range(s.label_dim):
@@ -364,23 +342,34 @@ _PLAN_BUILDERS = {
 }
 
 
-def branch_plan(test_id: int, witnesses, inst: GsconInstance) -> BranchPlan:
-    """The branch tree of test ``test_id`` (1..8) on the given witnesses."""
+def branch_plan(test_id: int, proof: Proof, inst: GsconInstance) -> BranchPlan:
+    """The branch tree of test ``test_id`` (1..8) on the given proof.
+
+    Built once per proof and instance: the plan is memoized in
+    ``proof.plans`` under the test id, next to the instance it was built
+    for, and rebuilt only for another instance object.  Amplitudes are
+    read-only and ``dataclasses.replace`` starts an empty cache, so a
+    cached plan always describes the proof it sits on.
+    """
+    entry = proof.plans.get(test_id)
+    if entry is not None and entry[0] is inst:
+        return entry[1]
     dps = None
-    if any(w.state.extended for w in _unpack(witnesses)):
+    if any(w.state.extended for w in (proof.u, proof.u_prime, proof.s, proof.s_prime)):
         # extended amplitudes carry WITNESS_DPS digits; arithmetic must too,
         # or the branch sums measure rounding noise instead of the deviation
         dps = max(mpmath.mp.dps, WITNESS_DPS)
     with _precision(dps):
-        plan = _PLAN_BUILDERS[test_id](witnesses, inst)
+        plan = _PLAN_BUILDERS[test_id](proof, inst)
     plan.dps = dps
+    proof.plans[test_id] = (inst, plan)
     return plan
 
 
-def run_test(test_id: int, witnesses, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
+def run_test(test_id: int, proof: Proof, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
     if mode == MODE_SAMPLED and stream is None:
         raise ValueError("sampled mode needs a counter stream")
-    plan = branch_plan(test_id, witnesses, inst)
+    plan = branch_plan(test_id, proof, inst)
     if mode == MODE_EXACT:
         return plan.exact()
     _, rejected = plan.tally(stream.seed, stream.stream, [stream.trial], stream.draw)
@@ -425,23 +414,19 @@ def sample_round(plan_of: Callable[[int], BranchPlan], cdf, seed, stream, trials
     return acc, rej, picks
 
 
-def run_protocol_round(witnesses, inst, ledger, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
+def run_protocol_round(proof: Proof, inst, ledger, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
     """One verifier round: pick test i with probability p_i, run it.
 
     Exact mode returns :func:`exact_round`.  Sampled mode is
     :func:`sample_round` on the stream's trial, from draw ``stream.draw``.
     """
     if mode == MODE_EXACT:
-        return exact_round({i: branch_plan(i, witnesses, inst) for i in range(1, 9)}, ledger)
-    plans = {}
-
-    def plan_of(i):
-        plans[i] = branch_plan(i, witnesses, inst)
-        return plans[i]
-
-    _, rejected, picks = sample_round(plan_of, ledger.round_cdf, stream.seed, stream.stream, [stream.trial], stream.draw)
+        return exact_round({i: branch_plan(i, proof, inst) for i in range(1, 9)}, ledger)
+    _, rejected, picks = sample_round(
+        lambda i: branch_plan(i, proof, inst), ledger.round_cdf, stream.seed, stream.stream, [stream.trial], stream.draw
+    )
     pick = int(picks[0])
-    trace = (("test", pick),) + plans[pick].trace
+    trace = (("test", pick),) + branch_plan(pick, proof, inst).trace
     return _outcome("ROUND", MODE_SAMPLED, None, None, _verdict(not rejected), trace, stream)
 
 

@@ -1,10 +1,11 @@
 """Honest and adversarial proof states for the verification protocol.
 
-Honest provers hand over two copies of each of two states: a label/gate
-superposition listing a cyclic sequence of 2m gates (the second half the
-adjoints of the first, in reverse), and a label/data superposition of the 2m
-traversal states threaded by those gates.  The honest state is a fixed point
-of the shift-and-gate unitary ``W: |i>|x> -> |i+1> U_i|x>``.
+A :class:`Proof` holds two copies of each of two states.  Honest provers
+hand over a label/gate superposition listing a cyclic sequence of 2m gates
+(the second half the adjoints of the first, in reverse), and a label/data
+superposition of the 2m traversal states threaded by those gates.  The
+honest state is a fixed point of the shift-and-gate unitary
+``W: |i>|x> -> |i+1> U_i|x>``.
 
 Adversaries are *analytic*: each kind writes amplitudes directly so that it
 violates exactly one structural property by a requested magnitude, and
@@ -19,7 +20,7 @@ as mpmath object arrays at :data:`WITNESS_DPS` significant digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import mpmath
@@ -128,18 +129,27 @@ class WitnessS:
 
 
 @dataclass(frozen=True)
-class ForgedWitnesses:
+class Proof:
+    """The two-copy unentangled proof: U, U' (label/gate) and S, S' (label/data).
+
+    A forged proof also carries the :class:`AdversarySpec` it plants and the
+    deviation measured from its states.  ``plans`` memoizes the verifier's
+    branch plans of this proof (see :func:`ffgscon.verifier.branch_plan`); it
+    is no init argument, so :func:`dataclasses.replace` starts a new proof
+    with an empty cache.
+    """
+
     u: WitnessU
     u_prime: WitnessU
     s: WitnessS
     s_prime: WitnessS
-    spec: AdversarySpec
-    targeted_test: int
-    measured_deviation: object
-    description: str
+    spec: AdversarySpec | None = None
+    measured_deviation: object = None
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def as_tuple(self):
-        return self.u, self.u_prime, self.s, self.s_prime
+    @property
+    def targeted_test(self) -> int | None:
+        return None if self.spec is None else TARGETED_TEST[self.spec.kind]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +212,14 @@ def _s_from_chain(inst: GsconInstance, chain, *, extended: bool = False) -> Witn
 def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> WitnessS:
     assignment = honest_gate_assignment(inst, cert)
     return _s_from_chain(inst, traversal_states(inst, assignment, extended=extended), extended=extended)
+
+
+def honest_proof(inst: GsconInstance, cert: TraversalCertificate | None, *, extended: bool = False) -> Proof:
+    """U' = U and S' = S, built on the reference certificate."""
+    cert = reference_certificate(inst, cert)
+    u = build_honest_U(inst, cert, extended=extended)
+    s = build_honest_S(inst, cert, extended=extended)
+    return Proof(u, u, s, s)
 
 
 def apply_W(inst: GsconInstance, assignment, s: WitnessS) -> WitnessS:
@@ -288,7 +306,7 @@ def forge_adversary(
     spec: AdversarySpec,
     *,
     extended: bool = False,
-) -> ForgedWitnesses:
+) -> Proof:
     """Build the four witnesses with exactly one planted deviation.
 
     All witnesses other than the targeted ones are honest (relative to the
@@ -305,7 +323,7 @@ def forge_composed(
     specs,
     *,
     extended: bool = False,
-) -> ForgedWitnesses:
+) -> Proof:
     """Apply several deviations in order (no worst-case coverage claims).
 
     Later kinds rebuild the registers they touch, so order matters; the
@@ -313,24 +331,20 @@ def forge_composed(
     """
     forged = None
     for spec in specs:
-        base = None if forged is None else forged.as_tuple()
         with mpmath.workdps(WITNESS_DPS if extended else mpmath.mp.dps):
-            forged = _forge(inst, cert, spec, extended, base=base)
+            forged = _forge(inst, cert, spec, extended, base=forged)
     if forged is None:
         raise ValueError("no adversary specs given")
     return forged
 
 
-def _forge(inst, cert, spec, extended, base=None):
-    cert = reference_certificate(inst, cert)
-    assignment = honest_gate_assignment(inst, cert)
+def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
+    assignment = honest_gate_assignment(inst, reference_certificate(inst, cert))
     two_m = 2 * inst.m
 
     if base is None:
-        u = build_honest_U(inst, cert, extended=extended)
-        s = build_honest_S(inst, cert, extended=extended)
-        base = (u, WitnessU(u.state), s, WitnessS(s.state))
-    u, u_prime, s, s_prime = base
+        base = honest_proof(inst, cert, extended=extended)
+    u, u_prime, s, s_prime = base.u, base.u_prime, base.s, base.s_prime
     kind = spec.kind
 
     if kind is AdversaryKind.MISMATCHED_U:
@@ -344,7 +358,6 @@ def _forge(inst, cert, spec, extended, base=None):
         amps[0, alt] = _sqrtv(delta, extended)
         u_prime = WitnessU(RegisteredState(u.state.shape, amps.ravel(), check=False))
         measured = _max_prob_gap(u, u_prime)
-        desc = f"copy mismatch of {float(measured):.3e} at label 1, gate {alt}"
 
     elif kind is AdversaryKind.SMEARED_GATE:
         x, c = (_numf(v, extended) for v in spec.magnitude)
@@ -364,7 +377,6 @@ def _forge(inst, cert, spec, extended, base=None):
         label_mass = probs[0].sum()
         off = (label_mass - probs[0, u0]) / label_mass
         measured = (label_mass, off)
-        desc = f"label 1 carries {float(label_mass):.3e} with {float(off):.3e} smeared off its gate"
 
     elif kind is AdversaryKind.NONUNIFORM_LABELS:
         f = _numf(spec.magnitude, extended)
@@ -382,7 +394,6 @@ def _forge(inst, cert, spec, extended, base=None):
         u = u_prime = w
         label_probs = np.abs(w.state.as_tensor()) ** 2
         measured = inst.m * max(abs(label_probs[i].sum() - one / two_m) for i in range(two_m))
-        desc = f"label skew f = {float(measured):.3e} under a uniform gate register"
 
     elif kind is AdversaryKind.INCONSISTENT_S:
         z = _numf(spec.magnitude, extended)
@@ -392,7 +403,6 @@ def _forge(inst, cert, spec, extended, base=None):
         _, psi0 = conditional_state(s.state, 0, 0, drop=True)
         s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, cos_theta, spec.seed))
         measured = _max_slice_defect(s.state, s_prime.state)
-        desc = f"copy defect <d|d> = {float(measured):.3e} at label 1"
 
     elif kind is AdversaryKind.BROKEN_SEQUENCE:
         z = _numf(spec.magnitude, extended)
@@ -404,7 +414,6 @@ def _forge(inst, cert, spec, extended, base=None):
         s = s_prime = broken
         shifted = apply_W(inst, assignment, s)
         measured = _max_slice_defect(shifted.state, s_prime.state)
-        desc = f"broken link: shifted-sequence defect {float(measured):.3e}"
 
     elif kind in (AdversaryKind.WRONG_START, AdversaryKind.WRONG_END):
         w_req = _numf(spec.magnitude, extended)
@@ -417,8 +426,6 @@ def _forge(inst, cert, spec, extended, base=None):
         s = s_prime = _replace_data_slice(s, label, planted)
         _, got = conditional_state(s.state, 0, label, drop=True)
         measured = phase_optimized_distance(got, anchor)
-        which = "start" if kind is AdversaryKind.WRONG_START else "end"
-        desc = f"{which} state planted at distance {float(measured):.6e}"
 
     elif kind is AdversaryKind.HIGH_ENERGY:
         energy = _numf(spec.magnitude, extended)
@@ -440,13 +447,12 @@ def _forge(inst, cert, spec, extended, base=None):
         s = s_prime = _replace_data_slice(s, 0, mixed)
         _, got = conditional_state(s.state, 0, 0, drop=True)
         measured = energy_of(inst, got)
-        desc = f"sequence entry at label 1 planted at energy {float(measured):.6e}"
 
     else:  # pragma: no cover
         raise ValueError(f"unknown adversary kind {kind!r}")
 
     _check_measured(spec.magnitude, measured, kind)
-    return ForgedWitnesses(u, u_prime, s, s_prime, spec, TARGETED_TEST[kind], measured, desc)
+    return Proof(u, u_prime, s, s_prime, spec, measured)
 
 
 def _check_measured(requested, measured, kind):
@@ -497,30 +503,3 @@ def _cast_vec(vec: np.ndarray, extended: bool) -> np.ndarray:
     for i, z in enumerate(vec):
         out[i] = mpmath.mpc(z)
     return out
-
-
-# ---------------------------------------------------------------------------
-# dump format (per-label amplitude tables, decimal-string convention)
-# ---------------------------------------------------------------------------
-
-
-def dump_amplitude_table(state: RegisteredState) -> list:
-    """Per-label amplitude rows as [re, im] decimal strings.
-
-    Doubles use ``repr`` (bit-exact round trip); extended amplitudes are
-    written with mpmath at their working precision.
-    """
-    t = state.as_tensor()
-    two_m = state.shape.dims[0]
-    rows = []
-    for i in range(two_m):
-        row = []
-        for z in np.asarray(t[i]).ravel():
-            if isinstance(z, (mpmath.mpf, mpmath.mpc)):
-                zc = mpmath.mpc(z)
-                row.append([mpmath.nstr(zc.real, 40), mpmath.nstr(zc.imag, 40)])
-            else:
-                zc = complex(z)
-                row.append([repr(zc.real), repr(zc.imag)])
-        rows.append(row)
-    return rows

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ffgscon.instances import (
 from ffgscon.ledger import derive_parameters
 from ffgscon.states import RegisteredState, RegisterShape
 from ffgscon.verifier import run_test
-from ffgscon.witnesses import WitnessS, WitnessU, forge_composed
+from ffgscon.witnesses import Proof, WitnessS, WitnessU, forge_composed
 
 
 def test_degenerate_eta3_zero_is_perfectly_complete():
@@ -58,7 +59,7 @@ def test_uniform_test_accepts_when_gate_projection_dies():
     amps = np.kron(np.full(two_m, 1 / math.sqrt(two_m)), row)
     u = WitnessU(RegisteredState(RegisterShape((two_m, G)), amps))
     w = build_witnesses(inst, fx.certificate)
-    out = run_test(3, (u, w[1], w[2], w[3]), inst)
+    out = run_test(3, replace(w, u=u), inst)
     assert float(out.accept_probability) == 1.0
 
 
@@ -73,7 +74,7 @@ def test_sequence_test_accepts_when_controlled_branches_cancel():
     u = WitnessU(RegisteredState(RegisterShape((two_m, G)), np.kron(np.full(two_m, 1 / math.sqrt(two_m)), row)))
     plus = np.array([1, 1]) / math.sqrt(2)
     s = WitnessS(RegisteredState(RegisterShape((two_m, 2)), np.kron(np.full(two_m, 1 / math.sqrt(two_m)), plus)))
-    out5 = run_test(5, (u, WitnessU(u.state), s, WitnessS(s.state)), inst)
+    out5 = run_test(5, Proof(u, u, s, s), inst)
     assert float(out5.accept_probability) == 1.0
     assert dict(out5.trace)["label_match_prob"] is None
 
@@ -167,6 +168,17 @@ def test_cli_non_object_instance_document_exits_one(tmp_path, capsys, verb):
         assert cli_main([verb, str(path)]) == 1, doc
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, doc
+
+
+@pytest.mark.parametrize("verb", ["validate", "ledger", "lemmas", "verify"])
+def test_cli_instance_without_terms_exits_one(tmp_path, capsys, verb):
+    doc = instance_to_dict(get_fixture("bell-flip").instance)
+    doc["terms"] = []
+    path = tmp_path / "no-terms.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main([verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and "terms" in err
 
 
 def test_validation_failure_exit_code_on_lemmas(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Exact branch sums, soundness margins, dispatcher, and sampled paths."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
+from ffgscon import verifier
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import build_witnesses, demo_magnitude
 from ffgscon.instances import GsconInstance
@@ -30,6 +35,7 @@ from ffgscon.verifier import (
 from ffgscon.witnesses import (
     AdversaryKind,
     AdversarySpec,
+    Proof,
     WitnessS,
     WitnessU,
     build_honest_S,
@@ -39,6 +45,7 @@ from ffgscon.witnesses import (
 
 from oracles import (
     equal_label_projector,
+    random_registered_state,
     register_projector,
     unique_test_reject_by_enumeration,
 )
@@ -117,7 +124,7 @@ def test1_orthogonal_copy_accepts_half():
     t[0, 2], t[1, 3] = 1 / math.sqrt(2), 1 / math.sqrt(2)  # disjoint gate support
     u_orth = WitnessU(RegisteredState(u.state.shape, t.ravel()))
     s = build_honest_S(fx.instance, fx.certificate)
-    out = run_test(1, (u, u_orth, s, WitnessS(s.state)), fx.instance)
+    out = run_test(1, Proof(u, u_orth, s, s), fx.instance)
     assert abs(float(out.accept_probability) - 0.5) < 1e-12
 
 
@@ -165,7 +172,7 @@ def test2_out_of_set_encoding_rejected():
     t[1, 0] = math.sqrt(1 / two_m)
     u = WitnessU(RegisteredState(RegisterShape((two_m, inst.G)), t.ravel()))
     s = build_honest_S(inst, get_fixture("idle").certificate)
-    out = run_test(2, (u, WitnessU(u.state), s, WitnessS(s.state)), inst)
+    out = run_test(2, Proof(u, u, s, s), inst)
     label_collision = float(sum(p * p for p in (0.5, 0.5)))
     assert float(out.reject_probability) >= q * label_collision
     pa = np.asarray(u.outcome_probabilities(), float)
@@ -207,7 +214,7 @@ def test3_single_label_uniform_gate_accepts_one_over_2m():
     amps = np.kron(np.eye(two_m)[0], uniform_vector(fx.instance.G))
     u = WitnessU(RegisteredState(RegisterShape((two_m, fx.instance.G)), amps))
     w = honest(fx)
-    out = run_test(3, (u, w[1], w[2], w[3]), fx.instance)
+    out = run_test(3, replace(w, u=u), fx.instance)
     assert abs(float(out.accept_probability) - 1.0 / two_m) < 1e-12
 
 
@@ -231,7 +238,7 @@ def test4_orthogonal_sequences_accept_half():
     t[0, 1], t[1, 1] = 1 / math.sqrt(2), 1 / math.sqrt(2)  # data parts all |1>
     s_orth = WitnessS(RegisteredState(s.state.shape, t.ravel()))
     u = build_honest_U(fx.instance, fx.certificate)
-    out = run_test(4, (u, WitnessU(u.state), s, s_orth), fx.instance)
+    out = run_test(4, Proof(u, u, s, s_orth), fx.instance)
     assert abs(float(out.accept_probability) - 0.5) < 1e-12
 
 
@@ -247,7 +254,7 @@ def test5_honest_joint_projection_matches_projector_oracle():
         # independent dense-projector recomputation of the joint success mass
         from ffgscon.states import tensor_with, _apply_matrix_axes
 
-        joint = tensor_with(w[0].state, w[2].state)
+        joint = tensor_with(w.u.state, w.s.state)
         t = np.asarray(joint.as_tensor(), complex).copy()
         for g in range(min(G, len(inst.gate_set))):
             gate = inst.gate_set[g]
@@ -305,7 +312,7 @@ def test6_label_mass_away_from_start_always_accepts():
     t[1, 1] = 1.0  # all label mass on label 2
     s = WitnessS(RegisteredState(RegisterShape((2, 2)), t.ravel()))
     u = build_honest_U(fx.instance, fx.certificate)
-    out = run_test(6, (u, WitnessU(u.state), s, WitnessS(s.state)), fx.instance)
+    out = run_test(6, Proof(u, u, s, s), fx.instance)
     assert float(out.accept_probability) == 1.0
 
 
@@ -354,7 +361,7 @@ def test8_maximal_energy_sequence_rejects_surely():
     t[0, 1] = t[1, 1] = 1 / math.sqrt(2)  # every sequence entry is |1>, energy R
     s = WitnessS(RegisteredState(RegisterShape((2, 2)), t.ravel()))
     u = build_honest_U(inst, get_fixture("idle").certificate)
-    out = run_test(8, (u, WitnessU(u.state), s, WitnessS(s.state)), inst)
+    out = run_test(8, Proof(u, u, s, s), inst)
     assert abs(float(out.reject_probability) - 1.0) < 1e-12
 
 
@@ -430,16 +437,110 @@ def test_shot_equals_bulk(name, kind):
     led = derive_parameters(inst)
     specs = () if kind is None else (AdversarySpec(kind, demo_magnitude(kind, inst, led)),)
     w = build_witnesses(inst, fx.certificate, specs)
-    plans = {i: branch_plan(i, w, inst) for i in range(1, 9)}
     n, seed = 2000, 41
     trials = np.arange(n, dtype=np.uint64)
     for i in range(1, 9):
         streams = (CounterStream(seed, stream_for_test(i), t) for t in range(n))
         shots = sum(run_test(i, w, inst, mode=MODE_SAMPLED, stream=st).verdict == "reject" for st in streams)
-        assert shots == plans[i].tally(seed, stream_for_test(i), trials)[1], i
+        assert shots == branch_plan(i, w, inst).tally(seed, stream_for_test(i), trials)[1], i
     streams = (CounterStream(seed, STREAM_ROUND, t) for t in range(n))
     shots = sum(run_protocol_round(w, inst, led, mode=MODE_SAMPLED, stream=st).verdict == "reject" for st in streams)
-    assert shots == sample_round(plans.__getitem__, led.round_cdf, seed, STREAM_ROUND, trials)[1]
+    assert shots == sample_round(lambda i: branch_plan(i, w, inst), led.round_cdf, seed, STREAM_ROUND, trials)[1]
+
+
+# ---------------------------------------------------------------------------
+# plans cached on the proof
+# ---------------------------------------------------------------------------
+
+
+def _count_plan_builds(monkeypatch):
+    built = Counter()
+    for i, build in list(verifier._PLAN_BUILDERS.items()):
+
+        def counted(proof, inst, i=i, build=build):
+            built[i] += 1
+            return build(proof, inst)
+
+        monkeypatch.setitem(verifier._PLAN_BUILDERS, i, counted)
+    return built
+
+
+def test_shots_build_each_plan_once(monkeypatch):
+    built = _count_plan_builds(monkeypatch)
+    fx = get_fixture("bell-stepwise")
+    inst = fx.instance
+    led = derive_parameters(inst)
+    w = honest(fx)
+    picked = set()
+    for t in range(200):
+        out = run_protocol_round(w, inst, led, mode=MODE_SAMPLED, stream=CounterStream(3, STREAM_ROUND, t))
+        picked.add(dict(out.trace)["test"])
+    assert built == {i: 1 for i in picked}
+    for i in range(1, 9):
+        for t in range(200):
+            run_test(i, w, inst, mode=MODE_SAMPLED, stream=CounterStream(3, stream_for_test(i), t))
+    assert built == {i: 1 for i in range(1, 9)}
+
+
+def test_replaced_proof_starts_an_empty_cache():
+    fx = get_fixture("bell-flip")
+    inst = fx.instance
+    w = honest(fx)
+    for t in range(50):
+        run_test(3, w, inst, mode=MODE_SAMPLED, stream=CounterStream(4, stream_for_test(3), t))
+    assert abs(float(run_test(3, w, inst).accept_probability) - 1.0) < 1e-9
+    two_m = 2 * inst.m
+    u = WitnessU(RegisteredState(RegisterShape((two_m, inst.G)), np.kron(np.eye(two_m)[0], uniform_vector(inst.G))))
+    out = run_test(3, replace(w, u=u), inst)
+    assert abs(float(out.accept_probability) - 1.0 / two_m) < 1e-12
+    assert abs(float(run_test(3, w, inst).accept_probability) - 1.0) < 1e-9
+
+
+def test_one_proof_against_two_instances():
+    # a cached plan answers only for the instance object it was built on
+    from ffgscon.instances import HamiltonianTerm, gate_x
+
+    fx = get_fixture("idle")
+    inst = fx.instance
+    others = {
+        8: replace(inst, terms=(HamiltonianTerm(np.diag([1.0, 0.0]), (0,)),)),  # |0> now costs 1
+        7: replace(inst, phi_circuit=(gate_x(0),)),  # target |1>, orthogonal to the honest end
+    }
+    w = honest(fx)
+    for test_id, other in others.items():
+        for target in (inst, other, inst, other):
+            got = run_test(test_id, w, target)
+            fresh = run_test(test_id, honest(fx), target)
+            assert (got.accept_probability, got.reject_probability) == (
+                fresh.accept_probability,
+                fresh.reject_probability,
+            ), (test_id, target is inst)
+        assert run_test(test_id, w, inst).reject_probability != run_test(test_id, w, other).reject_probability
+
+
+@st.composite
+def _random_proofs(draw):
+    fx = draw(st.sampled_from(builtin_instances()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = fx.instance
+    two_m = 2 * inst.m
+    u, up = (WitnessU(random_registered_state((two_m, inst.G), rng)) for _ in range(2))
+    s, sp = (WitnessS(random_registered_state((two_m,) + (2,) * inst.n, rng)) for _ in range(2))
+    return inst, Proof(u, up, s, sp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_random_proofs(), st.integers(0, 2**64 - 1), st.integers(0, 2**20))
+def test_cached_plan_equals_a_fresh_one(case, seed, trial):
+    inst, proof = case
+    for i in range(1, 9):
+        branch_plan(i, proof, inst).tally(seed, stream_for_test(i), [trial])  # fills the cache
+        cached, fresh = branch_plan(i, proof, inst), branch_plan(i, replace(proof), inst)
+        assert cached is branch_plan(i, proof, inst) and cached is not fresh
+        a, b = cached.exact(), fresh.exact()
+        assert (a.accept_probability, a.reject_probability) == (b.accept_probability, b.reject_probability), i
+        assert a.trace == b.trace, i
+        assert cached.tally(seed, stream_for_test(i), [trial]) == fresh.tally(seed, stream_for_test(i), [trial]), i
 
 
 def test_sampled_needs_stream():
@@ -456,13 +557,15 @@ def test_sampled_needs_stream():
 def test_product_identical_composites_accept():
     fx = get_fixture("bell-flip")
     w = honest(fx)
-    out = product_test(w, w)
+    parts = (w.u, w.u_prime, w.s, w.s_prime)
+    out = product_test(parts, parts)
     assert abs(float(out.accept_probability) - 1.0) < 1e-12
 
 
 def test_product_orthogonal_part_caps_acceptance():
     fx = get_fixture("idle")
-    u, up, s, sp = honest(fx)
+    w = honest(fx)
+    u, up, s, sp = w.u, w.u_prime, w.s, w.s_prime
     t = np.zeros((2, fx.instance.G), dtype=complex)
     t[0, 2], t[1, 3] = 1 / math.sqrt(2), 1 / math.sqrt(2)
     u_orth = WitnessU(RegisteredState(u.state.shape, t.ravel()))
@@ -518,7 +621,8 @@ def test_product_sampled_rate():
 
 def test_product_shape_guard():
     fx = get_fixture("idle")
-    u, up, s, sp = honest(fx)
+    w = honest(fx)
+    u, up, s, sp = w.u, w.u_prime, w.s, w.s_prime
     with pytest.raises(ShapeMismatchError):
         product_test((u, up, s, sp), (u, up, sp, s.state and basis_state(RegisterShape((3,)), (0,))))
     with pytest.raises(ShapeMismatchError):
@@ -542,17 +646,6 @@ def test_accept_and_reject_branch_sums_are_complementary():
                 out = run_test(i, witnesses, fx.instance)
                 total = float(out.accept_probability) + float(out.reject_probability)
                 assert abs(total - 1.0) <= 1e-12, (fx.name, i)
-
-
-def test_outcome_record_line():
-    fx = get_fixture("idle")
-    out = run_test(1, honest(fx), fx.instance)
-    line = out.record()
-    assert line.startswith("test=1 mode=exact accept=")
-    assert "trace=" in line
-    sampled = run_test(3, honest(fx), fx.instance, mode=MODE_SAMPLED, stream=CounterStream(1, 3, 42))
-    line2 = sampled.record()
-    assert "mode=sampled" in line2 and "verdict=" in line2 and "seed=1" in line2 and "trial=42" in line2
 
 
 def test_outcome_probability_bounds_guard():
