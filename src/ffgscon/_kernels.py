@@ -101,10 +101,13 @@ def uniforms(seed, stream, trials, draw):
 # ---------------------------------------------------------------------------
 # Per-test tally kernels
 #
-# Each kernel reads a fixed number of draw slots per trial, starting at
-# ``draw0`` (the protocol-round dispatcher reserves slot 0 for test choice);
-# a slot holds two uniforms.  All return (accepts, rejects) with
-# accepts + rejects == len(trials).
+# Each kernel reads at most a fixed number of draw slots per trial, starting
+# at ``draw0`` (the protocol-round dispatcher reserves slot 0 for test
+# choice); a slot holds two uniforms.  A uniform u in [0, 1) never satisfies
+# u < p for p <= 0, so a kernel whose reject can never fire returns without
+# drawing, and a slot that decides nothing for a trial is not read for it.
+# Draws are addressed, so a skipped read cannot move any other trial's bits.
+# All return (accepts, rejects) with accepts + rejects == len(trials).
 # ---------------------------------------------------------------------------
 
 
@@ -114,6 +117,8 @@ def _pick(cdf, u):
 
 
 def tally_bernoulli(seed, stream, trials, draw0, p_reject):
+    if p_reject <= 0:
+        return len(trials), 0
     u, _ = uniforms(seed, stream, trials, draw0)
     rej = int(np.count_nonzero(u < p_reject))
     return len(trials) - rej, rej
@@ -123,8 +128,11 @@ def tally_chain(seed, stream, trials, draw0, probs):
     """Reject iff every stage fires: u_k < probs[k] for all k.
 
     Stages 2j and 2j + 1 read the two uniforms of slot ``draw0 + j``, on the
-    trials that survived every earlier stage.
+    trials that survived every earlier stage.  A stage of probability <= 0
+    stops every trial, so then nothing is drawn.
     """
+    if any(p <= 0 for p in probs):
+        return len(trials), 0
     alive = np.asarray(trials, dtype=np.uint64)
     for j in range(0, len(probs), 2):
         if alive.size == 0:
@@ -149,21 +157,31 @@ def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
 
 
 def tally_boundary(seed, stream, trials, draw0, label_cdf, target, q_reject):
+    if q_reject <= 0:
+        return len(trials), 0
     u, v = uniforms(seed, stream, trials, draw0)
     rej = int(np.count_nonzero((_pick(label_cdf, u) == target) & (v < q_reject)))
     return len(trials) - rej, rej
 
 
 def tally_low(seed, stream, trials, draw0, label_cdf, reject_table):
+    """Label and term from slot ``draw0``; slot ``draw0 + 1`` only where the entry can reject."""
+    if not np.any(reject_table > 0):
+        return len(trials), 0
+    trials = np.asarray(trials, dtype=np.uint64)
     n_terms = reject_table.shape[1]
     u, v = uniforms(seed, stream, trials, draw0)
     lab = _pick(label_cdf, u)
     term = np.minimum((v * n_terms).astype(np.int64), n_terms - 1)
-    w, _ = uniforms(seed, stream, trials, draw0 + 1)
-    rej = int(np.count_nonzero(w < reject_table[lab, term]))
+    p = reject_table[lab, term]
+    live = p > 0
+    w, _ = uniforms(seed, stream, trials[live], draw0 + 1)
+    rej = int(np.count_nonzero(w < p[live]))
     return len(trials) - rej, rej
 
 
 def select(seed, stream, trials, draw0, cdf):
-    """Inverse-CDF pick per trial (the protocol round's test choice)."""
+    """Inverse-CDF pick per trial (the protocol round's test choice); no draw when outcome 0 is certain."""
+    if cdf[0] >= 1:
+        return np.zeros(len(trials), dtype=np.int64)
     return _pick(cdf, uniforms(seed, stream, trials, draw0)[0]).astype(np.int64)

@@ -23,6 +23,7 @@ from .harness import (
     HarnessError,
     demo_magnitude,
     emit_report,
+    require_valid,
     resolve_instance,
     run_lemma_suite,
     run_monte_carlo,
@@ -153,6 +154,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "verify":
         inst, cert, name = resolve_instance(args.instance, _parse_certificate(args.certificate))
+        require_valid(inst)
         ledger = derive_parameters(inst)
         adversary = tuple(_parse_adversary(a, inst, ledger) for a in args.adversary)
         cfg = ExperimentConfig(

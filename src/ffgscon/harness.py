@@ -195,6 +195,17 @@ def enforce_desk_caps(inst: GsconInstance):
         )
 
 
+def require_valid(inst: GsconInstance):
+    """Raise HarnessError listing every check when the instance fails validation.
+
+    Parameters are derived only from a valid instance: ``m = 0`` or an empty
+    gate register would otherwise divide by zero in the ledger.
+    """
+    val = validate_instance(inst)
+    if not val.ok:
+        raise HarnessError("instance failed validation:\n" + "\n".join(val.lines()))
+
+
 def build_witnesses(inst: GsconInstance, cert, adversary=(), *, extended: bool = False) -> Proof:
     """The honest proof, or the forged one when adversary specs are given."""
     if adversary:
@@ -256,9 +267,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
     cfg.check()
     t_start = time.perf_counter()
     inst, cert, name = resolve_instance(cfg.instance, cfg.certificate)
-    val = validate_instance(inst)
-    if not val.ok:
-        raise HarnessError("instance failed validation:\n" + "\n".join(val.lines()))
+    require_valid(inst)
     ledger = derive_parameters(inst)
     proof = build_witnesses(inst, cert, cfg.adversary)
 
@@ -353,9 +362,7 @@ def run_lemma_suite(inst: GsconInstance, cert: TraversalCertificate | None = Non
     threshold r_i with a nonnegative margin.
     """
     enforce_desk_caps(inst)
-    val = validate_instance(inst)
-    if not val.ok:
-        raise HarnessError("instance failed validation:\n" + "\n".join(val.lines()))
+    require_valid(inst)
     ledger = derive_parameters(inst)
     report = RunReport({"suite": "lemma"}, name, ledger.as_decimal_dict())
     t0 = time.perf_counter()

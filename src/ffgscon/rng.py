@@ -16,7 +16,8 @@ Stream ids (documented, frozen):
 * 1..8   -- verifier test i run stand-alone
 * 0      -- protocol round: slot 0's first uniform picks the test, slots 1..
   feed the test
-* 9      -- the product test (part k reads the first uniform of slot ``draw + k``)
+* 9      -- the product test (part k reads the first uniform of slot ``draw + k``,
+  if its swap test can reject)
 * 16+    -- free for callers (seeded adversaries, ad-hoc sampling in tests)
 """
 
@@ -35,7 +36,7 @@ class CounterStream:
     """The address ``(seed, stream, trial, draw)`` of a sampled shot's first draw slot.
 
     Addresses for different trials never interact; ``for_trial`` is the cheap
-    way to get a sibling.
+    way to get a sibling at the same seed, stream and draw.
     """
 
     seed: int
@@ -44,7 +45,7 @@ class CounterStream:
     draw: int = 0
 
     def for_trial(self, trial: int) -> "CounterStream":
-        return CounterStream(self.seed, self.stream, trial)
+        return CounterStream(self.seed, self.stream, trial, self.draw)
 
 
 def stream_for_test(test_id) -> int:

@@ -399,9 +399,9 @@ def sample_round(plan_of: Callable[[int], BranchPlan], cdf, seed, stream, trials
     """(accepts, rejects, picks) of the round over an array of trial indices.
 
     The first uniform of slot ``draw0`` picks each trial's test from ``cdf``
-    (``picks`` holds the test ids 1..8); the picked plan's kernel reads the
-    slots from ``draw0 + 1`` on.  ``plan_of(i)`` is called only for tests
-    some trial picked.
+    (``picks`` holds the test ids 1..8; nothing is drawn when test 1 is
+    certain); the picked plan's kernel reads the slots from ``draw0 + 1``
+    on.  ``plan_of(i)`` is called only for tests some trial picked.
     """
     trials = np.asarray(trials, dtype=np.uint64)
     picks = _kernels.select(seed, stream, trials, draw0, cdf)
@@ -460,8 +460,10 @@ def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream=None) -> T
             reject = reject + accept * q
             accept = accept * (1 - q)
         return _outcome("PRODUCT", mode, accept, reject, trace=trace)
+    # part k reads slot draw + k, and only if it can reject: u >= 0 always holds
     ok = all(
         _kernels.uniforms(stream.seed, stream.stream, [stream.trial], stream.draw + k)[0][0] >= float(q)
         for k, q in enumerate(rejects)
+        if float(q) > 0
     )
     return _outcome("PRODUCT", mode, None, None, _verdict(ok), trace, stream)

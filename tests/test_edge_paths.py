@@ -210,3 +210,27 @@ def test_cli_reports_byte_identical_across_processes(tmp_path):
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+FUZZ_VALUES = [None, "x", -1, 0, 2.5, 1e308, "nan", [], {}, True, 10**6]
+FUZZ_VERBS = (["validate"], ["ledger"], ["verify", "--mode", "exact"], ["lemmas"])
+
+
+@pytest.mark.parametrize("field", sorted(instance_to_dict(get_fixture("bell-flip").instance)))
+def test_cli_single_field_fuzz_exits_with_documented_codes(tmp_path, capsys, field):
+    # one field of the bell-flip document at a time; every verb must fail where
+    # validate does (m = 0 or gate_register_dim = 0 divide by zero in the ledger)
+    doc = instance_to_dict(get_fixture("bell-flip").instance)
+    path = tmp_path / "fuzz.json"
+    for value in FUZZ_VALUES:
+        path.write_text(json.dumps({**doc, field: value}))
+        codes = {}
+        for verb in FUZZ_VERBS:
+            codes[verb[0]] = rc = cli_main([verb[0], str(path), *verb[1:]])
+            out = capsys.readouterr()
+            assert rc in (0, 1, 2), (value, verb)
+            assert "Traceback" not in out.err, (value, verb)
+            if rc and verb[0] in ("verify", "lemmas"):
+                assert out.err.startswith("error: "), (value, verb)
+        if codes["validate"]:
+            assert codes == dict.fromkeys(codes, 1), value

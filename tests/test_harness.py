@@ -27,8 +27,8 @@ from ffgscon.harness import (
 )
 from ffgscon.instances import GsconInstance, HamiltonianTerm, gate_i, gate_x, save_instance
 from ffgscon.ledger import derive_parameters
-from ffgscon.rng import STREAM_ROUND, stream_for_test
-from ffgscon.verifier import branch_plan, sample_round
+from ffgscon.rng import STREAM_ROUND, CounterStream, stream_for_test
+from ffgscon.verifier import MODE_SAMPLED, branch_plan, run_protocol_round, run_test, sample_round
 from ffgscon.witnesses import AdversaryKind, AdversarySpec
 
 
@@ -187,9 +187,8 @@ def test_sampled_memory_flat_in_trials():
     assert peak(8 * BLOCK_TRIALS) <= 1.5 * peak(BLOCK_TRIALS)
 
 
-def test_philox_lanes_per_trial(monkeypatch):
-    # one Philox block gives two uniforms; a kernel that reads one uniform per
-    # block again needs about 14.6 lanes per trial on this run
+def counting_philox(monkeypatch):
+    """Record the lane count of every Philox call from here on."""
     lanes = []
     body = _kernels._philox
 
@@ -198,9 +197,35 @@ def test_philox_lanes_per_trial(monkeypatch):
         return body(c0, *rest)
 
     monkeypatch.setattr(_kernels, "_philox", counting)
+    return lanes
+
+
+def test_philox_lanes_per_trial(monkeypatch):
+    # one Philox block gives two uniforms, and plans that cannot reject draw
+    # nothing: on honest idle only tests 2, 3 and 5 draw (about 3.1 lanes per
+    # trial); drawing for every plan again needs about 11.1
+    lanes = counting_philox(monkeypatch)
     trials = 2 * BLOCK_TRIALS
     run_monte_carlo(ExperimentConfig("idle", mode="sampled", trials=trials))
-    assert sum(lanes) / trials <= 11.5
+    assert sum(lanes) / trials <= 3.5
+
+
+def test_shots_without_reject_mass_draw_nothing(monkeypatch):
+    # honest idle: tests 1, 4, 6, 7 and 8 have float reject mass 0, and the
+    # round picks test 1 surely, so none of their shots reads a Philox block
+    fx = get_fixture("idle")
+    proof = build_witnesses(fx.instance, fx.certificate)
+    ledger = derive_parameters(fx.instance)
+    run_protocol_round(proof, fx.instance, ledger)  # builds the eight plans
+    lanes = counting_philox(monkeypatch)
+    for trial in range(50):
+        for i in (1, 4, 6, 7, 8):
+            stream = CounterStream(3, stream_for_test(i), trial)
+            assert run_test(i, proof, fx.instance, mode=MODE_SAMPLED, stream=stream).verdict == "accept"
+        stream = CounterStream(3, STREAM_ROUND, trial)
+        shot = run_protocol_round(proof, fx.instance, ledger, mode=MODE_SAMPLED, stream=stream)
+        assert shot.verdict == "accept" and shot.trace[0] == ("test", 1)
+    assert lanes == []
 
 
 def test_single_trial_sigma_not_applicable():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from ffgscon import _kernels as K
 from ffgscon.rng import CounterStream
 
 MASK = np.uint64(0xFFFFFFFF)
+# small values, values around 2**32 and any 64-bit value
+TRIAL = st.one_of(st.integers(0, 64), st.integers(2**32 - 4, 2**32 + 4), st.integers(0, 2**64 - 1))
 
 
 def philox_words(c0, c1, c2, c3, k0, k1):
@@ -148,11 +151,7 @@ def test_philox_int_and_array_paths_agree():
     seed=st.integers(0, 2**64 - 1),
     stream=st.integers(0, 2**32 - 1),
     draw=st.integers(0, 2**32 - 1),
-    trials=st.lists(
-        st.one_of(st.integers(0, 64), st.integers(2**32 - 4, 2**32 + 4), st.integers(0, 2**64 - 1)),
-        min_size=1,
-        max_size=2 * K.SMALL_TRIALS + 2,
-    ),
+    trials=st.lists(TRIAL, min_size=1, max_size=2 * K.SMALL_TRIALS + 2),
 )
 def test_philox_paths_agree_with_reference_property(seed, stream, draw, trials):
     # sizes on both sides of SMALL_TRIALS pick the int path or the array path
@@ -217,6 +216,78 @@ def test_tally_kernels_match_numpy_reference():
     assert np.array_equal(K.select(1, 0, trials, 0, lab_cdf), reference_pick(lab_cdf, u(1, 0, 0)[0]))
 
 
+PROB = st.one_of(st.just(0.0), st.floats(0.0, 1.0))  # exact zeros: branches that cannot reject
+
+
+def lanes_of(body):
+    """Philox lanes of every call recorded on a wrapped ``_philox``."""
+    return sum(np.size(c.args[0]) for c in body.call_args_list)
+
+
+def cdf_of(weights):
+    w = np.asarray(weights, dtype=np.float64)
+    return np.cumsum(w / w.sum() if w.sum() > 0 else w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**32 - 1),
+    draw0=st.integers(0, 2**32 - 3),
+    small=st.lists(TRIAL, min_size=1, max_size=K.SMALL_TRIALS),
+    large=st.lists(TRIAL, min_size=K.SMALL_TRIALS + 1, max_size=3 * K.SMALL_TRIALS),
+    p=PROB,
+    stages=st.lists(PROB, min_size=1, max_size=4),
+    q=PROB,
+    weights=st.lists(PROB, min_size=1, max_size=4),
+    target=st.integers(0, 3),
+    n_terms=st.integers(1, 3),
+    entries=st.one_of(st.just([]), st.lists(PROB, min_size=12, max_size=12)),  # [] is the all-zero table
+    certain=st.booleans(),
+)
+def test_short_circuits_equal_the_drawn_tally_property(
+    seed, stream, draw0, small, large, p, stages, q, weights, target, n_terms, entries, certain
+):
+    # the reference draws every slot for every trial; a kernel reads a slot only for
+    # the trials it can decide, and draws nothing when nothing can fire
+    stages = np.array(stages)
+    lab_cdf = cdf_of(weights)
+    target = min(target, len(weights) - 1)
+    table = np.reshape(entries or [0.0] * 12, (4, 3))[: len(weights), :n_terms]
+    pick_cdf = np.ones(3) if certain else lab_cdf  # cdf[0] == 1: the first outcome is certain
+    for t in (small, large):
+        trials = np.array(t, dtype=np.uint64)
+        n = trials.size
+        u = [reference_uniforms(seed, stream, trials, draw0 + d) for d in range(2)]
+
+        def counts(reject):
+            rej = int(np.count_nonzero(reject))
+            return n - rej, rej
+
+        # chain stages 2j, 2j+1 read slot j on the trials that fired every earlier stage
+        slots = [reference_uniforms(seed, stream, trials, draw0 + j) for j in range((len(stages) + 1) // 2)]
+        fired = [slots[k // 2][k % 2] < stages[k] for k in range(len(stages))]
+        chain_lanes = sum(int(np.count_nonzero(np.all(fired[: 2 * j], axis=0))) if j else n for j in range(len(slots)))
+        lab = reference_pick(lab_cdf, u[0][0])
+        term = np.minimum((u[0][1] * n_terms).astype(np.int64), n_terms - 1)
+        entry = table[lab, term]
+        low_lanes = n + np.count_nonzero(entry > 0) if np.any(table > 0) else 0
+        cases = [
+            (K.tally_bernoulli, (p,), counts(u[0][0] < p), n if p > 0 else 0),
+            (K.tally_chain, (stages,), counts(np.all(fired, axis=0)), chain_lanes if np.all(stages > 0) else 0),
+            (K.tally_boundary, (lab_cdf, target, q), counts((lab == target) & (u[0][1] < q)), n if q > 0 else 0),
+            (K.tally_low, (lab_cdf, table), counts(u[1][0] < entry), low_lanes),
+        ]
+        for kernel, args, ref, lanes in cases:
+            with mock.patch.object(K, "_philox", wraps=K._philox) as body:
+                assert kernel(seed, stream, trials, draw0, *args) == ref, kernel.__name__
+            assert lanes_of(body) == lanes, kernel.__name__
+        with mock.patch.object(K, "_philox", wraps=K._philox) as body:
+            picks = K.select(seed, stream, trials, draw0, pick_cdf)
+        assert np.array_equal(picks, reference_pick(pick_cdf, u[0][0]))
+        assert lanes_of(body) == (0 if pick_cdf[0] >= 1 else n)
+
+
 def test_tally_bernoulli_rate():
     n = 200_000
     trials = np.arange(n, dtype=np.uint64)
@@ -242,6 +313,7 @@ def test_counter_stream_matches_kernel_addressing():
     draws = [uniform_at(s.seed, s.stream, s.trial, s.draw + d) for d in range(5)]
     assert draws == [uniform_at(77, 4, 123, d) for d in range(5)] == [b[0][123] for b in bulk]
     sibling = s.for_trial(124)
+    assert CounterStream(77, 4, 123, 5).for_trial(124) == CounterStream(77, 4, 124, 5)  # keeps the draw
     assert uniform_at(sibling.seed, sibling.stream, sibling.trial, sibling.draw) == bulk[0][0][124]
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.draw = 1

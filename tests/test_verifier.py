@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from ffgscon import verifier
+from ffgscon import _kernels, verifier
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import build_witnesses, demo_magnitude
 from ffgscon.instances import GsconInstance
@@ -617,6 +617,35 @@ def test_product_sampled_rate():
     )
     sigma = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) <= 4 * sigma
+
+
+def test_product_sampled_verdicts_keep_their_bits():
+    # a part with zero reject is not drawn for; every verdict equals the rule that
+    # reads slot draw + k for all four parts, on test_product_sampled_rate's states
+    # and on a pair whose parts 1 and 3 are equal basis states (swap reject exactly 0)
+    rng = np.random.default_rng(78)
+    a = [random_registered_state((4,), rng) for _ in range(4)]
+    b = [random_registered_state((4,), rng) for _ in range(4)]
+    c = [basis_state(RegisterShape((4,)), (k,)) for k in range(4)]
+    for left, right in ((a, b), (c, [c[0], b[1], c[2], b[3]])):
+        q = [float(x) for _, x in product_test(left, right).trace]
+        assert left is a or q[0] == q[2] == 0.0 < min(q[1], q[3])
+        base = CounterStream(5, 9, 0, 3)
+        for t in range(2000):
+            u = [_kernels.uniforms(5, 9, [t], 3 + k)[0][0] for k in range(4)]
+            shot = product_test(left, right, mode=MODE_SAMPLED, stream=base.for_trial(t))
+            assert shot.accepted == all(uk >= qk for uk, qk in zip(u, q)), t
+
+
+def test_product_of_identical_parts_draws_nothing(monkeypatch):
+    w = honest(get_fixture("bell-stepwise"))
+    parts = (w.u, w.u_prime, w.s, w.s_prime)
+    calls = []
+    body = _kernels._philox
+    monkeypatch.setattr(_kernels, "_philox", lambda *a: calls.append(a) or body(*a))
+    base = CounterStream(5, 9, 0)
+    assert all(product_test(parts, parts, mode=MODE_SAMPLED, stream=base.for_trial(t)).accepted for t in range(200))
+    assert calls == []
 
 
 def test_product_shape_guard():
