@@ -12,15 +12,14 @@ from .instances import (
     HamiltonianTerm,
     TraversalCertificate,
     energy_of,
-    energy_test_reject_prob,
     load_instance,
     prepare_state_from_circuit,
     save_instance,
     validate_instance,
 )
-from .fixtures import Fixture, brute_force_no_check, builtin_instances, get_fixture, verify_certificate
+from .fixtures import Fixture, builtin_instances, get_fixture, verify_certificate
 from .harness import ExperimentConfig, RunReport, emit_report, run_lemma_suite, run_monte_carlo
-from .ledger import ParameterLedger, Qma2Tuning, derive_parameters, gap_order_estimate, qma2_tuning
+from .ledger import ParameterLedger, Qma2Tuning, derive_parameters, qma2_tuning
 from .rng import CounterStream
 from .states import (
     LocalGate,

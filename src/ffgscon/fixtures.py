@@ -1,17 +1,16 @@
 """Built-in desk-scale problem instances with certified YES/NO labels.
 
 YES fixtures ship a traversal certificate that is replayed through the exact
-energy and distance checks.  NO fixtures are *gate-set restricted*: the label
-is certified by exhaustive search over all ``len(gate_set)^m`` sequences, and
-no claim is made about traversals outside the frozen gate set or beyond
-brute-forceable sizes.
+energy and distance checks (:func:`verify_certificate`).  NO fixtures are
+*gate-set restricted*: the test suite certifies each label by exhaustive
+search over all ``len(gate_set)^m`` sequences, and no claim is made about
+traversals outside the frozen gate set or beyond brute-forceable sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .instances import (
 )
 from .states import apply_local_gate, phase_optimized_distance
 
-BRUTE_FORCE_CAP = 10**6
 PROMISE_TOL = 1e-9  # slack for replayed-certificate and brute-force comparisons
 
 
@@ -233,84 +231,3 @@ def verify_certificate(inst: GsconInstance, cert: TraversalCertificate) -> Certi
     dist = phase_optimized_distance(state, phi)
     ok = worst <= ENERGY_FLOOR and dist <= inst.eta3 + PROMISE_TOL
     return CertificateReplay(worst, dist, ok)
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    certified_no: bool
-    sequences_checked: int
-    counterexample: tuple[int, ...] | None
-
-
-def brute_force_no_check(inst: GsconInstance, cap: int = BRUTE_FORCE_CAP) -> BruteForceResult:
-    """Exhaust all gate-set sequences of length m against the NO promise.
-
-    The NO label is certified when no sequence keeps every intermediate
-    energy below eta2 while ending closer than eta4 to the target state.
-    Comparisons carry a 1e-9 slack so the certification cannot hinge on
-    floating-point dust.
-    """
-    n_gates = len(inst.gate_set)
-    total = n_gates**inst.m
-    if total > cap:
-        raise ValueError(f"{total} sequences exceed the brute-force cap {cap}")
-    psi = prepare_state_from_circuit(inst, "psi")
-    phi = prepare_state_from_circuit(inst, "phi")
-    for seq in product(range(n_gates), repeat=inst.m):
-        state = psi
-        low = True
-        for idx in seq:
-            state = apply_local_gate(state, inst.gate_set[idx], 0)
-            if energy_of(inst, state) >= inst.eta2 - PROMISE_TOL:
-                low = False
-                break
-        if low and phase_optimized_distance(state, phi) < inst.eta4 - PROMISE_TOL:
-            return BruteForceResult(False, total, seq)
-    return BruteForceResult(True, total, None)
-
-
-# ---------------------------------------------------------------------------
-# synthetic threshold grid for ledger property checks
-# ---------------------------------------------------------------------------
-
-
-def threshold_grid(
-    ms=(1, 2, 3, 4),
-    gate_counts=(4, 6, 8, 10),
-    deltas=(0.1, 0.15, 0.2, 0.25),
-) -> list[GsconInstance]:
-    """A family of valid instances spanning (m, G, delta) one axis at a time.
-
-    Used to probe how the derived thresholds move with each parameter; the
-    traversal content is trivial (psi = phi = |0>) since only the ledger
-    inputs matter.
-    """
-    out = []
-
-    def build(m, n_gates, delta):
-        gates = [gate_i(0), gate_x(0)]
-        k = 1
-        while len(gates) < n_gates:
-            gates.append(gate_ry(0.1 * k, 0))
-            gates.append(gate_ry(-0.1 * k, 0))
-            k += 1
-        return GsconInstance(
-            n=1,
-            m=m,
-            terms=(HamiltonianTerm(_proj(1, 2), (0,)),),
-            eta2=2.0 * delta,
-            eta3=0.25,
-            eta4=0.25 + 2.0 * delta,
-            delta=delta,
-            psi_circuit=(),
-            phi_circuit=(),
-            gate_set=tuple(gates[:n_gates]),
-        )
-
-    for m in ms:
-        out.append(build(m, gate_counts[0], deltas[-1]))
-    for n_gates in gate_counts:
-        out.append(build(ms[0], n_gates, deltas[-1]))
-    for delta in deltas:
-        out.append(build(ms[0], gate_counts[0], delta))
-    return out

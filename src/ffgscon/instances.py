@@ -250,13 +250,6 @@ def dense_hamiltonian(inst: GsconInstance) -> np.ndarray:
     return H
 
 
-def energy_test_reject_prob(inst: GsconInstance, s: RegisteredState) -> float:
-    """Exact rejection probability of the one-shot energy measurement: <s|H|s>/R."""
-    if inst.R == 0:
-        raise ValueError("instance has no Hamiltonian terms")
-    return energy_of(inst, s) / inst.R
-
-
 # ---------------------------------------------------------------------------
 # circuits
 # ---------------------------------------------------------------------------
@@ -285,22 +278,6 @@ def adjoint_index(gate_set, idx: int) -> int | None:
         if g.same_action(adj):
             return j
     return None
-
-
-def is_adjoint_closed(gate_set) -> bool:
-    return all(adjoint_index(gate_set, i) is not None for i in range(len(gate_set)))
-
-
-def adjoint_closure(gate_set):
-    """Extend a gate list until adjoint-closed; returns (gates, adjoint index map)."""
-    gates = list(gate_set)
-    i = 0
-    while i < len(gates):
-        adj = gates[i].adjoint()
-        if not any(g.same_action(adj) for g in gates):
-            gates.append(adj)
-        i += 1
-    return tuple(gates), {i: adjoint_index(gates, i) for i in range(len(gates))}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ mirrors are reported where representable.
 Each threshold is evaluated along two independent paths (its composed
 definition and its closed monomial form) and the two must agree to 1e-9
 relative, guarding against transcription slips.
+
+The ``ledger`` report adds the paper's two quantitative claims: the
+two-witness (QMA(2)) wrapper's product-test tuning, :func:`qma2_tuning`, and
+the gap bound next to its constant-free order delta^13 m^-32 G^-10.
 """
 
 from __future__ import annotations
@@ -26,12 +30,7 @@ from .instances import GsconInstance
 
 LEDGER_DPS = 60
 
-# Fixture-calibrated reporting constant: over the built-in fixtures and the
-# threshold grid (delta in [0.1, 0.25]) the ratio
-# gap_lower / (delta^13 m^-32 G^-10) never falls below 1.97e-61 and is
-# independent of m and G; kappa sits an order of magnitude under that floor.
-# It is a reporting device, not a bound with independent meaning.
-GAP_ESTIMATE_KAPPA = mpf("1e-62")
+PRODUCT_TEST_SOUNDNESS = mpf(11) / 512  # product-test rejection >= (11/512)(1-s')^2 (arXiv:1001.0017)
 
 
 class LedgerInvariantError(ValueError):
@@ -87,6 +86,12 @@ class ParameterLedger:
         cdf.flags.writeable = False
         return cdf
 
+    @cached_property
+    def gap_monomial(self) -> mpf:
+        """The constant-free order of the gap bound, delta^13 m^-32 G^-10."""
+        with mpmath.workdps(LEDGER_DPS):
+            return self.delta_promise**13 * mpf(self.m) ** -32 * mpf(self.G) ** -10
+
     def as_decimal_dict(self, digits: int = 30) -> dict:
         scalars = {
             "h": self.h, "mu": self.mu, "t": self.t, "c": self.c, "x": self.x,
@@ -134,6 +139,21 @@ class ParameterLedger:
             f"c' - s' = p7 (r7 - honest end-test loss) = {mpmath.nstr(self.cs_gap, digits)} ({mirror(self.cs_gap)})",
             f"gamma   >= h^2 (eta3+h)/(16 m)        = {mpmath.nstr(self.gamma_lower, digits)} ({mirror(self.gamma_lower)})",
             f"c' - s' >= p7 * gamma_lower           = {mpmath.nstr(self.gap_lower, digits)} ({mirror(self.gap_lower)})",
+        ]
+        tun = qma2_tuning(self.c_prime_deficit, self.one_minus_s_prime)
+        with mpmath.workdps(LEDGER_DPS):
+            ratio = self.gap_lower / self.gap_monomial
+        lines += [
+            "QMA(2): product test with probability p, rejecting >= (11/512)(1-s')^2 (arXiv:1001.0017)",
+            f"1 - p   = ((11/512)(1-s')^2 - (c'-s')^2/50) / ((1-c') + (11/512)(1-s')^2) = "
+            f"{mpmath.nstr(tun.one_minus_p, digits)} ({mirror(tun.one_minus_p)})",
+            f"1 - c'' = (1-p)(1-c')                 = {mpmath.nstr(tun.one_minus_c_double_prime, digits)} "
+            f"({mirror(tun.one_minus_c_double_prime)})",
+            f"1 - s'' >= p (11/512)(1-s')^2         = {mpmath.nstr(tun.one_minus_s_double_prime_upper, digits)} "
+            f"({mirror(tun.one_minus_s_double_prime_upper)})",
+            f"c'' - s'' >= (c'-s')^2/50             = {mpmath.nstr(tun.gap2_lower, digits)} ({mirror(tun.gap2_lower)})",
+            f"gap order delta^13 m^-32 G^-10        = {mpmath.nstr(self.gap_monomial, digits)} ({mirror(self.gap_monomial)})",
+            f"(c' - s' lower) / gap order           = {mpmath.nstr(ratio, digits)} ({mirror(ratio)})",
         ]
         lines += [f"note: {n}" for n in self.notes]
         return lines
@@ -230,59 +250,35 @@ def derive_parameters(inst: GsconInstance) -> ParameterLedger:
 
 @dataclass(frozen=True)
 class Qma2Tuning:
-    p_product: mpf
-    c_double_prime: mpf
-    s_double_prime_upper: mpf
+    one_minus_p: mpf
+    one_minus_c_double_prime: mpf
+    one_minus_s_double_prime_upper: mpf
     gap2_lower: mpf
 
 
-def qma2_tuning(c_prime, s_prime) -> Qma2Tuning:
-    """Tune the product-test probability for the two-witness wrapper.
+def qma2_tuning(one_minus_c, one_minus_s) -> Qma2Tuning:
+    """Tune the product-test probability p of the two-witness wrapper.
 
-    With p the probability of running the product test, the wrapped protocol
-    has completeness c'' = p + (1-p) c' and soundness at most
-    1 - p (11/512)(1-s')^2; the chosen p makes c'' - s''_upper equal
-    (1/50)(c'-s')^2 exactly.
+    The wrapper runs the product test with probability p and the protocol
+    otherwise, so c'' = p + (1-p) c' and s'' <= 1 - p (11/512)(1-s')^2; the
+    chosen p makes c'' - s''_upper equal (1/50)(c'-s')^2 exactly.  Every
+    quantity is carried as its complement: on a real ledger c', s' and p all
+    round to 1 at :data:`LEDGER_DPS` digits.
     """
     with mpmath.workdps(LEDGER_DPS):
-        c_prime = mpf(c_prime)
-        s_prime = mpf(s_prime)
-        if not (0 <= s_prime < c_prime <= 1):
-            raise ValueError(f"need 0 <= s' < c' <= 1, got s'={float(s_prime)}, c'={float(c_prime)}")
-        target = (c_prime - s_prime) ** 2 / 50
-        product_reject = mpf(11) / 512 * (1 - s_prime) ** 2
-        p = (1 - c_prime + target) / (1 - c_prime + product_reject)
-        if not 0 <= p <= 1:
-            raise LedgerInvariantError(f"violated constraint: p in [0, 1] (got {mpmath.nstr(p, 12)})")
-        c_dd = p + (1 - p) * c_prime
-        s_dd_upper = 1 - p * product_reject
-        gap2 = c_dd - s_dd_upper
-        if gap2 < target * (1 - mpf("1e-12")):
-            raise LedgerInvariantError("violated constraint: c'' - s''_upper >= (1/50)(c'-s')^2")
-        return Qma2Tuning(p, c_dd, s_dd_upper, gap2)
-
-
-# ---------------------------------------------------------------------------
-# order-of-magnitude gap estimate
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapOrderEstimate:
-    estimate: mpf  # delta^13 m^-32 G^-10, constant-free
-    gap_lower: mpf
-    ratio: mpf
-
-
-def gap_order_estimate(inst: GsconInstance, ledger: ParameterLedger | None = None) -> GapOrderEstimate:
-    """Compare the exact gap bound against the constant-free monomial estimate."""
-    if ledger is None:
-        ledger = derive_parameters(inst)
-    with mpmath.workdps(LEDGER_DPS):
-        est = ledger.delta_promise**13 * mpf(inst.m) ** (-32) * mpf(inst.G) ** (-10)
-        ratio = ledger.gap_lower / est
-        if ledger.gap_lower < GAP_ESTIMATE_KAPPA * est:
-            raise LedgerInvariantError(
-                f"violated constraint: gap_lower >= kappa * estimate (ratio {mpmath.nstr(ratio, 8)})"
+        one_minus_c = mpf(one_minus_c)
+        one_minus_s = mpf(one_minus_s)
+        if not (0 <= one_minus_c < one_minus_s <= 1):
+            raise ValueError(
+                f"need 0 <= 1-c' < 1-s' <= 1, got 1-c'={mpmath.nstr(one_minus_c, 12)}, "
+                f"1-s'={mpmath.nstr(one_minus_s, 12)}"
             )
-        return GapOrderEstimate(est, ledger.gap_lower, ratio)
+        target = (one_minus_s - one_minus_c) ** 2 / 50
+        product_reject = PRODUCT_TEST_SOUNDNESS * one_minus_s**2
+        one_minus_p = (product_reject - target) / (one_minus_c + product_reject)
+        _require(0 <= one_minus_p <= 1, f"p in [0, 1] (got 1 - p = {mpmath.nstr(one_minus_p, 12)})")
+        one_minus_c2 = one_minus_p * one_minus_c
+        one_minus_s2 = (1 - one_minus_p) * product_reject
+        gap2 = one_minus_s2 - one_minus_c2
+        _require(gap2 >= target * (1 - mpf("1e-12")), "c'' - s''_upper >= (1/50)(c'-s')^2")
+        return Qma2Tuning(one_minus_p, one_minus_c2, one_minus_s2, gap2)

@@ -334,8 +334,12 @@ def swap_test_reject_prob(a: RegisteredState, b: RegisteredState):
 
     Evaluated through the phase-optimized distance w = ||a - e^{iw}b|| as
     w^2/2 - w^4/8, which is algebraically identical but keeps tiny rejection
-    probabilities accurate when the overlap magnitude rounds to 1.
+    probabilities accurate when the overlap magnitude rounds to 1.  Equal
+    amplitude vectors reject with exactly 0: the rounding of <a|a>'s phase
+    would otherwise leave a residue near 1e-35 in a - e^{iw} a.
     """
+    if a.shape.dims == b.shape.dims and np.array_equal(a.amplitudes, b.amplitudes):
+        return mpmath.mpf(0) if a.extended or b.extended else 0.0
     ov = inner_product(a, b)
     mag = abs(ov)
     if float(mag) == 0.0:

@@ -40,6 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .instances import GsconInstance, energy_sum, prepare_state_from_circuit, term_energies
+from .rng import CounterStream
 from .states import (
     P_FLOOR,
     RegisteredState,
@@ -366,7 +367,7 @@ def branch_plan(test_id: int, proof: Proof, inst: GsconInstance) -> BranchPlan:
     return plan
 
 
-def run_test(test_id: int, proof: Proof, inst, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
+def run_test(test_id: int, proof: Proof, inst, *, mode=MODE_EXACT, stream: CounterStream | None = None) -> TestOutcome:
     if mode == MODE_SAMPLED and stream is None:
         raise ValueError("sampled mode needs a counter stream")
     plan = branch_plan(test_id, proof, inst)
@@ -414,7 +415,7 @@ def sample_round(plan_of: Callable[[int], BranchPlan], cdf, seed, stream, trials
     return acc, rej, picks
 
 
-def run_protocol_round(proof: Proof, inst, ledger, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
+def run_protocol_round(proof: Proof, inst, ledger, *, mode=MODE_EXACT, stream: CounterStream | None = None) -> TestOutcome:
     """One verifier round: pick test i with probability p_i, run it.
 
     Exact mode returns :func:`exact_round`.  Sampled mode is
@@ -435,7 +436,7 @@ def run_protocol_round(proof: Proof, inst, ledger, *, mode=MODE_EXACT, stream=No
 # ---------------------------------------------------------------------------
 
 
-def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream=None) -> TestOutcome:
+def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream: CounterStream | None = None) -> TestOutcome:
     """Pairwise swap tests between corresponding parts of two 4-part products.
 
     Accept iff all four part-wise swap tests accept; exact probability is the

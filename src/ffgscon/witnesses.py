@@ -108,10 +108,6 @@ class WitnessU:
     def label_dim(self) -> int:
         return self.state.shape.dims[0]
 
-    @property
-    def gate_dim(self) -> int:
-        return self.state.shape.dims[1]
-
     def outcome_probabilities(self) -> np.ndarray:
         """Joint label/gate computational-basis distribution."""
         return np.abs(self.state.as_tensor()) ** 2
@@ -161,6 +157,9 @@ def honest_gate_assignment(inst: GsconInstance, cert: TraversalCertificate) -> t
     """The 2m gate indices: the certificate, then its reversed adjoints."""
     if len(cert.gates) != inst.m:
         raise ValueError(f"certificate length {len(cert.gates)} != m = {inst.m}")
+    for idx in cert.gates:
+        if idx not in range(len(inst.gate_set)):
+            raise ValueError(f"certificate gate index {idx} outside the gate set 0..{len(inst.gate_set) - 1}")
     back = []
     for idx in reversed(cert.gates):
         adj = adjoint_index(inst.gate_set, idx)

@@ -2,11 +2,17 @@
 
 These deliberately avoid the code paths they certify: the swap test is run
 as an explicit doubled-register circuit with an ancilla, test branch sums
-are recomputed from dense projector matrices, and measurement statistics
-come from plain probability tables.
+are recomputed from dense projector matrices, measurement statistics
+come from plain probability tables, and NO labels are certified by
+exhausting every gate sequence.
 """
 
+from dataclasses import dataclass
+from itertools import product
+
 import numpy as np
+
+BRUTE_FORCE_CAP = 10**6
 
 
 def swap_circuit_reject_prob(a, b) -> float:
@@ -80,3 +86,41 @@ def random_registered_state(dims, rng):
 
     v = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
     return RegisteredState(RegisterShape(tuple(dims)), v, normalize=True)
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    certified_no: bool
+    sequences_checked: int
+    counterexample: tuple[int, ...] | None
+
+
+def brute_force_no_check(inst, cap: int = BRUTE_FORCE_CAP) -> BruteForceResult:
+    """Exhaust all gate-set sequences of length m against the NO promise.
+
+    The NO label is certified when no sequence keeps every intermediate
+    energy below eta2 while ending closer than eta4 to the target state.
+    Comparisons carry the fixtures' 1e-9 slack so the certification cannot
+    hinge on floating-point dust.
+    """
+    from ffgscon.fixtures import PROMISE_TOL
+    from ffgscon.instances import energy_of, prepare_state_from_circuit
+    from ffgscon.states import apply_local_gate, phase_optimized_distance
+
+    n_gates = len(inst.gate_set)
+    total = n_gates**inst.m
+    if total > cap:
+        raise ValueError(f"{total} sequences exceed the brute-force cap {cap}")
+    psi = prepare_state_from_circuit(inst, "psi")
+    phi = prepare_state_from_circuit(inst, "phi")
+    for seq in product(range(n_gates), repeat=inst.m):
+        state = psi
+        low = True
+        for idx in seq:
+            state = apply_local_gate(state, inst.gate_set[idx], 0)
+            if energy_of(inst, state) >= inst.eta2 - PROMISE_TOL:
+                low = False
+                break
+        if low and phase_optimized_distance(state, phi) < inst.eta4 - PROMISE_TOL:
+            return BruteForceResult(False, total, seq)
+    return BruteForceResult(True, total, None)

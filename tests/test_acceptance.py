@@ -5,13 +5,14 @@ All tolerances are pinned here; nothing is deferred to later calibration.
 """
 
 import contextlib
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 from mpmath import mpf
 
-from ffgscon.fixtures import brute_force_no_check, builtin_instances
+from ffgscon.fixtures import builtin_instances
 from ffgscon.harness import (
     ExperimentConfig,
     build_witnesses,
@@ -19,14 +20,14 @@ from ffgscon.harness import (
     run_lemma_suite,
     run_monte_carlo,
 )
-from ffgscon.instances import dense_hamiltonian, energy_test_reject_prob, prepare_state_from_circuit
+from ffgscon.instances import dense_hamiltonian, prepare_state_from_circuit
 from ffgscon.ledger import derive_parameters, qma2_tuning
 from ffgscon.rng import STREAM_ROUND, stream_for_test
-from ffgscon.states import apply_local_gate, swap_test_reject_prob
+from ffgscon.states import RegisteredState, RegisterShape, apply_local_gate, swap_test_reject_prob, tensor_with, uniform_vector
 from ffgscon.verifier import branch_plan, run_protocol_round, run_test, sample_round
-from ffgscon.witnesses import AdversaryKind, AdversarySpec, apply_W, build_honest_S, honest_gate_assignment
+from ffgscon.witnesses import AdversaryKind, AdversarySpec, WitnessS, apply_W, build_honest_S, honest_gate_assignment
 
-from oracles import random_registered_state, swap_circuit_reject_prob
+from oracles import brute_force_no_check, random_registered_state, swap_circuit_reject_prob
 
 FIXTURES = builtin_instances()
 YES = [fx for fx in FIXTURES if fx.certificate is not None]
@@ -157,8 +158,8 @@ def test_criterion_7_two_witness_tuning_grid():
         cs = np.linspace(0.05, 1.0, 20)
         for c in cs:
             for s in np.linspace(0.0, float(c) * 0.999, 20):
-                tun = qma2_tuning(float(c), float(s))
-                assert 0 <= tun.p_product <= 1
+                tun = qma2_tuning(1 - mpf(float(c)), 1 - mpf(float(s)))
+                assert 0 <= tun.one_minus_p <= 1
                 target = (mpf(float(c)) - mpf(float(s))) ** 2 / 50
                 assert tun.gap2_lower >= target - mpf("1e-12")
 
@@ -203,14 +204,22 @@ def test_criterion_9_energy_oracle():
         for fx in FIXTURES:
             inst = fx.instance
             H = dense_hamiltonian(inst)
+            honest = build_witnesses(inst, fx.certificate)
+            two_m = 2 * inst.m
+            labels = RegisteredState(RegisterShape((two_m,)), uniform_vector(two_m))
+
+            def energy_reject(s):
+                # test 8 on a proof whose S carries s on every label rejects with <s|H|s>/R
+                proof = dataclasses.replace(honest, s=WitnessS(tensor_with(labels, s)))
+                return float(run_test(8, proof, inst).reject_probability)
+
             for _ in range(20):
                 s = random_registered_state((2,) * inst.n, rng)
                 v = np.asarray(s.amplitudes, complex)
                 oracle = float(np.real(v.conj() @ H @ v)) / inst.R
-                assert abs(energy_test_reject_prob(inst, s) - oracle) < 1e-12
+                assert abs(energy_reject(s) - oracle) < 1e-12
             for which in ("psi", "phi"):
-                ground = prepare_state_from_circuit(inst, which)
-                assert energy_test_reject_prob(inst, ground) <= 1e-10
+                assert energy_reject(prepare_state_from_circuit(inst, which)) <= 1e-10
 
 
 def test_criterion_10_no_promise_oracle():

@@ -181,6 +181,14 @@ def test_cli_instance_without_terms_exits_one(tmp_path, capsys, verb):
     assert err.startswith("error: ") and "Traceback" not in err and "terms" in err
 
 
+@pytest.mark.parametrize("index", ["99", "6", "-1", "-7"])
+def test_cli_certificate_index_outside_gate_set_exits_one(capsys, index):
+    # bell-flip has six gates; -1 must not silently pick the last one
+    assert cli_main(["verify", "bell-flip", "--mode", "exact", "--certificate", index]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and index in err
+
+
 def test_validation_failure_exit_code_on_lemmas(tmp_path, capsys):
     bad = GsconInstance(
         n=1, m=1, terms=(HamiltonianTerm(np.diag([0.0, 1.0]), (0,)),),
@@ -230,7 +238,7 @@ def test_cli_single_field_fuzz_exits_with_documented_codes(tmp_path, capsys, fie
             out = capsys.readouterr()
             assert rc in (0, 1, 2), (value, verb)
             assert "Traceback" not in out.err, (value, verb)
-            if rc and verb[0] in ("verify", "lemmas"):
+            if rc and verb[0] in ("ledger", "verify", "lemmas"):
                 assert out.err.startswith("error: "), (value, verb)
         if codes["validate"]:
             assert codes == dict.fromkeys(codes, 1), value

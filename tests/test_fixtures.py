@@ -1,18 +1,11 @@
-"""Built-in fixtures: label certification and the threshold grid."""
-
-import math
+"""Built-in fixtures: label certification."""
 
 import pytest
 
-from ffgscon.fixtures import (
-    PROMISE_TOL,
-    brute_force_no_check,
-    builtin_instances,
-    get_fixture,
-    threshold_grid,
-    verify_certificate,
-)
+from ffgscon.fixtures import PROMISE_TOL, builtin_instances, get_fixture, verify_certificate
 from ffgscon.instances import validate_instance
+
+from oracles import brute_force_no_check
 
 
 def test_all_fixtures_validate():
@@ -76,11 +69,3 @@ def test_unknown_fixture_name():
     with pytest.raises(KeyError):
         get_fixture("does-not-exist")
 
-
-def test_threshold_grid_instances_validate():
-    grid = threshold_grid()
-    assert len(grid) >= 10
-    for inst in grid:
-        assert validate_instance(inst).ok
-        assert inst.promise_h() > 0
-        assert inst.eta3 + inst.promise_h() <= math.sqrt(2.0)

@@ -9,11 +9,9 @@ from ffgscon.instances import (
     GsconInstance,
     HamiltonianTerm,
     InstanceFormatError,
-    adjoint_closure,
     adjoint_index,
     dense_hamiltonian,
     energy_of,
-    energy_test_reject_prob,
     gate_cnot,
     gate_h,
     gate_i,
@@ -22,7 +20,6 @@ from ffgscon.instances import (
     gate_y,
     instance_from_dict,
     instance_to_dict,
-    is_adjoint_closed,
     load_instance,
     prepare_state_from_circuit,
     save_instance,
@@ -118,22 +115,6 @@ def test_energy_matches_dense_hamiltonian():
             assert abs(energy_of(fx.instance, s) - direct) < 1e-12
 
 
-def test_energy_test_reject_prob_is_energy_over_terms():
-    rng = np.random.default_rng(43)
-    for fx in builtin_instances():
-        for _ in range(5):
-            s = random_registered_state((2,) * fx.instance.n, rng)
-            expect = energy_of(fx.instance, s) / fx.instance.R
-            assert abs(energy_test_reject_prob(fx.instance, s) - expect) < 1e-12
-
-
-def test_energy_test_zero_terms_rejected():
-    inst = single_qubit_instance()
-    object.__setattr__(inst, "terms", ())
-    with pytest.raises(ValueError):
-        energy_test_reject_prob(inst, basis_state(RegisterShape((2,)), (0,)))
-
-
 def energy_test_tally(inst, s, seed, stream, n):
     """(accepts, rejects) of n one-shot energy measurements on one data state."""
     table = np.array([term_energies(inst, s)])
@@ -144,14 +125,14 @@ def test_energy_test_maximal_state_rejects_surely():
     # two identical projector terms: <H> = R on |1>, so reject probability 1
     inst = single_qubit_instance(terms=(proj1(), proj1()))
     one = basis_state(RegisterShape((2,)), (1,))
-    assert abs(energy_test_reject_prob(inst, one) - 1.0) < 1e-12
+    assert abs(energy_of(inst, one) / inst.R - 1.0) < 1e-12
     assert energy_test_tally(inst, one, 3, 20, 200) == (0, 200)
 
 
 def test_energy_test_sample_rate_matches_exact():
     inst = single_qubit_instance(terms=(proj1(), HamiltonianTerm(np.diag([0.0, 0.25]), (0,))))
     s = RegisteredState(RegisterShape((2,)), [1, 1], normalize=True)
-    p = energy_test_reject_prob(inst, s)  # (0.5 + 0.125)/2
+    p = energy_of(inst, s) / inst.R  # (0.5 + 0.125)/2
     assert abs(p - 0.3125) < 1e-12
     n = 50_000
     _, rejects = energy_test_tally(inst, s, 8, 21, n)
@@ -178,18 +159,14 @@ def test_fixture_start_states_sit_in_ground_space():
 
 def test_adjoint_bookkeeping():
     gates = (gate_ry(0.3, 0), gate_ry(-0.3, 0), gate_x(0))
-    assert is_adjoint_closed(gates)
-    assert adjoint_index(gates, 0) == 1
-    open_set = (gate_ry(0.3, 0),)
-    assert not is_adjoint_closed(open_set)
-    closed, amap = adjoint_closure(open_set)
-    assert len(closed) == 2 and amap[0] == 1 and amap[1] == 0
-    assert is_adjoint_closed(closed)
+    assert [adjoint_index(gates, i) for i in range(3)] == [1, 0, 2]
+    assert adjoint_index((gate_ry(0.3, 0),), 0) is None
 
 
 def test_fixture_gate_sets_are_adjoint_closed():
     for fx in builtin_instances():
-        assert is_adjoint_closed(fx.instance.gate_set), fx.name
+        gates = fx.instance.gate_set
+        assert all(adjoint_index(gates, i) is not None for i in range(len(gates))), fx.name
 
 
 def test_serialization_round_trip_bit_exact(tmp_path):

@@ -1,20 +1,65 @@
-"""Derived constants: frozen oracle values, identities, tuning, gap estimate."""
+"""Derived constants: frozen oracle values, identities, tuning, gap order."""
+
+import math
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mpf
 
-from ffgscon.fixtures import builtin_instances, get_fixture, threshold_grid
-from ffgscon.instances import GsconInstance, HamiltonianTerm, gate_h, gate_i, gate_x
-from ffgscon.ledger import (
-    GAP_ESTIMATE_KAPPA,
-    LedgerInvariantError,
-    derive_parameters,
-    gap_order_estimate,
-    qma2_tuning,
-)
+from ffgscon.fixtures import builtin_instances, get_fixture
+from ffgscon.instances import GsconInstance, HamiltonianTerm, gate_h, gate_i, gate_ry, gate_x, validate_instance
+from ffgscon.ledger import LedgerInvariantError, derive_parameters, qma2_tuning
 
-import numpy as np
+# Fixture-calibrated floor of gap_lower / (delta^13 m^-32 G^-10): over the
+# built-in fixtures and the threshold grid (delta in [0.1, 0.25]) the ratio
+# never falls below 1.97e-61 and is independent of m and G; kappa sits an
+# order of magnitude under that floor.  A check of the calibration, not a
+# bound with independent meaning, so the ledger only reports the ratio.
+GAP_ESTIMATE_KAPPA = mpf("1e-62")
+
+
+def threshold_grid(
+    ms=(1, 2, 3, 4),
+    gate_counts=(4, 6, 8, 10),
+    deltas=(0.1, 0.15, 0.2, 0.25),
+) -> list[GsconInstance]:
+    """A family of valid instances spanning (m, G, delta) one axis at a time.
+
+    Used to probe how the derived thresholds move with each parameter; the
+    traversal content is trivial (psi = phi = |0>) since only the ledger
+    inputs matter.
+    """
+    out = []
+
+    def build(m, n_gates, delta):
+        gates = [gate_i(0), gate_x(0)]
+        k = 1
+        while len(gates) < n_gates:
+            gates.append(gate_ry(0.1 * k, 0))
+            gates.append(gate_ry(-0.1 * k, 0))
+            k += 1
+        return GsconInstance(
+            n=1,
+            m=m,
+            terms=(HamiltonianTerm(np.diag([0.0, 1.0]), (0,)),),
+            eta2=2.0 * delta,
+            eta3=0.25,
+            eta4=0.25 + 2.0 * delta,
+            delta=delta,
+            psi_circuit=(),
+            phi_circuit=(),
+            gate_set=tuple(gates[:n_gates]),
+        )
+
+    for m in ms:
+        out.append(build(m, gate_counts[0], deltas[-1]))
+    for n_gates in gate_counts:
+        out.append(build(ms[0], n_gates, deltas[-1]))
+    for delta in deltas:
+        out.append(build(ms[0], gate_counts[0], delta))
+    return out
+
 
 # Frozen expected values for the idle fixture (m=1, G=4, R=1, eta2=1/2,
 # eta3=1/4, eta4=3/4), produced by a straight-line evaluation of the closed
@@ -128,8 +173,17 @@ def test_promise_gap_violations_are_hard_errors():
         derive_parameters(GsconInstance(eta2=0.5, eta3=0.25, eta4=0.75, delta=0.0, **kwargs))
 
 
+def test_threshold_grid_instances_validate():
+    grid = threshold_grid()
+    assert len(grid) >= 10
+    for inst in grid:
+        assert validate_instance(inst).ok
+        assert inst.promise_h() > 0
+        assert inst.eta3 + inst.promise_h() <= math.sqrt(2.0)
+
+
 # ---------------------------------------------------------------------------
-# two-witness tuning
+# two-witness tuning, called with the complements 1 - c' and 1 - s'
 # ---------------------------------------------------------------------------
 
 
@@ -137,12 +191,12 @@ def test_qma2_perfect_completeness_limit():
     # c' = 1: p = (1/50)/(11/512) = 512/550, independent of epsilon
     expected = mpf(512) / 550
     for eps in ("1e-2", "1e-4", "1e-8"):
-        tun = qma2_tuning(1.0, 1 - mpf(eps))
-        assert abs(tun.p_product - expected) < mpf("1e-12")
+        tun = qma2_tuning(0, mpf(eps))
+        assert abs((1 - tun.one_minus_p) - expected) < mpf("1e-12")
 
 
 def test_qma2_tiny_gap_example():
-    tun = qma2_tuning(0.5, 0.5 - 1e-6)
+    tun = qma2_tuning(1 - mpf(0.5), 1 - mpf(0.5 - 1e-6))
     with mpmath.workdps(60):
         assert tun.gap2_lower >= mpf("2e-14") * (1 - mpf("1e-9"))
         assert abs(tun.gap2_lower - mpf(1e-6) ** 2 / 50) < mpf("1e-20")
@@ -151,37 +205,59 @@ def test_qma2_tiny_gap_example():
 def test_qma2_probability_stays_in_range():
     for c in np.linspace(0.05, 1.0, 14):
         for s in np.linspace(0.0, float(c) - 1e-3, 7):
-            tun = qma2_tuning(float(c), float(s))
-            assert 0 <= tun.p_product <= 1
-            assert tun.c_double_prime >= tun.s_double_prime_upper
+            tun = qma2_tuning(1 - mpf(float(c)), 1 - mpf(float(s)))
+            assert 0 <= tun.one_minus_p <= 1
+            assert tun.one_minus_c_double_prime <= tun.one_minus_s_double_prime_upper
 
 
 def test_qma2_rejects_inverted_inputs():
     with pytest.raises(ValueError):
-        qma2_tuning(0.4, 0.6)
+        qma2_tuning(0.6, 0.4)
     with pytest.raises(ValueError):
         qma2_tuning(0.5, 0.5)
 
 
+def test_qma2_tuning_of_every_fixture_ledger():
+    # c' and s' both round to 1 at 60 digits; the complements keep the gap
+    for fx in builtin_instances():
+        led = derive_parameters(fx.instance)
+        tun = qma2_tuning(led.c_prime_deficit, led.one_minus_s_prime)
+        with mpmath.workdps(60):
+            assert 0 <= tun.one_minus_p <= 1, fx.name
+            assert _rel(tun.gap2_lower, led.cs_gap**2 / 50) < mpf("1e-12"), fx.name
+
+
+def test_ledger_report_adds_the_two_paper_claims():
+    for fx in builtin_instances():
+        led = derive_parameters(fx.instance)
+        tun = qma2_tuning(led.c_prime_deficit, led.one_minus_s_prime)
+        lines = led.report_lines()
+        assert lines[0].startswith("instance: ") and lines[-1].startswith("note: ")
+        assert any(line.startswith("QMA(2): ") for line in lines), fx.name
+        assert any(line.startswith("1 - p ") and mpmath.nstr(tun.one_minus_p, 25) in line for line in lines)
+        assert any(line.startswith("gap order ") and mpmath.nstr(led.gap_monomial, 25) in line for line in lines)
+
+
 # ---------------------------------------------------------------------------
-# order-of-magnitude estimate
+# order of the gap bound
 # ---------------------------------------------------------------------------
 
 
 def test_gap_estimate_monomial_scaling():
     with mpmath.workdps(60):
-        base = get_fixture("idle").instance
-        est0 = gap_order_estimate(base).estimate
+        est0 = derive_parameters(get_fixture("idle").instance).gap_monomial
         doubled_m = threshold_grid(ms=(2,), gate_counts=(4,), deltas=(0.25,))[0]
-        est_m = gap_order_estimate(doubled_m).estimate
+        est_m = derive_parameters(doubled_m).gap_monomial
         assert _rel(est_m / est0, mpf(2) ** (-32)) < mpf("1e-20")
         halved_delta = threshold_grid(ms=(1,), gate_counts=(4,), deltas=(0.125,))[-1]
-        est_d = gap_order_estimate(halved_delta).estimate
+        est_d = derive_parameters(halved_delta).gap_monomial
         assert _rel(est_d / est0, mpf(2) ** (-13)) < mpf("1e-20")
 
 
 def test_gap_estimate_ratio_finite_positive_on_fixtures():
-    for fx in builtin_instances():
-        res = gap_order_estimate(fx.instance)
-        assert res.ratio > 0 and mpmath.isfinite(res.ratio)
-        assert res.gap_lower >= GAP_ESTIMATE_KAPPA * res.estimate
+    for inst in [fx.instance for fx in builtin_instances()] + threshold_grid():
+        led = derive_parameters(inst)
+        with mpmath.workdps(60):
+            ratio = led.gap_lower / led.gap_monomial
+            assert ratio > 0 and mpmath.isfinite(ratio)
+            assert led.gap_lower >= GAP_ESTIMATE_KAPPA * led.gap_monomial

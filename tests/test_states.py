@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ffgscon._kernels import select, tally_bernoulli
 from ffgscon.states import (
@@ -252,6 +254,24 @@ def test_swap_matches_doubled_register_circuit_oracle():
         a = random_registered_state((2, 3), rng)
         b = random_registered_state((2, 3), rng)
         assert abs(swap_test_reject_prob(a, b) - swap_circuit_reject_prob(a, b)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.sampled_from(("other", "same", "copy", "extended-copy")))
+@example(4, 78, "same")  # <a|a> has a rounded phase here: the overlap form alone gives 6.0e-36
+def test_swap_reject_matches_circuit_oracle_property(dim, seed, partner):
+    rng = np.random.default_rng(seed)
+    a = random_registered_state((dim,), rng)
+    b = {
+        "other": lambda: random_registered_state((dim,), rng),
+        "same": lambda: a,
+        "copy": lambda: RegisteredState(a.shape, a.amplitudes.copy()),
+        "extended-copy": lambda: RegisteredState(a.shape, np.array([mpmath.mpc(v) for v in a.amplitudes], dtype=object)),
+    }[partner]()
+    q = swap_test_reject_prob(a, b)
+    assert abs(float(q) - swap_circuit_reject_prob(a, b)) < 1e-12
+    if partner != "other":
+        assert q == 0 and isinstance(q, mpmath.mpf) == (partner == "extended-copy")
 
 
 def test_swap_sample_rates():

@@ -639,12 +639,13 @@ def test_product_sampled_verdicts_keep_their_bits():
 
 def test_product_of_identical_parts_draws_nothing(monkeypatch):
     w = honest(get_fixture("bell-stepwise"))
-    parts = (w.u, w.u_prime, w.s, w.s_prime)
+    rng = np.random.default_rng(78)  # complex double parts: <a|a> carries a rounded phase
     calls = []
     body = _kernels._philox
     monkeypatch.setattr(_kernels, "_philox", lambda *a: calls.append(a) or body(*a))
     base = CounterStream(5, 9, 0)
-    assert all(product_test(parts, parts, mode=MODE_SAMPLED, stream=base.for_trial(t)).accepted for t in range(200))
+    for parts in ((w.u, w.u_prime, w.s, w.s_prime), tuple(random_registered_state((4,), rng) for _ in range(4))):
+        assert all(product_test(parts, parts, mode=MODE_SAMPLED, stream=base.for_trial(t)).accepted for t in range(200))
     assert calls == []
 
 
