@@ -16,8 +16,8 @@ Stream ids (documented, frozen):
 * 1..8   -- verifier test i run stand-alone
 * 0      -- protocol round: slot 0's first uniform picks the test, slots 1..
   feed the test
-* 9      -- the product test (part k reads the first uniform of slot ``draw + k``,
-  if its swap test can reject)
+* 9      -- the product test (one Bernoulli draw on its reject sum: the first
+  uniform of slot ``draw``, read once, if the sum is non-zero)
 * 16+    -- free for callers (seeded adversaries, ad-hoc sampling in tests)
 """
 

@@ -26,7 +26,6 @@ import numpy as np
 
 EPS_NORM = 1e-9  # slack for stored-state normalization
 EPS_ALGEBRA = 1e-12  # tolerance for algebraic identities (unitarity, ...)
-P_FLOOR = 1e-15  # projections below this probability yield no post-state
 DIMENSION_CAP = 1 << 20  # exact mode refuses larger joint spaces
 
 
@@ -260,9 +259,9 @@ def project_onto(state: RegisteredState, register: int, target_vector) -> tuple:
     """Project one register onto |t><t|.
 
     Returns ``(probability, post_state)`` where the post-state keeps the
-    register (collapsed to |t>), or ``(probability, None)`` when the
-    probability falls below ``P_FLOOR`` and renormalizing would only amplify
-    numerical noise.
+    register (collapsed to |t>), or ``(0, None)`` when the probability is
+    exactly 0.  Any non-zero probability is renormalized, however small: an
+    extended state carries its digits down to the tiniest branch.
     """
     t = state.as_tensor()
     tv = np.asarray(target_vector).ravel()
@@ -272,7 +271,7 @@ def project_onto(state: RegisteredState, register: int, target_vector) -> tuple:
         )
     coeff = np.tensordot(np.conj(tv), t, axes=([0], [register]))
     prob = _abs2_sum(coeff)
-    if float(prob) < P_FLOOR:
+    if prob == 0:
         return prob, None
     post = np.tensordot(tv, coeff / _sqrt(prob), axes=0)
     post = np.moveaxis(post, 0, register)
@@ -306,15 +305,15 @@ def conditional_state(state: RegisteredState, register: int, value: int, *, drop
     """(probability, renormalized state given register == value).
 
     With ``drop=True`` the measured register is removed from the layout;
-    otherwise it stays, collapsed to the basis state.  Returns (p, None)
-    below ``P_FLOOR``.
+    otherwise it stays, collapsed to the basis state.  Returns (0, None)
+    when the probability is exactly 0, and renormalizes any other.
     """
     t = state.as_tensor()
     sl = [slice(None)] * len(state.shape.dims)
     sl[register] = value
     cond = t[tuple(sl)]
     prob = _abs2_sum(cond)
-    if float(prob) < P_FLOOR:
+    if prob == 0:
         return prob, None
     cond = cond / _sqrt(prob)
     if drop:

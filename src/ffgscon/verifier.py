@@ -1,11 +1,13 @@
 """The eight verification tests, the dispatching round, and the product test.
 
-Each test's branch tree is defined once, by :func:`branch_plan`: its branch
-probabilities at the proof's precision, plus the tally kernel of
-:mod:`ffgscon._kernels` that realizes the tree trial by trial.  A
-:class:`~ffgscon.witnesses.Proof` keeps the plans built on it, so the exact
-sums, the bulk tallies and every single shot on one proof and instance read
-one plan per test, built once.
+Each test's branch tree is defined once, as a frozen :class:`BranchPlan`
+that :func:`branch_plan` builds at the proof's precision: its branch
+probabilities, its exact accept and reject sums, and the tally kernel of
+:mod:`ffgscon._kernels` with the float arguments that realize the tree trial
+by trial.  A :class:`~ffgscon.witnesses.Proof` keeps the plans built on it,
+so the exact sums, the bulk tallies and every single shot on one proof and
+instance read one plan per test, built once.  The product test is a plan
+too, built by :func:`product_test` from its part-wise swap tests.
 
 Exact mode is the analytic branch sum over the plan; nothing is ever
 estimated by averaging samples.  Accept and reject masses are accumulated
@@ -15,8 +17,8 @@ but its rejection branch sum is a healthy 1e-70).
 
 Sampled mode runs the plan's kernel, on the float mirror of the plan's
 probabilities, over an array of trial indices.  A test shot at the address
-``CounterStream(seed, stream, trial, draw)`` is :meth:`BranchPlan.tally` on
-``[trial]`` from ``draw`` on.  :func:`sample_round` is the one round
+``CounterStream(seed, stream, trial, draw)`` is :meth:`BranchPlan.shot`:
+:meth:`BranchPlan.tally` on ``[trial]`` from ``draw`` on.  :func:`sample_round` is the one round
 dispatcher: a draw picks the test, the picked plan reads the draws after
 it.  A round shot is that dispatcher on ``[trial]``, so every shot's verdict
 is the verdict of its trial in a bulk tally.
@@ -32,7 +34,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import mpmath
@@ -42,7 +43,6 @@ from . import _kernels
 from .instances import GsconInstance, energy_sum, prepare_state_from_circuit, term_energies
 from .rng import CounterStream
 from .states import (
-    P_FLOOR,
     RegisteredState,
     RegisterShape,
     ShapeMismatchError,
@@ -80,8 +80,6 @@ class TestOutcome:
     reject_probability: object | None = None
     verdict: str | None = None  # "accept" / "reject", sampled mode
     trace: tuple = ()
-    seed: int | None = None
-    trial: int | None = None
 
     def __post_init__(self):
         if self.accept_probability is not None:
@@ -93,56 +91,46 @@ class TestOutcome:
         return None if self.verdict is None else self.verdict == "accept"
 
 
-def _outcome(test_id, mode, accept, reject, verdict=None, trace=(), stream=None):
-    seed = getattr(stream, "seed", None) if stream is not None else None
-    trial = getattr(stream, "trial", None) if stream is not None else None
-    return TestOutcome(test_id, mode, accept, reject, verdict, tuple(trace), seed, trial)
+def _check_mode(mode, stream: CounterStream | None) -> None:
+    """Refuse a mode other than exact or sampled, and a sampled verdict without a stream."""
+    if mode not in (MODE_EXACT, MODE_SAMPLED):
+        raise ValueError(f"mode must be {MODE_EXACT!r} or {MODE_SAMPLED!r}, got {mode!r}")
+    if mode == MODE_SAMPLED and stream is None:
+        raise ValueError("sampled mode needs a counter stream")
 
 
-def _verdict(accepted: bool) -> str:
-    return "accept" if accepted else "reject"
-
-
-def _precision(dps):
-    return mpmath.workdps(dps) if dps else contextlib.nullcontext()
-
-
-@dataclass
+@dataclass(frozen=True)
 class BranchPlan:
     """One test's branch tree, computed once at the proof's precision.
 
-    ``trace`` names the branch probabilities.  The exact branch sum
-    (``reject``) and the kernel's float arguments (``args``) are derived on
-    first use only: test 2's sum is a Python loop over every joint outcome
-    and costs as much as a whole sampled shot.
+    ``trace`` names the branch probabilities; ``reject`` and ``accept`` are
+    the exact branch sums; ``kernel`` is the tally of :mod:`ffgscon._kernels`
+    that realizes the tree per trial, on the float arguments ``args``.
     """
 
-    test_id: int
+    test_id: object  # 1..8 or "PRODUCT"
     trace: tuple
-    kernel: Callable  # the _kernels tally realizing the tree per trial
-    branch_sum: Callable[[], object]
-    kernel_args: Callable[[], tuple]
-    reject_name: str | None = None  # trace name of the reject sum, for trees with one summary value
-    dps: int | None = None  # mpmath digits of an extended proof
-
-    @cached_property
-    def reject(self):
-        with _precision(self.dps):
-            return self.branch_sum()
-
-    @cached_property
-    def args(self) -> tuple:
-        return self.kernel_args()
+    reject: object
+    accept: object
+    kernel: Callable
+    args: tuple
 
     def exact(self) -> TestOutcome:
-        with _precision(self.dps):
-            accept = 1 - self.reject
-        trace = self.trace + (((self.reject_name, self.reject),) if self.reject_name else ())
-        return _outcome(self.test_id, MODE_EXACT, accept, self.reject, trace=trace)
+        return TestOutcome(self.test_id, MODE_EXACT, self.accept, self.reject, trace=self.trace)
 
     def tally(self, seed, stream, trials, draw0=0) -> tuple[int, int]:
         """(accepts, rejects) over an array of trial indices, from draw ``draw0`` on."""
         return self.kernel(seed, stream, trials, draw0, *self.args)
+
+    def shot(self, stream: CounterStream) -> TestOutcome:
+        """The sampled verdict at ``stream``: the tally of the one trial ``[stream.trial]``."""
+        _, rejected = self.tally(stream.seed, stream.stream, [stream.trial], stream.draw)
+        return TestOutcome(self.test_id, MODE_SAMPLED, verdict="reject" if rejected else "accept", trace=self.trace)
+
+
+def _plan(test_id, trace, reject, kernel, *args) -> BranchPlan:
+    """A plan of tests 1..8, whose accept sum is ``1 - reject`` at the builder's precision."""
+    return BranchPlan(test_id, tuple(trace), reject, 1 - reject, kernel, args)
 
 
 def _label_cdf(probs) -> np.ndarray:
@@ -156,7 +144,7 @@ def _label_cdf(probs) -> np.ndarray:
 
 def _swap_plan(test_id, a: RegisteredState, b: RegisteredState) -> BranchPlan:
     q = swap_test_reject_prob(a, b)
-    return BranchPlan(test_id, (), _kernels.tally_bernoulli, lambda: q, lambda: (float(q),), "swap_reject")
+    return _plan(test_id, (("swap_reject", q),), q, _kernels.tally_bernoulli, float(q))
 
 
 def _swap_u_plan(proof: Proof, inst) -> BranchPlan:
@@ -178,23 +166,16 @@ def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     pb = proof.u_prime.outcome_probabilities()
     n_set = len(inst.gate_set)
     G = inst.G
-
-    def branch_sum():
-        # over joint outcomes; never formed as 1 - accept
-        reject = 0.0
-        for i in range(u.label_dim):
-            for g in range(G):
-                for g2 in range(G):
-                    if g != g2 or g >= n_set:
-                        reject = reject + pa[i, g] * pb[i, g2]
-        return reject
-
-    def kernel_args():
-        cdf_a = np.cumsum(np.asarray(pa, dtype=np.float64).ravel())
-        cdf_b = np.cumsum(np.asarray(pb, dtype=np.float64).ravel())
-        return cdf_a, cdf_b, G, np.arange(G) < n_set
-
-    return BranchPlan(2, (), _kernels.tally_unique, branch_sum, kernel_args, "joint_mismatch")
+    # over joint outcomes; never formed as 1 - accept
+    reject = 0.0
+    for i in range(u.label_dim):
+        for g in range(G):
+            for g2 in range(G):
+                if g != g2 or g >= n_set:
+                    reject = reject + pa[i, g] * pb[i, g2]
+    cdf_a = np.cumsum(np.asarray(pa, dtype=np.float64).ravel())
+    cdf_b = np.cumsum(np.asarray(pb, dtype=np.float64).ravel())
+    return _plan(2, (("joint_mismatch", reject),), reject, _kernels.tally_unique, cdf_a, cdf_b, G, np.arange(G) < n_set)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +186,8 @@ def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
 def _chain_plan(test_id, stages) -> BranchPlan:
     """Stage probabilities in order; a stage of None had no surviving mass and never fires."""
     probs = [p for _, p in stages]
-    return BranchPlan(
-        test_id,
-        tuple(stages),
-        _kernels.tally_chain,
-        lambda: 0.0 if any(p is None for p in probs) else math.prod(probs),
-        lambda: (np.array([0.0 if p is None else float(p) for p in probs]),),
-    )
+    reject = 0.0 if any(p is None for p in probs) else math.prod(probs)
+    return _plan(test_id, stages, reject, _kernels.tally_chain, np.array([0.0 if p is None else float(p) for p in probs]))
 
 
 def _uniform_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
@@ -255,7 +231,7 @@ def _sequence_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
         two_m = u.label_dim
         diag = np.array([reduced[i, i] for i in range(two_m)])  # (2m, data...)
         p_label = (np.abs(diag) ** 2).sum()
-        if float(p_label) >= P_FLOOR:
+        if p_label > 0:
             diag = diag / (mpmath.sqrt(p_label) if ext else math.sqrt(p_label))
             shifted = np.roll(diag, 1, axis=0)  # cyclic label shift, 2m -> 1
             t_prime = RegisteredState(RegisterShape((two_m,) + (2,) * inst.n), shifted.ravel(), check=False)
@@ -274,17 +250,13 @@ def _boundary_plan(test_id, which, proof: Proof, inst: GsconInstance) -> BranchP
     probs = register_distribution(s.state, 0)
     p_label = probs[target]
     q = None
-    if float(p_label) >= P_FLOOR:
+    if p_label > 0:
         _, data = conditional_state(s.state, 0, target, drop=True)
         anchor = prepare_state_from_circuit(inst, which, extended=s.state.extended)
         q = swap_test_reject_prob(data, anchor)
-    return BranchPlan(
-        test_id,
-        (("label_prob", p_label), ("swap_reject", q)),
-        _kernels.tally_boundary,
-        lambda: 0.0 if q is None else p_label * q,
-        lambda: (_label_cdf(probs), target, 0.0 if q is None else float(q)),
-    )
+    reject, q_float = (0.0, 0.0) if q is None else (p_label * q, float(q))
+    trace = (("label_prob", p_label), ("swap_reject", q))
+    return _plan(test_id, trace, reject, _kernels.tally_boundary, _label_cdf(probs), target, q_float)
 
 
 def _start_plan(proof: Proof, inst) -> BranchPlan:
@@ -304,27 +276,16 @@ def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Measure the label, pick a term uniformly, reject with <H_term>: reject = sum p_i E_i / R."""
     s = proof.s
     probs = register_distribution(s.state, 0)
-    table = []  # per label: per-term expectations, or None where the label has no mass
+    energies = [0.0] * s.label_dim  # per label; 0 where the label has no mass
+    reject_table = np.zeros((s.label_dim, inst.R))  # per label and term: the clamped float expectation
     for i in range(s.label_dim):
         _, data = conditional_state(s.state, 0, i, drop=True)
-        table.append(None if data is None else term_energies(inst, data))
-    energies = [0.0 if row is None else energy_sum(row, s.state.extended) for row in table]
-
-    def kernel_args():
-        reject_table = np.zeros((s.label_dim, inst.R))
-        for i, row in enumerate(table):
-            if row is not None:
-                reject_table[i] = [min(max(float(v), 0.0), 1.0) for v in row]
-        return _label_cdf(probs), reject_table
-
-    return BranchPlan(
-        8,
-        (),
-        _kernels.tally_low,
-        lambda: sum(p * e for p, e in zip(probs, energies)) / inst.R,
-        kernel_args,
-        "mean_energy_over_R",
-    )
+        if data is not None:
+            row = term_energies(inst, data)
+            energies[i] = energy_sum(row, s.state.extended)
+            reject_table[i] = [min(max(float(v), 0.0), 1.0) for v in row]
+    reject = sum(p * e for p, e in zip(probs, energies)) / inst.R
+    return _plan(8, (("mean_energy_over_R", reject),), reject, _kernels.tally_low, _label_cdf(probs), reject_table)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +307,8 @@ _PLAN_BUILDERS = {
 def branch_plan(test_id: int, proof: Proof, inst: GsconInstance) -> BranchPlan:
     """The branch tree of test ``test_id`` (1..8) on the given proof.
 
-    Built once per proof and instance: the plan is memoized in
+    Every sum and kernel argument is computed here, at the proof's precision,
+    once per proof and instance: the plan is memoized in
     ``proof.plans`` under the test id, next to the instance it was built
     for, and rebuilt only for another instance object.  Amplitudes are
     read-only and ``dataclasses.replace`` starts an empty cache, so a
@@ -355,26 +317,21 @@ def branch_plan(test_id: int, proof: Proof, inst: GsconInstance) -> BranchPlan:
     entry = proof.plans.get(test_id)
     if entry is not None and entry[0] is inst:
         return entry[1]
-    dps = None
+    precision = contextlib.nullcontext()
     if any(w.state.extended for w in (proof.u, proof.u_prime, proof.s, proof.s_prime)):
         # extended amplitudes carry WITNESS_DPS digits; arithmetic must too,
         # or the branch sums measure rounding noise instead of the deviation
-        dps = max(mpmath.mp.dps, WITNESS_DPS)
-    with _precision(dps):
+        precision = mpmath.workdps(max(mpmath.mp.dps, WITNESS_DPS))
+    with precision:
         plan = _PLAN_BUILDERS[test_id](proof, inst)
-    plan.dps = dps
     proof.plans[test_id] = (inst, plan)
     return plan
 
 
 def run_test(test_id: int, proof: Proof, inst, *, mode=MODE_EXACT, stream: CounterStream | None = None) -> TestOutcome:
-    if mode == MODE_SAMPLED and stream is None:
-        raise ValueError("sampled mode needs a counter stream")
+    _check_mode(mode, stream)
     plan = branch_plan(test_id, proof, inst)
-    if mode == MODE_EXACT:
-        return plan.exact()
-    _, rejected = plan.tally(stream.seed, stream.stream, [stream.trial], stream.draw)
-    return _outcome(test_id, mode, None, None, _verdict(not rejected), plan.trace, stream)
+    return plan.exact() if mode == MODE_EXACT else plan.shot(stream)
 
 
 def exact_round(plans: dict, ledger) -> TestOutcome:
@@ -389,11 +346,10 @@ def exact_round(plans: dict, ledger) -> TestOutcome:
         total_rej = mpmath.mpf(0)
         trace = []
         for i in range(1, 9):
-            out = plans[i].exact()
-            total_rej += ledger.p[i - 1] * mpmath.mpf(out.reject_probability)
-            trace.append((f"accept_{i}", out.accept_probability))
-            trace.append((f"reject_{i}", out.reject_probability))
-        return _outcome("ROUND", MODE_EXACT, 1 - total_rej, total_rej, trace=trace)
+            total_rej += ledger.p[i - 1] * mpmath.mpf(plans[i].reject)
+            trace.append((f"accept_{i}", plans[i].accept))
+            trace.append((f"reject_{i}", plans[i].reject))
+        return TestOutcome("ROUND", MODE_EXACT, 1 - total_rej, total_rej, trace=tuple(trace))
 
 
 def sample_round(plan_of: Callable[[int], BranchPlan], cdf, seed, stream, trials, draw0=0):
@@ -421,6 +377,7 @@ def run_protocol_round(proof: Proof, inst, ledger, *, mode=MODE_EXACT, stream: C
     Exact mode returns :func:`exact_round`.  Sampled mode is
     :func:`sample_round` on the stream's trial, from draw ``stream.draw``.
     """
+    _check_mode(mode, stream)
     if mode == MODE_EXACT:
         return exact_round({i: branch_plan(i, proof, inst) for i in range(1, 9)}, ledger)
     _, rejected, picks = sample_round(
@@ -428,7 +385,7 @@ def run_protocol_round(proof: Proof, inst, ledger, *, mode=MODE_EXACT, stream: C
     )
     pick = int(picks[0])
     trace = (("test", pick),) + branch_plan(pick, proof, inst).trace
-    return _outcome("ROUND", MODE_SAMPLED, None, None, _verdict(not rejected), trace, stream)
+    return TestOutcome("ROUND", MODE_SAMPLED, verdict="reject" if rejected else "accept", trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +399,11 @@ def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream: CounterSt
     Accept iff all four part-wise swap tests accept; exact probability is the
     product of the four (1 + overlap^2)/2 factors.  Only product-form inputs
     (explicit 4-tuples of states) are supported; a jointly entangled composite
-    is outside the desk-scale exact path.
+    is outside the desk-scale exact path.  The tree is one
+    :class:`BranchPlan`: a sampled shot is one Bernoulli draw on the float
+    reject sum, from the first uniform of slot ``stream.draw``.
     """
+    _check_mode(mode, stream)
     parts_a = [w.state if hasattr(w, "state") else w for w in composite_a]
     parts_b = [w.state if hasattr(w, "state") else w for w in composite_b]
     if len(parts_a) != 4 or len(parts_b) != 4:
@@ -454,17 +414,10 @@ def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream: CounterSt
             raise ShapeMismatchError(f"component layouts differ: {a.shape.dims} vs {b.shape.dims}")
         rejects.append(swap_test_reject_prob(a, b))
     trace = tuple((f"swap_reject_{k+1}", q) for k, q in enumerate(rejects))
-    if mode == MODE_EXACT:
-        # part k rejects when parts 1..k-1 accepted: a branch sum, never 1 - accept
-        accept, reject = 1, 0
-        for q in rejects:
-            reject = reject + accept * q
-            accept = accept * (1 - q)
-        return _outcome("PRODUCT", mode, accept, reject, trace=trace)
-    # part k reads slot draw + k, and only if it can reject: u >= 0 always holds
-    ok = all(
-        _kernels.uniforms(stream.seed, stream.stream, [stream.trial], stream.draw + k)[0][0] >= float(q)
-        for k, q in enumerate(rejects)
-        if float(q) > 0
-    )
-    return _outcome("PRODUCT", mode, None, None, _verdict(ok), trace, stream)
+    # part k rejects when parts 1..k-1 accepted: a branch sum, never 1 - accept
+    accept, reject = 1, 0
+    for q in rejects:
+        reject = reject + accept * q
+        accept = accept * (1 - q)
+    plan = BranchPlan("PRODUCT", trace, reject, accept, _kernels.tally_bernoulli, (float(reject),))
+    return plan.exact() if mode == MODE_EXACT else plan.shot(stream)

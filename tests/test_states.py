@@ -171,7 +171,11 @@ def test_project_onto_basis_and_uniform():
 def test_project_onto_floor_and_mismatch():
     zero = basis_state(RegisterShape((2,)), (0,))
     p, post = project_onto(zero, 0, [0, 1])
-    assert p < 1e-15 and post is None
+    assert p == 0 and post is None
+    # no floor: a tiny non-zero branch still has its post-state
+    tilted = RegisteredState(RegisterShape((2,)), [math.cos(1e-10), math.sin(1e-10)])
+    p, post = project_onto(tilted, 0, [0, 1])
+    assert 0 < p < 1e-19 and abs(abs(post.amplitude((1,))) - 1.0) < 1e-12
     with pytest.raises(ShapeMismatchError):
         project_onto(zero, 0, [1, 0, 0])
 

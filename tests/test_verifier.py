@@ -33,6 +33,7 @@ from ffgscon.verifier import (
     sample_round,
 )
 from ffgscon.witnesses import (
+    WITNESS_DPS,
     AdversaryKind,
     AdversarySpec,
     Proof,
@@ -41,6 +42,7 @@ from ffgscon.witnesses import (
     build_honest_S,
     build_honest_U,
     forge_adversary,
+    honest_proof,
 )
 
 from oracles import (
@@ -218,6 +220,41 @@ def test3_single_label_uniform_gate_accepts_one_over_2m():
     assert abs(float(out.accept_probability) - 1.0 / two_m) < 1e-12
 
 
+def _tilted_gate_proof(fx, k):
+    """Extended honest proof whose U has all label mass on label 0 and gate overlap 10^-k with uniform."""
+    inst = fx.instance
+    two_m, G = 2 * inst.m, inst.G
+    with mpmath.workdps(WITNESS_DPS):
+        eps = mpf(10) ** -k
+        perp = np.array([1, -1] + [0] * (G - 2), dtype=object) / mpmath.sqrt(2)  # orthogonal to uniform
+        gate = eps * uniform_vector(G, extended=True) + mpmath.sqrt(1 - eps**2) * perp
+        amps = np.array([mpmath.mpc(0)] * (two_m * G), dtype=object)
+        amps[:G] = gate
+        u = WitnessU(RegisteredState(RegisterShape((two_m, G)), amps))
+    return replace(honest_proof(inst, fx.certificate, extended=True), u=u, u_prime=u)
+
+
+def test3_tiny_gate_overlap_keeps_its_reject_mass():
+    # the projection onto the uniform gate register succeeds with 1e-18, far
+    # below double resolution of 1 but carried by the 120-digit amplitudes
+    fx = get_fixture("idle")
+    out = run_test(3, _tilted_gate_proof(fx, 9), fx.instance)
+    with mpmath.workdps(WITNESS_DPS):
+        assert abs(out.reject_probability - mpf("5e-19")) <= mpf("5e-79")
+    assert float(out.reject_probability) > float(derive_parameters(fx.instance).r[2])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(8, 50))
+def test3_reject_is_exact_at_any_gate_overlap(k):
+    fx = get_fixture("idle")
+    two_m = 2 * fx.instance.m
+    with mpmath.workdps(WITNESS_DPS):
+        expect = mpf(10) ** (-2 * k) * (1 - mpf(1) / two_m)
+        proof = _tilted_gate_proof(fx, k)
+        assert abs(run_test(3, proof, fx.instance).reject_probability - expect) <= mpf("1e-60") * expect
+
+
 # ---------------------------------------------------------------------------
 # tests 4 and 5
 # ---------------------------------------------------------------------------
@@ -314,6 +351,20 @@ def test6_label_mass_away_from_start_always_accepts():
     u = build_honest_U(fx.instance, fx.certificate)
     out = run_test(6, Proof(u, u, s, s), fx.instance)
     assert float(out.accept_probability) == 1.0
+
+
+def test6_tiny_start_label_mass_keeps_its_reject_mass():
+    # label 0 holds mass 1e-18 at 120 digits, with data at angle 1 from |psi> = |0>
+    fx = get_fixture("idle")
+    with mpmath.workdps(WITNESS_DPS):
+        amps = np.array([mpmath.mpc(0)] * 4, dtype=object)
+        amps[0], amps[1] = mpf("1e-9") * mpmath.cos(1), mpf("1e-9") * mpmath.sin(1)
+        amps[2] = mpmath.sqrt(1 - mpf("1e-18"))
+        s = WitnessS(RegisteredState(RegisterShape((2, 2)), amps))
+        proof = replace(honest_proof(fx.instance, fx.certificate, extended=True), s=s, s_prime=s)
+        expect = mpf("1e-18") * mpmath.sin(1) ** 2 / 2
+        out = run_test(6, proof, fx.instance)
+        assert abs(out.reject_probability - expect) <= mpf("1e-60") * expect
 
 
 def test7_honest_offset_endpoint_rejects_exactly():
@@ -549,6 +600,27 @@ def test_sampled_needs_stream():
         run_test(1, honest(fx), fx.instance, mode=MODE_SAMPLED)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda w, inst, led, parts: run_test(1, w, inst, mode="Exact", stream=CounterStream(3, 1, 0)),
+        lambda w, inst, led, parts: run_protocol_round(w, inst, led, mode="bogus"),
+        lambda w, inst, led, parts: run_test(1, w, inst, mode="both"),
+        lambda w, inst, led, parts: run_protocol_round(w, inst, led, mode=MODE_SAMPLED),
+        lambda w, inst, led, parts: product_test(parts, parts[::-1], mode=MODE_SAMPLED),
+        lambda w, inst, led, parts: product_test(parts, parts, mode=MODE_SAMPLED),
+    ],
+    ids=["misspelt-exact-with-stream", "bogus-round", "both", "round-without-stream",
+         "product-without-stream", "equal-product-without-stream"],
+)
+def test_verdict_entry_points_refuse_what_they_cannot_serve(entry):
+    fx = get_fixture("idle")
+    rng = np.random.default_rng(78)
+    parts = [random_registered_state((4,), rng) for _ in range(4)]
+    with pytest.raises(ValueError, match="mode"):
+        entry(honest(fx), fx.instance, derive_parameters(fx.instance), parts)
+
+
 # ---------------------------------------------------------------------------
 # product test
 # ---------------------------------------------------------------------------
@@ -619,22 +691,26 @@ def test_product_sampled_rate():
     assert abs(hits / n - exact) <= 4 * sigma
 
 
-def test_product_sampled_verdicts_keep_their_bits():
-    # a part with zero reject is not drawn for; every verdict equals the rule that
-    # reads slot draw + k for all four parts, on test_product_sampled_rate's states
-    # and on a pair whose parts 1 and 3 are equal basis states (swap reject exactly 0)
+def test_product_shot_equals_bulk():
+    # a product shot at trial t is tally_bernoulli on [t] at the float reject sum,
+    # and the shots over 2000 trials add up to one bulk tally; on
+    # test_product_sampled_rate's states and on a pair whose parts 1 and 3 are
+    # equal basis states (swap reject exactly 0)
     rng = np.random.default_rng(78)
     a = [random_registered_state((4,), rng) for _ in range(4)]
     b = [random_registered_state((4,), rng) for _ in range(4)]
     c = [basis_state(RegisterShape((4,)), (k,)) for k in range(4)]
+    n = 2000
     for left, right in ((a, b), (c, [c[0], b[1], c[2], b[3]])):
-        q = [float(x) for _, x in product_test(left, right).trace]
-        assert left is a or q[0] == q[2] == 0.0 < min(q[1], q[3])
+        p = float(product_test(left, right).reject_probability)
         base = CounterStream(5, 9, 0, 3)
-        for t in range(2000):
-            u = [_kernels.uniforms(5, 9, [t], 3 + k)[0][0] for k in range(4)]
+        rejects = 0
+        for t in range(n):
             shot = product_test(left, right, mode=MODE_SAMPLED, stream=base.for_trial(t))
-            assert shot.accepted == all(uk >= qk for uk, qk in zip(u, q)), t
+            assert (shot.verdict == "reject") == (_kernels.tally_bernoulli(5, 9, [t], 3, p)[1] == 1), t
+            rejects += shot.verdict == "reject"
+        assert _kernels.tally_bernoulli(5, 9, np.arange(n, dtype=np.uint64), 3, p) == (n - rejects, rejects)
+        assert 0 < rejects < n
 
 
 def test_product_of_identical_parts_draws_nothing(monkeypatch):
