@@ -24,7 +24,6 @@ from .rng import CounterStream
 from .states import (
     LocalGate,
     RegisteredState,
-    RegisterShape,
     apply_local_gate,
     phase_optimized_distance,
     project_onto,

@@ -206,11 +206,11 @@ def require_valid(inst: GsconInstance):
         raise HarnessError("instance failed validation:\n" + "\n".join(val.lines()))
 
 
-def build_witnesses(inst: GsconInstance, cert, adversary=(), *, extended: bool = False) -> Proof:
-    """The honest proof, or the forged one when adversary specs are given."""
+def build_witnesses(inst: GsconInstance, cert, adversary=()) -> Proof:
+    """The honest proof, or the forged one when adversary specs are given, on double amplitudes."""
     if adversary:
-        return forge_composed(inst, cert, adversary, extended=extended)
-    return honest_proof(inst, cert, extended=extended)
+        return forge_composed(inst, cert, adversary)
+    return honest_proof(inst, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .states import (
     EPS_ALGEBRA,
     LocalGate,
     RegisteredState,
-    RegisterShape,
     _apply_matrix_axes,
     apply_local_gate,
     basis_state,
@@ -117,10 +116,6 @@ class GsconInstance:
     @property
     def G(self) -> int:
         return self.gate_register_dim
-
-    @property
-    def data_shape(self) -> RegisterShape:
-        return RegisterShape((2,) * self.n)
 
     def promise_h(self) -> float:
         """min{(eta4-eta3)/4, sqrt(eta2/R)/6}, the slack the end test tolerates."""
@@ -210,9 +205,9 @@ def validate_instance(inst: GsconInstance) -> ValidationReport:
 
 def term_energies(inst: GsconInstance, s: RegisteredState) -> list:
     """Per-term expectation values <s|H_i|s> on a data-register state, in term order."""
-    if s.shape.dims != (2,) * inst.n:
-        raise ValueError(f"expected a {inst.n}-qubit data state, got layout {s.shape.dims}")
-    t = s.as_tensor()
+    if s.dims != (2,) * inst.n:
+        raise ValueError(f"expected a {inst.n}-qubit data state, got layout {s.dims}")
+    t = s.amplitudes
     values = []
     for term in inst.terms:
         val = (np.conj(t) * _apply_matrix_axes(t, term.matrix, term.support)).sum()
@@ -260,7 +255,7 @@ def prepare_state_from_circuit(inst: GsconInstance, which: str, *, extended: boo
     if which not in ("psi", "phi"):
         raise ValueError(f"which must be 'psi' or 'phi', got {which!r}")
     circuit = inst.psi_circuit if which == "psi" else inst.phi_circuit
-    state = basis_state(inst.data_shape, (0,) * inst.n, extended=extended)
+    state = basis_state((2,) * inst.n, (0,) * inst.n, extended=extended)
     for gate in circuit:
         state = apply_local_gate(state, gate, 0)
     return state

@@ -29,6 +29,8 @@ from mpmath import mpf
 from .instances import GsconInstance
 
 LEDGER_DPS = 60
+DICT_DIGITS = 30  # significant digits of each value in a report's ledger block
+REPORT_DIGITS = 25  # significant digits of each value printed by ``ffgscon ledger``
 
 PRODUCT_TEST_SOUNDNESS = mpf(11) / 512  # product-test rejection >= (11/512)(1-s')^2 (arXiv:1001.0017)
 
@@ -92,7 +94,8 @@ class ParameterLedger:
         with mpmath.workdps(LEDGER_DPS):
             return self.delta_promise**13 * mpf(self.m) ** -32 * mpf(self.G) ** -10
 
-    def as_decimal_dict(self, digits: int = 30) -> dict:
+    def as_decimal_dict(self) -> dict:
+        digits = DICT_DIGITS
         scalars = {
             "h": self.h, "mu": self.mu, "t": self.t, "c": self.c, "x": self.x,
             "delta_small": self.delta_small, "z": self.z, "s_prime": self.s_prime,
@@ -106,7 +109,8 @@ class ParameterLedger:
         out["p"] = [mpmath.nstr(v, digits) for v in self.p]
         return out
 
-    def report_lines(self, digits: int = 25) -> list[str]:
+    def report_lines(self) -> list[str]:
+        digits = REPORT_DIGITS
         def mirror(v) -> str:
             f = float(v)
             if f == 0.0 and v != 0:

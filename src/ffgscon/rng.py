@@ -34,17 +34,14 @@ STREAM_USER = 16
 class CounterStream:
     """The address ``(seed, stream, trial, draw)`` of a sampled shot's first draw slot.
 
-    Addresses for different trials never interact; ``for_trial`` is the cheap
-    way to get a sibling at the same seed, stream and draw.
+    Addresses for different trials never interact; ``dataclasses.replace(s,
+    trial=t)`` is the sibling at the same seed, stream and draw.
     """
 
     seed: int
     stream: int = STREAM_USER
     trial: int = 0
     draw: int = 0
-
-    def for_trial(self, trial: int) -> "CounterStream":
-        return CounterStream(self.seed, self.stream, trial, self.draw)
 
 
 def stream_for_test(test_id) -> int:

@@ -1,13 +1,14 @@
-"""Exact state vectors over mixed-radix register layouts.
+"""Exact states as amplitude tensors, one axis per register.
 
-A register layout is an ordered tuple of qudit dimensions, e.g. ``(2m, G)``
-for a label/gate pair or ``(2m, 2, 2, ..., 2)`` for a label plus n data
-qubits.  Flat indexing is **big-endian mixed radix** and frozen: the first
-register is the most significant digit, so for dims ``(d0, d1, d2)`` the
-basis state ``|v0, v1, v2>`` sits at flat index ``(v0*d1 + v1)*d2 + v2``.
-All serialization and every amplitude table in the package uses this order.
+A state's amplitudes form one C-contiguous array whose shape is its register
+layout, e.g. ``(2m, G)`` for a label/gate pair or ``(2m, 2, ..., 2)`` for a
+label plus n data qubits; the basis state ``|v0, v1, v2>`` is the entry
+``[v0, v1, v2]``.  Flattened in C order the first register is the most
+significant digit, so for dims ``(d0, d1, d2)`` that entry sits at flat
+index ``(v0*d1 + v1)*d2 + v2``.  The order is frozen: every flat view
+(``.ravel()``) and every dense oracle uses it.
 
-Amplitude vectors are either ``complex128`` numpy arrays (the normal case)
+Amplitudes are either ``complex128`` numpy arrays (the normal case)
 or ``object`` arrays of mpmath numbers (the extended-precision case used to
 represent adversarial witnesses whose deviations are far below double
 resolution).  Every operation here is generic over the two.
@@ -60,62 +61,16 @@ def _abs2_sum(arr) -> float | mpmath.mpf:
     return (a * a).sum()
 
 
-@dataclass(frozen=True)
-class RegisterShape:
-    """Ordered qudit dimensions with frozen big-endian mixed-radix indexing."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"register dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.dims)
-
-    def index_of(self, values) -> int:
-        if len(values) != len(self.dims):
-            raise RegisterRangeError(f"expected {len(self.dims)} register values, got {len(values)}")
-        idx = 0
-        for v, d in zip(values, self.dims):
-            if not 0 <= v < d:
-                raise RegisterRangeError(f"value {v} out of range for dimension {d}")
-            idx = idx * d + v
-        return idx
-
-    def values_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.size:
-            raise RegisterRangeError(f"flat index {index} out of range for size {self.size}")
-        out = []
-        for d in reversed(self.dims):
-            out.append(index % d)
-            index //= d
-        return tuple(reversed(out))
-
-    def concat(self, other: "RegisterShape") -> "RegisterShape":
-        return RegisterShape(self.dims + other.dims)
-
-    def drop(self, register: int) -> "RegisterShape":
-        dims = self.dims[:register] + self.dims[register + 1 :]
-        return RegisterShape(dims)
-
-
 class RegisteredState:
-    """Normalized complex amplitude vector over a :class:`RegisterShape`."""
+    """Normalized amplitudes: a read-only, C-contiguous tensor, one axis per register."""
 
-    __slots__ = ("shape", "amplitudes")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, shape: RegisterShape, amplitudes, *, normalize: bool = False, check: bool = True):
-        amps = np.asarray(amplitudes).ravel()
-        if amps.dtype != object:
-            amps = amps.astype(np.complex128)
-        else:
-            amps = amps.copy()
-        if amps.size != shape.size:
-            raise ShapeMismatchError(f"amplitude vector of length {amps.size} does not match shape size {shape.size}")
+    def __init__(self, amplitudes, *, normalize: bool = False, check: bool = True):
+        amps = np.asarray(amplitudes)
+        amps = np.array(amps, dtype=object if _is_extended(amps) else np.complex128, order="C")
+        if amps.ndim == 0 or 0 in amps.shape:
+            raise ValueError(f"register dimensions must be >= 1, got {amps.shape}")
         if check and not _is_extended(amps):
             if not np.all(np.isfinite(amps.view(np.float64))):
                 raise ValueError("amplitudes must be finite")
@@ -127,28 +82,22 @@ class RegisteredState:
         elif check and abs(float(nrm2) - 1.0) > EPS_NORM:
             raise ValueError(f"state is not normalized: |amps|^2 = {float(nrm2)!r}")
         amps.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "amplitudes", amps)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("RegisteredState is immutable")
 
     @property
+    def dims(self) -> tuple[int, ...]:
+        return self.amplitudes.shape
+
+    @property
     def extended(self) -> bool:
         return _is_extended(self.amplitudes)
 
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.shape.dims)
-
-    def norm_sq(self):
-        return _abs2_sum(self.amplitudes)
-
-    def amplitude(self, values):
-        return self.amplitudes[self.shape.index_of(values)]
-
     def __repr__(self):
         kind = "extended" if self.extended else "double"
-        return f"RegisteredState(dims={self.shape.dims}, {kind})"
+        return f"RegisteredState(dims={self.dims}, {kind})"
 
 
 @dataclass(frozen=True)
@@ -181,8 +130,8 @@ class LocalGate:
         name = self.name[:-1] if self.name.endswith("†") else self.name + "†"
         return LocalGate(name, self.matrix.conj().T, self.targets)
 
-    def same_action(self, other: "LocalGate", tol: float = EPS_ALGEBRA) -> bool:
-        return self.targets == other.targets and bool(np.max(np.abs(self.matrix - other.matrix)) <= tol)
+    def same_action(self, other: "LocalGate") -> bool:
+        return self.targets == other.targets and bool(np.max(np.abs(self.matrix - other.matrix)) <= EPS_ALGEBRA)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +139,19 @@ class LocalGate:
 # ---------------------------------------------------------------------------
 
 
-def zeros_like_dtype(n: int, extended: bool) -> np.ndarray:
+def zeros_like_dtype(dims, extended: bool) -> np.ndarray:
     if extended:
-        arr = np.empty(n, dtype=object)
-        arr[:] = mpmath.mpc(0)
-        return arr
-    return np.zeros(n, dtype=np.complex128)
+        return np.full(dims, mpmath.mpc(0), dtype=object)
+    return np.zeros(dims, dtype=np.complex128)
 
 
-def basis_state(shape: RegisterShape, values, *, extended: bool = False) -> RegisteredState:
-    amps = zeros_like_dtype(shape.size, extended)
-    amps[shape.index_of(values)] = mpmath.mpf(1) if extended else 1.0
-    return RegisteredState(shape, amps)
+def basis_state(dims, values, *, extended: bool = False) -> RegisteredState:
+    dims, values = tuple(dims), tuple(values)
+    if len(values) != len(dims) or not all(0 <= v < d for v, d in zip(values, dims)):
+        raise RegisterRangeError(f"register values {values} out of range for dimensions {dims}")
+    amps = zeros_like_dtype(dims, extended)
+    amps[values] = mpmath.mpf(1) if extended else 1.0
+    return RegisteredState(amps)
 
 
 def uniform_vector(dim: int, *, extended: bool = False) -> np.ndarray:
@@ -220,10 +170,10 @@ def uniform_vector(dim: int, *, extended: bool = False) -> np.ndarray:
 
 def tensor_with(a: RegisteredState, b: RegisteredState) -> RegisteredState:
     """Tensor product; the result's registers are a's followed by b's."""
-    total = a.shape.size * b.shape.size
+    total = a.amplitudes.size * b.amplitudes.size
     if total > DIMENSION_CAP:
         raise DimensionCapError(f"joint dimension {total} exceeds the exact-mode cap {DIMENSION_CAP}")
-    return RegisteredState(a.shape.concat(b.shape), np.kron(a.amplitudes, b.amplitudes))
+    return RegisteredState(np.multiply.outer(a.amplitudes, b.amplitudes))
 
 
 def _apply_matrix_axes(tensor: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -237,21 +187,20 @@ def _apply_matrix_axes(tensor: np.ndarray, matrix: np.ndarray, axes: tuple[int, 
 
 def apply_local_gate(state: RegisteredState, gate: LocalGate, data_register_offset: int) -> RegisteredState:
     """Apply ``gate`` to the data qubits starting at register index ``data_register_offset``."""
-    dims = state.shape.dims
+    dims = state.dims
     axes = tuple(data_register_offset + t for t in gate.targets)
     for ax in axes:
         if not 0 <= ax < len(dims):
             raise RegisterRangeError(f"gate {gate.name!r} targets register {ax}, outside layout {dims}")
         if dims[ax] != 2:
             raise RegisterRangeError(f"gate {gate.name!r} targets non-qubit register {ax} of dimension {dims[ax]}")
-    out = _apply_matrix_axes(state.as_tensor(), gate.matrix, axes)
-    return RegisteredState(state.shape, out.ravel(), check=False)
+    return RegisteredState(_apply_matrix_axes(state.amplitudes, gate.matrix, axes), check=False)
 
 
 def inner_product(a: RegisteredState, b: RegisteredState):
     """<a|b>; raises on layout mismatch."""
-    if a.shape.dims != b.shape.dims:
-        raise ShapeMismatchError(f"layouts differ: {a.shape.dims} vs {b.shape.dims}")
+    if a.dims != b.dims:
+        raise ShapeMismatchError(f"layouts differ: {a.dims} vs {b.dims}")
     return (np.conj(a.amplitudes) * b.amplitudes).sum()
 
 
@@ -263,19 +212,18 @@ def project_onto(state: RegisteredState, register: int, target_vector) -> tuple:
     exactly 0.  Any non-zero probability is renormalized, however small: an
     extended state carries its digits down to the tiniest branch.
     """
-    t = state.as_tensor()
+    t = state.amplitudes
     tv = np.asarray(target_vector).ravel()
-    if tv.shape[0] != state.shape.dims[register]:
+    if tv.shape[0] != state.dims[register]:
         raise ShapeMismatchError(
-            f"target vector of length {tv.shape[0]} does not match register dimension {state.shape.dims[register]}"
+            f"target vector of length {tv.shape[0]} does not match register dimension {state.dims[register]}"
         )
     coeff = np.tensordot(np.conj(tv), t, axes=([0], [register]))
     prob = _abs2_sum(coeff)
     if prob == 0:
         return prob, None
     post = np.tensordot(tv, coeff / _sqrt(prob), axes=0)
-    post = np.moveaxis(post, 0, register)
-    return prob, RegisteredState(state.shape, post.ravel(), check=False)
+    return prob, RegisteredState(np.moveaxis(post, 0, register), check=False)
 
 
 def projection_deficit(state: RegisteredState, register: int, target_vector):
@@ -285,9 +233,9 @@ def projection_deficit(state: RegisteredState, register: int, target_vector):
     register, which stays accurate even when the projection probability is
     within double rounding of 1.
     """
-    t = state.as_tensor()
+    t = state.amplitudes
     tv = np.asarray(target_vector).ravel()
-    if tv.shape[0] != state.shape.dims[register]:
+    if tv.shape[0] != state.dims[register]:
         raise ShapeMismatchError("target vector does not match register dimension")
     coeff = np.tensordot(np.conj(tv), t, axes=([0], [register]))
     aligned = np.moveaxis(np.tensordot(tv, coeff, axes=0), 0, register)
@@ -296,31 +244,22 @@ def projection_deficit(state: RegisteredState, register: int, target_vector):
 
 def register_distribution(state: RegisteredState, register: int) -> np.ndarray:
     """Born probabilities of a computational-basis measurement of one register."""
-    t = np.abs(state.as_tensor()) ** 2
-    axes = tuple(i for i in range(len(state.shape.dims)) if i != register)
+    t = np.abs(state.amplitudes) ** 2
+    axes = tuple(i for i in range(t.ndim) if i != register)
     return t.sum(axis=axes) if axes else t
 
 
-def conditional_state(state: RegisteredState, register: int, value: int, *, drop: bool = False) -> tuple:
-    """(probability, renormalized state given register == value).
+def conditional_state(state: RegisteredState, register: int, value: int) -> tuple:
+    """(probability, renormalized state given register == value), the register dropped.
 
-    With ``drop=True`` the measured register is removed from the layout;
-    otherwise it stays, collapsed to the basis state.  Returns (0, None)
-    when the probability is exactly 0, and renormalizes any other.
+    Returns (0, None) when the probability is exactly 0, and renormalizes
+    any other.
     """
-    t = state.as_tensor()
-    sl = [slice(None)] * len(state.shape.dims)
-    sl[register] = value
-    cond = t[tuple(sl)]
+    cond = np.take(state.amplitudes, value, axis=register)
     prob = _abs2_sum(cond)
     if prob == 0:
         return prob, None
-    cond = cond / _sqrt(prob)
-    if drop:
-        return prob, RegisteredState(state.shape.drop(register), cond.ravel(), check=False)
-    out = np.zeros_like(t) if not state.extended else zeros_like_dtype(t.size, True).reshape(t.shape)
-    out[tuple(sl)] = cond
-    return prob, RegisteredState(state.shape, out.ravel(), check=False)
+    return prob, RegisteredState(cond / _sqrt(prob), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +276,14 @@ def swap_test_reject_prob(a: RegisteredState, b: RegisteredState):
     amplitude vectors reject with exactly 0: the rounding of <a|a>'s phase
     would otherwise leave a residue near 1e-35 in a - e^{iw} a.
     """
-    if a.shape.dims == b.shape.dims and np.array_equal(a.amplitudes, b.amplitudes):
+    if a.dims == b.dims and np.array_equal(a.amplitudes, b.amplitudes):
         return mpmath.mpf(0) if a.extended or b.extended else 0.0
     ov = inner_product(a, b)
     mag = abs(ov)
     if float(mag) == 0.0:
         return mpmath.mpf(1) / 2 if a.extended or b.extended else 0.5
     phase = np.conj(ov) / mag
-    w2 = _abs2_sum(a.amplitudes - phase * b.amplitudes)
+    w2 = _abs2_sum(a.amplitudes - b.amplitudes * phase)
     r = w2 / 2 - w2 * w2 / 8
     if not isinstance(r, mpmath.mpf):
         r = min(max(float(r), 0.0), 0.5)

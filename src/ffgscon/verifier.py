@@ -44,7 +44,6 @@ from .instances import GsconInstance, energy_sum, prepare_state_from_circuit, te
 from .rng import CounterStream
 from .states import (
     RegisteredState,
-    RegisterShape,
     ShapeMismatchError,
     _apply_matrix_axes,
     conditional_state,
@@ -85,10 +84,6 @@ class TestOutcome:
         if self.accept_probability is not None:
             if not -1e-9 <= float(self.accept_probability) <= 1 + 1e-9:
                 raise ValueError(f"acceptance probability {self.accept_probability} outside [0, 1]")
-
-    @property
-    def accepted(self) -> bool | None:
-        return None if self.verdict is None else self.verdict == "accept"
 
 
 def _check_mode(mode, stream: CounterStream | None) -> None:
@@ -214,27 +209,27 @@ def _sequence_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
         raise ShapeMismatchError("witnesses must share one precision level")
     ext = u.state.extended
     joint = tensor_with(u.state, s.state)  # (2m, G, 2m, 2 ... 2)
-    t = np.array(joint.as_tensor(), copy=True)
+    t = joint.amplitudes.copy()
     n_set = len(inst.gate_set)
     for g in range(min(inst.G, n_set)):  # out-of-set encodings act as identity
         gate = inst.gate_set[g]
         axes = tuple(2 + tq for tq in gate.targets)  # sliced layout: (2m, 2m, data...)
         t[:, g] = _apply_matrix_axes(t[:, g], gate.matrix, axes)
-    controlled = RegisteredState(joint.shape, t.ravel(), check=False)
+    controlled = RegisteredState(t, check=False)
 
     gbar = uniform_vector(inst.G, extended=ext)
     p_gate, post = project_onto(controlled, 1, gbar)
     p_label = q_swap = None
     if post is not None:
         # drop the gate register (it is exactly |gbar> after the projection)
-        reduced = np.tensordot(np.conj(gbar), post.as_tensor(), axes=([0], [1]))  # (2m, 2m, data...)
+        reduced = np.tensordot(np.conj(gbar), post.amplitudes, axes=([0], [1]))  # (2m, 2m, data...)
         two_m = u.label_dim
         diag = np.array([reduced[i, i] for i in range(two_m)])  # (2m, data...)
         p_label = (np.abs(diag) ** 2).sum()
         if p_label > 0:
             diag = diag / (mpmath.sqrt(p_label) if ext else math.sqrt(p_label))
             shifted = np.roll(diag, 1, axis=0)  # cyclic label shift, 2m -> 1
-            t_prime = RegisteredState(RegisterShape((two_m,) + (2,) * inst.n), shifted.ravel(), check=False)
+            t_prime = RegisteredState(shifted, check=False)
             q_swap = swap_test_reject_prob(t_prime, sp.state)
     return _chain_plan(5, (("gate_projection_prob", p_gate), ("label_match_prob", p_label), ("swap_reject", q_swap)))
 
@@ -251,7 +246,7 @@ def _boundary_plan(test_id, which, proof: Proof, inst: GsconInstance) -> BranchP
     p_label = probs[target]
     q = None
     if p_label > 0:
-        _, data = conditional_state(s.state, 0, target, drop=True)
+        _, data = conditional_state(s.state, 0, target)
         anchor = prepare_state_from_circuit(inst, which, extended=s.state.extended)
         q = swap_test_reject_prob(data, anchor)
     reject, q_float = (0.0, 0.0) if q is None else (p_label * q, float(q))
@@ -279,7 +274,7 @@ def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     energies = [0.0] * s.label_dim  # per label; 0 where the label has no mass
     reject_table = np.zeros((s.label_dim, inst.R))  # per label and term: the clamped float expectation
     for i in range(s.label_dim):
-        _, data = conditional_state(s.state, 0, i, drop=True)
+        _, data = conditional_state(s.state, 0, i)
         if data is not None:
             row = term_energies(inst, data)
             energies[i] = energy_sum(row, s.state.extended)
@@ -317,6 +312,8 @@ def branch_plan(test_id: int, proof: Proof, inst: GsconInstance) -> BranchPlan:
     entry = proof.plans.get(test_id)
     if entry is not None and entry[0] is inst:
         return entry[1]
+    if test_id not in _PLAN_BUILDERS:
+        raise ValueError(f"test id must be one of 1..8, got {test_id!r}")
     precision = contextlib.nullcontext()
     if any(w.state.extended for w in (proof.u, proof.u_prime, proof.s, proof.s_prime)):
         # extended amplitudes carry WITNESS_DPS digits; arithmetic must too,
@@ -410,8 +407,8 @@ def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream: CounterSt
         raise ShapeMismatchError("product test expects two 4-part composites")
     rejects = []
     for a, b in zip(parts_a, parts_b):
-        if a.shape.dims != b.shape.dims:
-            raise ShapeMismatchError(f"component layouts differ: {a.shape.dims} vs {b.shape.dims}")
+        if a.dims != b.dims:
+            raise ShapeMismatchError(f"component layouts differ: {a.dims} vs {b.dims}")
         rejects.append(swap_test_reject_prob(a, b))
     trace = tuple((f"swap_reject_{k+1}", q) for k, q in enumerate(rejects))
     # part k rejects when parts 1..k-1 accepted: a branch sum, never 1 - accept

@@ -31,7 +31,6 @@ from ._kernels import uniforms
 from .rng import STREAM_USER
 from .states import (
     RegisteredState,
-    RegisterShape,
     apply_local_gate,
     conditional_state,
     phase_optimized_distance,
@@ -106,11 +105,11 @@ class WitnessU:
 
     @property
     def label_dim(self) -> int:
-        return self.state.shape.dims[0]
+        return self.state.dims[0]
 
     def outcome_probabilities(self) -> np.ndarray:
         """Joint label/gate computational-basis distribution."""
-        return np.abs(self.state.as_tensor()) ** 2
+        return np.abs(self.state.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class WitnessS:
 
     @property
     def label_dim(self) -> int:
-        return self.state.shape.dims[0]
+        return self.state.dims[0]
 
 
 @dataclass(frozen=True)
@@ -182,35 +181,20 @@ def _sqrtv(x, extended: bool):
 def build_honest_U(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> WitnessU:
     assignment = honest_gate_assignment(inst, cert)
     two_m = 2 * inst.m
-    shape = RegisterShape((two_m, inst.G))
     amp = _sqrtv(_one(extended) / two_m, extended)
-    amps = zeros_like_dtype(shape.size, extended).reshape(two_m, inst.G)
+    amps = zeros_like_dtype((two_m, inst.G), extended)
     for i, u in enumerate(assignment):
         amps[i, u] = amp
-    return WitnessU(RegisteredState(shape, amps.ravel()))
-
-
-def traversal_states(inst: GsconInstance, assignment, *, extended: bool = False) -> list[RegisteredState]:
-    """The cyclic chain psi_1, ..., psi_2m threaded by the assignment."""
-    states = [prepare_state_from_circuit(inst, "psi", extended=extended)]
-    for idx in assignment[:-1]:
-        states.append(apply_local_gate(states[-1], inst.gate_set[idx], 0))
-    return states
-
-
-def _s_from_chain(inst: GsconInstance, chain, *, extended: bool = False) -> WitnessS:
-    two_m = 2 * inst.m
-    shape = RegisterShape((two_m,) + (2,) * inst.n)
-    amp = _sqrtv(_one(extended) / two_m, extended)
-    amps = zeros_like_dtype(shape.size, extended).reshape((two_m,) + (2,) * inst.n)
-    for i, psi in enumerate(chain):
-        amps[i] = amp * psi.as_tensor()
-    return WitnessS(RegisteredState(shape, amps.ravel()))
+    return WitnessU(RegisteredState(amps))
 
 
 def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> WitnessS:
-    assignment = honest_gate_assignment(inst, cert)
-    return _s_from_chain(inst, traversal_states(inst, assignment, extended=extended), extended=extended)
+    """The cyclic chain psi_1, ..., psi_2m threaded by the honest gates, at amplitude 1/sqrt(2m) per label."""
+    chain = [prepare_state_from_circuit(inst, "psi", extended=extended)]
+    for idx in honest_gate_assignment(inst, cert)[:-1]:
+        chain.append(apply_local_gate(chain[-1], inst.gate_set[idx], 0))
+    amp = _sqrtv(_one(extended) / len(chain), extended)
+    return WitnessS(RegisteredState(np.stack([psi.amplitudes * amp for psi in chain])))
 
 
 def honest_proof(inst: GsconInstance, cert: TraversalCertificate | None, *, extended: bool = False) -> Proof:
@@ -226,13 +210,11 @@ def apply_W(inst: GsconInstance, assignment, s: WitnessS) -> WitnessS:
     two_m = 2 * inst.m
     if len(assignment) != two_m:
         raise ValueError(f"assignment must list {two_m} gates, got {len(assignment)}")
-    t = s.state.as_tensor()
-    out = np.empty_like(t) if not s.state.extended else zeros_like_dtype(t.size, True).reshape(t.shape)
-    for i in range(two_m):
-        piece = RegisteredState(RegisterShape((2,) * inst.n), t[i].ravel(), check=False)
-        moved = apply_local_gate(piece, inst.gate_set[assignment[i]], 0)
-        out[(i + 1) % two_m] = moved.as_tensor()
-    return WitnessS(RegisteredState(s.state.shape, out.ravel(), check=False))
+    moved = [
+        apply_local_gate(RegisteredState(piece, check=False), inst.gate_set[idx], 0).amplitudes
+        for piece, idx in zip(s.state.amplitudes, assignment)
+    ]
+    return WitnessS(RegisteredState(np.roll(np.stack(moved), 1, axis=0), check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +238,20 @@ def _seeded_index(seed: int, draw: int, dim: int) -> int:
 
 def _orthogonal_state(psi: RegisteredState, seed: int | None) -> RegisteredState:
     """A normalized state orthogonal to psi (data dimension >= 2)."""
-    amps = psi.amplitudes
-    dim = amps.shape[0]
+    amps = psi.amplitudes.ravel()
+    dim = amps.size
     if seed is None:
         j = int(np.argmin(np.abs(np.asarray(amps, dtype=np.complex128))))
     else:
         j = _seeded_index(seed, 0, dim)
-    e = zeros_like_dtype(dim, psi.extended)
-    e[j] = _one(psi.extended)
-    overlap = (np.conj(amps) * e).sum()  # <psi|e_j>
-    res = e - overlap * amps
-    nrm2 = (np.abs(res) ** 2).sum()
-    if float(nrm2) < 1e-12:  # psi is concentrated on e_j; any other axis works
+    for k in (j, (j + 1) % dim):  # if psi is concentrated on e_j, any other axis works
         e = zeros_like_dtype(dim, psi.extended)
-        e[(j + 1) % dim] = _one(psi.extended)
-        overlap = (np.conj(amps) * e).sum()
-        res = e - overlap * amps
+        e[k] = _one(psi.extended)
+        res = e - amps * (np.conj(amps) * e).sum()  # e_k - psi <psi|e_k>
         nrm2 = (np.abs(res) ** 2).sum()
-    return RegisteredState(psi.shape, res / _sqrtv(nrm2, psi.extended), check=False)
+        if float(nrm2) >= 1e-12:
+            break
+    return RegisteredState((res / _sqrtv(nrm2, psi.extended)).reshape(psi.dims), check=False)
 
 
 def _rotate_toward(base: RegisteredState, cos_theta, seed) -> RegisteredState:
@@ -282,15 +260,14 @@ def _rotate_toward(base: RegisteredState, cos_theta, seed) -> RegisteredState:
     one = _one(ext)
     sin_theta = _sqrtv(one - cos_theta * cos_theta, ext)
     perp = _orthogonal_state(base, seed)
-    return RegisteredState(base.shape, cos_theta * base.amplitudes + sin_theta * perp.amplitudes, check=False)
+    return RegisteredState(base.amplitudes * cos_theta + perp.amplitudes * sin_theta, check=False)
 
 
 def _replace_data_slice(s: WitnessS, label_index: int, new_data: RegisteredState) -> WitnessS:
-    t = s.state.as_tensor().copy()
-    old = t[label_index]
-    weight = _sqrtv((np.abs(old) ** 2).sum(), s.state.extended)
-    t[label_index] = weight * new_data.as_tensor()
-    return WitnessS(RegisteredState(s.state.shape, t.ravel(), check=False))
+    t = s.state.amplitudes.copy()
+    weight = _sqrtv((np.abs(t[label_index]) ** 2).sum(), s.state.extended)
+    t[label_index] = new_data.amplitudes * weight
+    return WitnessS(RegisteredState(t, check=False))
 
 
 def _numf(x, extended: bool):
@@ -352,10 +329,10 @@ def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
             raise MagnitudeRangeError(f"probability gap must lie in (0, 1/(2m)], got {float(delta)}")
         u0 = assignment[0]
         alt = _pick_other_index(u0, inst.G, spec.seed)
-        amps = u.state.as_tensor().copy()
+        amps = u.state.amplitudes.copy()
         amps[0, u0] = _sqrtv(_one(extended) / two_m - delta, extended)
         amps[0, alt] = _sqrtv(delta, extended)
-        u_prime = WitnessU(RegisteredState(u.state.shape, amps.ravel(), check=False))
+        u_prime = WitnessU(RegisteredState(amps, check=False))
         measured = _max_prob_gap(u, u_prime)
 
     elif kind is AdversaryKind.SMEARED_GATE:
@@ -364,15 +341,15 @@ def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
             raise MagnitudeRangeError(f"need 0 < x <= 1 and 0 < c < 1, got {(float(x), float(c))}")
         u0 = assignment[0]
         alt = _pick_other_index(u0, inst.G, spec.seed)
-        amps = zeros_like_dtype(u.state.shape.size, extended).reshape(two_m, inst.G)
+        amps = zeros_like_dtype((two_m, inst.G), extended)
         amps[0, u0] = _sqrtv(x * (1 - c), extended)
         amps[0, alt] = _sqrtv(x * c, extended)
         rest = (_one(extended) - x) / (two_m - 1)
         for i in range(1, two_m):
             amps[i, assignment[i]] = _sqrtv(rest, extended)
-        w = WitnessU(RegisteredState(u.state.shape, amps.ravel(), check=False))
+        w = WitnessU(RegisteredState(amps, check=False))
         u = u_prime = w
-        probs = np.abs(w.state.as_tensor()) ** 2
+        probs = w.outcome_probabilities()
         label_mass = probs[0].sum()
         off = (label_mass - probs[0, u0]) / label_mass
         measured = (label_mass, off)
@@ -385,13 +362,13 @@ def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
         boosted = one / two_m + f / inst.m
         others = one / two_m - f / (inst.m * (two_m - 1))
         gbar = uniform_vector(inst.G, extended=extended)
-        amps = zeros_like_dtype(u.state.shape.size, extended).reshape(two_m, inst.G)
-        amps[0] = _sqrtv(boosted, extended) * gbar
+        amps = zeros_like_dtype((two_m, inst.G), extended)
+        amps[0] = gbar * _sqrtv(boosted, extended)
         for i in range(1, two_m):
-            amps[i] = _sqrtv(others, extended) * gbar
-        w = WitnessU(RegisteredState(u.state.shape, amps.ravel(), check=False))
+            amps[i] = gbar * _sqrtv(others, extended)
+        w = WitnessU(RegisteredState(amps, check=False))
         u = u_prime = w
-        label_probs = np.abs(w.state.as_tensor()) ** 2
+        label_probs = w.outcome_probabilities()
         measured = inst.m * max(abs(label_probs[i].sum() - one / two_m) for i in range(two_m))
 
     elif kind is AdversaryKind.INCONSISTENT_S:
@@ -399,7 +376,7 @@ def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
         if not 0 < z <= 2.0 / inst.m:
             raise MagnitudeRangeError(f"per-label defect must lie in (0, 2/m], got {float(z)}")
         cos_theta = _one(extended) - inst.m * z
-        _, psi0 = conditional_state(s.state, 0, 0, drop=True)
+        _, psi0 = conditional_state(s.state, 0, 0)
         s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, cos_theta, spec.seed))
         measured = _max_slice_defect(s.state, s_prime.state)
 
@@ -408,7 +385,7 @@ def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
         if not 0 < z <= 2.0 / inst.m:
             raise MagnitudeRangeError(f"link defect must lie in (0, 2/m], got {float(z)}")
         cos_theta = _one(extended) - inst.m * z
-        _, psi1 = conditional_state(s.state, 0, 1, drop=True)
+        _, psi1 = conditional_state(s.state, 0, 1)
         broken = _replace_data_slice(s, 1, _rotate_toward(psi1, cos_theta, spec.seed))
         s = s_prime = broken
         shifted = apply_W(inst, assignment, s)
@@ -423,7 +400,7 @@ def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
         anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi", extended=extended)
         planted = _rotate_toward(anchor, cos_theta, spec.seed)
         s = s_prime = _replace_data_slice(s, label, planted)
-        _, got = conditional_state(s.state, 0, label, drop=True)
+        _, got = conditional_state(s.state, 0, label)
         measured = phase_optimized_distance(got, anchor)
 
     elif kind is AdversaryKind.HIGH_ENERGY:
@@ -434,17 +411,13 @@ def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
             raise MagnitudeRangeError(f"energy must lie in [0, {top}], got {float(energy)}")
         if float(evals[0]) > 1e-10:
             raise MagnitudeRangeError("instance is not frustration-free; no zero-energy anchor")
-        shape = RegisterShape((2,) * inst.n)
-        gs = RegisteredState(shape, _cast_vec(evecs[:, 0], extended), check=False)
-        hot = RegisteredState(shape, _cast_vec(evecs[:, -1], extended), check=False)
+        dims = (2,) * inst.n
+        gs = _cast_vec(evecs[:, 0], extended).reshape(dims)
+        hot = _cast_vec(evecs[:, -1], extended).reshape(dims)
         sin2 = energy / top
-        mixed = RegisteredState(
-            shape,
-            _sqrtv(_one(extended) - sin2, extended) * gs.amplitudes + _sqrtv(sin2, extended) * hot.amplitudes,
-            check=False,
-        )
+        mixed = RegisteredState(gs * _sqrtv(_one(extended) - sin2, extended) + hot * _sqrtv(sin2, extended), check=False)
         s = s_prime = _replace_data_slice(s, 0, mixed)
-        _, got = conditional_state(s.state, 0, 0, drop=True)
+        _, got = conditional_state(s.state, 0, 0)
         measured = energy_of(inst, got)
 
     else:  # pragma: no cover
@@ -490,15 +463,13 @@ def _max_prob_gap(a: WitnessU, b: WitnessU):
 
 def _max_slice_defect(sa: RegisteredState, sb: RegisteredState):
     """max over labels of the squared norm of the per-label difference."""
-    diff = np.abs(sa.as_tensor() - sb.as_tensor()) ** 2
-    two_m = sa.shape.dims[0]
-    return max(diff[i].sum() for i in range(two_m))
+    diff = np.abs(sa.amplitudes - sb.amplitudes) ** 2
+    return max(row.sum() for row in diff)
 
 
 def _cast_vec(vec: np.ndarray, extended: bool) -> np.ndarray:
     if not extended:
         return np.asarray(vec, dtype=np.complex128)
     out = np.empty(vec.shape[0], dtype=object)
-    for i, z in enumerate(vec):
-        out[i] = mpmath.mpc(z)
+    out[:] = [mpmath.mpc(z) for z in vec]
     return out

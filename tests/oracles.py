@@ -21,8 +21,9 @@ def swap_circuit_reject_prob(a, b) -> float:
     Layout: flat index = anc * D^2 + i * D + j over ancilla x copy-a x copy-b.
     Returns P[ancilla = 1].
     """
-    va = np.asarray(a.amplitudes, dtype=np.complex128)
-    vb = np.asarray(b.amplitudes, dtype=np.complex128)
+    # flat vectors: kron of two tensors is a different product
+    va = np.asarray(a.amplitudes, dtype=np.complex128).ravel()
+    vb = np.asarray(b.amplitudes, dtype=np.complex128).ravel()
     if va.shape != vb.shape:
         raise ValueError("shape mismatch")
     D = va.size
@@ -81,11 +82,17 @@ def unique_test_reject_by_enumeration(pa, pb, valid) -> float:
     return reject
 
 
+def norm_sq(state) -> float:
+    """Squared norm of a state's amplitudes, in double."""
+    v = np.asarray(state.amplitudes, dtype=np.complex128).ravel()
+    return float(np.vdot(v, v).real)
+
+
 def random_registered_state(dims, rng):
-    from ffgscon.states import RegisteredState, RegisterShape
+    from ffgscon.states import RegisteredState
 
     v = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
-    return RegisteredState(RegisterShape(tuple(dims)), v, normalize=True)
+    return RegisteredState(v.reshape(dims), normalize=True)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from ffgscon.harness import (
 from ffgscon.instances import dense_hamiltonian, prepare_state_from_circuit
 from ffgscon.ledger import derive_parameters, qma2_tuning
 from ffgscon.rng import STREAM_ROUND, stream_for_test
-from ffgscon.states import RegisteredState, RegisterShape, apply_local_gate, swap_test_reject_prob, tensor_with, uniform_vector
+from ffgscon.states import RegisteredState, apply_local_gate, swap_test_reject_prob, tensor_with, uniform_vector
 from ffgscon.verifier import branch_plan, run_protocol_round, run_test, sample_round
 from ffgscon.witnesses import AdversaryKind, AdversarySpec, WitnessS, apply_W, build_honest_S, honest_gate_assignment
 
@@ -91,15 +91,13 @@ def test_criterion_3_w_invariance_and_cycle_identity():
             assert float(np.linalg.norm(np.asarray(moved.state.amplitudes - s.state.amplitudes, complex))) <= 1e-9
             dim = 2**inst.n
             full = np.eye(dim, dtype=complex)
-            from ffgscon.states import RegisteredState, RegisterShape
-
             for idx in assignment:
                 op = np.zeros((dim, dim), dtype=complex)
                 for j in range(dim):
                     col = np.zeros(dim, dtype=complex)
                     col[j] = 1.0
-                    st = RegisteredState(RegisterShape((2,) * inst.n), col, check=False)
-                    op[:, j] = np.asarray(apply_local_gate(st, inst.gate_set[idx], 0).amplitudes, complex)
+                    st = RegisteredState(col.reshape((2,) * inst.n), check=False)
+                    op[:, j] = np.asarray(apply_local_gate(st, inst.gate_set[idx], 0).amplitudes, complex).ravel()
                 full = op @ full
             assert np.max(np.abs(full - np.eye(dim))) <= 1e-12, fx.name
 
@@ -206,7 +204,7 @@ def test_criterion_9_energy_oracle():
             H = dense_hamiltonian(inst)
             honest = build_witnesses(inst, fx.certificate)
             two_m = 2 * inst.m
-            labels = RegisteredState(RegisterShape((two_m,)), uniform_vector(two_m))
+            labels = RegisteredState(uniform_vector(two_m))
 
             def energy_reject(s):
                 # test 8 on a proof whose S carries s on every label rejects with <s|H|s>/R
@@ -215,7 +213,7 @@ def test_criterion_9_energy_oracle():
 
             for _ in range(20):
                 s = random_registered_state((2,) * inst.n, rng)
-                v = np.asarray(s.amplitudes, complex)
+                v = np.asarray(s.amplitudes, complex).ravel()
                 oracle = float(np.real(v.conj() @ H @ v)) / inst.R
                 assert abs(energy_reject(s) - oracle) < 1e-12
             for which in ("psi", "phi"):

@@ -22,7 +22,7 @@ from ffgscon.instances import (
     validate_instance,
 )
 from ffgscon.ledger import derive_parameters
-from ffgscon.states import RegisteredState, RegisterShape
+from ffgscon.states import RegisteredState
 from ffgscon.verifier import run_test
 from ffgscon.witnesses import Proof, WitnessS, WitnessU, forge_composed
 
@@ -54,10 +54,9 @@ def test_uniform_test_accepts_when_gate_projection_dies():
     # fails surely, which is an absorbing accept branch
     fx = get_fixture("idle")
     inst = fx.instance
-    two_m, G = 2 * inst.m, inst.G
+    two_m = 2 * inst.m
     row = np.array([1, -1, 0, 0]) / math.sqrt(2)  # (|I> - |X>)/sqrt2 per label
-    amps = np.kron(np.full(two_m, 1 / math.sqrt(two_m)), row)
-    u = WitnessU(RegisteredState(RegisterShape((two_m, G)), amps))
+    u = WitnessU(RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), row)))
     w = build_witnesses(inst, fx.certificate)
     out = run_test(3, replace(w, u=u), inst)
     assert float(out.accept_probability) == 1.0
@@ -69,11 +68,11 @@ def test_sequence_test_accepts_when_controlled_branches_cancel():
     # projection fail surely and the absorbing accept branch takes all mass
     fx = get_fixture("idle")
     inst = fx.instance
-    two_m, G = 2 * inst.m, inst.G
+    two_m = 2 * inst.m
     row = np.array([1, -1, 0, 0]) / math.sqrt(2)
-    u = WitnessU(RegisteredState(RegisterShape((two_m, G)), np.kron(np.full(two_m, 1 / math.sqrt(two_m)), row)))
+    u = WitnessU(RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), row)))
     plus = np.array([1, 1]) / math.sqrt(2)
-    s = WitnessS(RegisteredState(RegisterShape((two_m, 2)), np.kron(np.full(two_m, 1 / math.sqrt(two_m)), plus)))
+    s = WitnessS(RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), plus)))
     out5 = run_test(5, Proof(u, u, s, s), inst)
     assert float(out5.accept_probability) == 1.0
     assert dict(out5.trace)["label_match_prob"] is None

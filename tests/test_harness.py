@@ -387,6 +387,31 @@ def test_cli_bad_adversary_and_io_error(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_smeared_gate_magnitude_pair(capsys):
+    assert cli_main(["verify", "bell-flip", "--mode", "exact", "--adversary", "SMEARED_GATE:0.125,0.25"]) == 0
+    # two equal copies reject test 2 with 2 x^2 c (1 - c), exact in double
+    assert "test=    2 unique     exact accept=0.994140625 reject=0.005859375" in capsys.readouterr().out
+    for mag in ("0.1", "a,b"):
+        assert cli_main(["verify", "bell-flip", "--mode", "exact", "--adversary", f"SMEARED_GATE:{mag}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_lemma_suite_scales_extended_amplitudes_array_first(monkeypatch):
+    # an mpmath scalar times an ndarray first tries mpmath's conversion of the
+    # whole array, which formats every element into an error message before
+    # numpy takes over; every product of a scalar and an array is written array first
+    import mpmath
+
+    ctx = type(mpmath.mp)
+    seen = []
+    convert = ctx.npconvert
+    monkeypatch.setattr(ctx, "npconvert", lambda self, x: seen.append(type(x)) or convert(self, x))
+    fx = get_fixture("bell-stepwise")
+    run_lemma_suite(fx.instance, fx.certificate, fx.name)
+    assert np.ndarray not in seen
+
+
 def test_cli_refuses_seeds_outside_the_philox_key(capsys):
     # a seed outside [0, 2**64) would silently draw another seed's stream
     for seed in ("-1", str(2**64)):

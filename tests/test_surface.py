@@ -1,14 +1,16 @@
 """The package surface: every definition in ``src/ffgscon`` is used by the package.
 
-Each module-level function and class must be referenced somewhere in the
-package outside its own definition (``__init__``'s re-exports do not count),
-or be listed below with the reason it is public without a caller.  Test-only
-helpers and oracles belong in ``tests/``.  Every sampled verdict comes from a
-tally kernel: outside ``_kernels``, only the seeded adversary choice draws
+Each module-level function and class, and each public method and property
+of those classes, must be referenced somewhere in the package outside its
+own definition (``__init__``'s re-exports do not count), or be listed below
+with the reason it is public without a caller.  Test-only helpers and
+oracles belong in ``tests/``.  Every sampled verdict comes from a tally
+kernel: outside ``_kernels``, only the seeded adversary choice draws
 uniforms itself.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import ffgscon
@@ -19,37 +21,55 @@ PUBLIC_WITHOUT_CALLER = {
     "product_test": "the product test; wiring it into a report row needs a format bump",
 }
 
+_DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
 
 def _modules() -> dict:
     root = Path(ffgscon.__file__).parent
     return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(root.glob("*.py"))}
 
 
-def _names(node: ast.AST, name: str) -> bool:
-    return isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name
+def _name_of(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
-def _referenced(name: str, definition: ast.AST, trees) -> bool:
-    stack = list(trees)
+def _checked_definitions(tree: ast.Module):
+    """Module-level functions and classes, and the public methods and properties of those classes."""
+    for node in tree.body:
+        if isinstance(node, _DEFINITIONS):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def _uses(trees) -> dict:
+    """One pass: each name, mapped to the definitions enclosing each place it is used."""
+    uses = defaultdict(list)
+    stack = [(tree, ()) for tree in trees]
     while stack:
-        node = stack.pop()
-        if node is definition:
-            continue
-        if _names(node, name):
-            return True
-        stack.extend(ast.iter_child_nodes(node))
-    return False
+        node, enclosing = stack.pop()
+        name = _name_of(node)
+        if name is not None:
+            uses[name].append(enclosing)
+        if isinstance(node, _DEFINITIONS):
+            enclosing = enclosing + (node,)
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return uses
 
 
 def _unreferenced() -> set:
-    modules = _modules()
-    trees = [tree for stem, tree in modules.items() if stem != "__init__"]
-    out = set()
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _referenced(node.name, node, trees):
-                out.add(node.name)
-    return out
+    trees = [tree for stem, tree in _modules().items() if stem != "__init__"]
+    uses = _uses(trees)
+    return {
+        d.name
+        for tree in trees
+        for d in _checked_definitions(tree)
+        if not any(d not in enclosing for enclosing in uses[d.name])
+    }
 
 
 def test_every_definition_is_reached_from_the_package():
@@ -64,7 +84,7 @@ def _users(name: str, trees: dict) -> set:
     out = set()
     for stem, tree in trees.items():
         for top in tree.body:
-            if any(_names(node, name) for node in ast.walk(top)):
+            if any(_name_of(node) == name for node in ast.walk(top)):
                 out.add((stem, getattr(top, "name", None)))
     return out
 

@@ -19,7 +19,6 @@ from ffgscon.ledger import derive_parameters
 from ffgscon.rng import STREAM_ROUND, CounterStream, stream_for_test
 from ffgscon.states import (
     RegisteredState,
-    RegisterShape,
     ShapeMismatchError,
     basis_state,
     uniform_vector,
@@ -124,7 +123,7 @@ def test1_orthogonal_copy_accepts_half():
     u = build_honest_U(fx.instance, fx.certificate)
     t = np.zeros((2, fx.instance.G), dtype=complex)
     t[0, 2], t[1, 3] = 1 / math.sqrt(2), 1 / math.sqrt(2)  # disjoint gate support
-    u_orth = WitnessU(RegisteredState(u.state.shape, t.ravel()))
+    u_orth = WitnessU(RegisteredState(t))
     s = build_honest_S(fx.instance, fx.certificate)
     out = run_test(1, Proof(u, u_orth, s, s), fx.instance)
     assert abs(float(out.accept_probability) - 0.5) < 1e-12
@@ -172,7 +171,7 @@ def test2_out_of_set_encoding_rejected():
     t[0, 0] = math.sqrt(1 / two_m - q)
     t[0, pad] = math.sqrt(q)
     t[1, 0] = math.sqrt(1 / two_m)
-    u = WitnessU(RegisteredState(RegisterShape((two_m, inst.G)), t.ravel()))
+    u = WitnessU(RegisteredState(t))
     s = build_honest_S(inst, get_fixture("idle").certificate)
     out = run_test(2, Proof(u, u, s, s), inst)
     label_collision = float(sum(p * p for p in (0.5, 0.5)))
@@ -213,8 +212,7 @@ def test3_nonuniform_labels_beat_lemma_bound():
 def test3_single_label_uniform_gate_accepts_one_over_2m():
     fx = get_fixture("bell-flip")
     two_m = 2 * fx.instance.m
-    amps = np.kron(np.eye(two_m)[0], uniform_vector(fx.instance.G))
-    u = WitnessU(RegisteredState(RegisterShape((two_m, fx.instance.G)), amps))
+    u = WitnessU(RegisteredState(np.outer(np.eye(two_m)[0], uniform_vector(fx.instance.G))))
     w = honest(fx)
     out = run_test(3, replace(w, u=u), fx.instance)
     assert abs(float(out.accept_probability) - 1.0 / two_m) < 1e-12
@@ -228,9 +226,9 @@ def _tilted_gate_proof(fx, k):
         eps = mpf(10) ** -k
         perp = np.array([1, -1] + [0] * (G - 2), dtype=object) / mpmath.sqrt(2)  # orthogonal to uniform
         gate = eps * uniform_vector(G, extended=True) + mpmath.sqrt(1 - eps**2) * perp
-        amps = np.array([mpmath.mpc(0)] * (two_m * G), dtype=object)
-        amps[:G] = gate
-        u = WitnessU(RegisteredState(RegisterShape((two_m, G)), amps))
+        amps = np.full((two_m, G), mpmath.mpc(0), dtype=object)
+        amps[0] = gate
+        u = WitnessU(RegisteredState(amps))
     return replace(honest_proof(inst, fx.certificate, extended=True), u=u, u_prime=u)
 
 
@@ -273,7 +271,7 @@ def test4_orthogonal_sequences_accept_half():
     s = build_honest_S(fx.instance, fx.certificate)  # data parts all |0>
     t = np.zeros((2, 2), dtype=complex)
     t[0, 1], t[1, 1] = 1 / math.sqrt(2), 1 / math.sqrt(2)  # data parts all |1>
-    s_orth = WitnessS(RegisteredState(s.state.shape, t.ravel()))
+    s_orth = WitnessS(RegisteredState(t))
     u = build_honest_U(fx.instance, fx.certificate)
     out = run_test(4, Proof(u, u, s, s_orth), fx.instance)
     assert abs(float(out.accept_probability) - 0.5) < 1e-12
@@ -292,12 +290,12 @@ def test5_honest_joint_projection_matches_projector_oracle():
         from ffgscon.states import tensor_with, _apply_matrix_axes
 
         joint = tensor_with(w.u.state, w.s.state)
-        t = np.asarray(joint.as_tensor(), complex).copy()
+        t = np.asarray(joint.amplitudes, complex).copy()
         for g in range(min(G, len(inst.gate_set))):
             gate = inst.gate_set[g]
             t[:, g] = _apply_matrix_axes(t[:, g], gate.matrix, tuple(2 + tq for tq in gate.targets))
         vec = t.ravel()
-        dims = joint.shape.dims
+        dims = joint.dims
         pg = register_projector(dims, 1, uniform_vector(G))
         pl = equal_label_projector(dims, 0, 2)
         post = pl @ (pg @ vec)
@@ -347,7 +345,7 @@ def test6_label_mass_away_from_start_always_accepts():
     fx = get_fixture("idle")
     t = np.zeros((2, 2), dtype=complex)
     t[1, 1] = 1.0  # all label mass on label 2
-    s = WitnessS(RegisteredState(RegisterShape((2, 2)), t.ravel()))
+    s = WitnessS(RegisteredState(t))
     u = build_honest_U(fx.instance, fx.certificate)
     out = run_test(6, Proof(u, u, s, s), fx.instance)
     assert float(out.accept_probability) == 1.0
@@ -357,10 +355,10 @@ def test6_tiny_start_label_mass_keeps_its_reject_mass():
     # label 0 holds mass 1e-18 at 120 digits, with data at angle 1 from |psi> = |0>
     fx = get_fixture("idle")
     with mpmath.workdps(WITNESS_DPS):
-        amps = np.array([mpmath.mpc(0)] * 4, dtype=object)
-        amps[0], amps[1] = mpf("1e-9") * mpmath.cos(1), mpf("1e-9") * mpmath.sin(1)
-        amps[2] = mpmath.sqrt(1 - mpf("1e-18"))
-        s = WitnessS(RegisteredState(RegisterShape((2, 2)), amps))
+        amps = np.full((2, 2), mpmath.mpc(0), dtype=object)
+        amps[0] = mpf("1e-9") * mpmath.cos(1), mpf("1e-9") * mpmath.sin(1)
+        amps[1, 0] = mpmath.sqrt(1 - mpf("1e-18"))
+        s = WitnessS(RegisteredState(amps))
         proof = replace(honest_proof(fx.instance, fx.certificate, extended=True), s=s, s_prime=s)
         expect = mpf("1e-18") * mpmath.sin(1) ** 2 / 2
         out = run_test(6, proof, fx.instance)
@@ -410,7 +408,7 @@ def test8_maximal_energy_sequence_rejects_surely():
     )
     t = np.zeros((2, 2), dtype=complex)
     t[0, 1] = t[1, 1] = 1 / math.sqrt(2)  # every sequence entry is |1>, energy R
-    s = WitnessS(RegisteredState(RegisterShape((2, 2)), t.ravel()))
+    s = WitnessS(RegisteredState(t))
     u = build_honest_U(inst, get_fixture("idle").certificate)
     out = run_test(8, Proof(u, u, s, s), inst)
     assert abs(float(out.reject_probability) - 1.0) < 1e-12
@@ -443,7 +441,7 @@ def test_round_sampled_test_frequencies():
     counts = np.zeros(8)
     base = CounterStream(17, 0, 0)
     for trial in range(n):
-        out = run_protocol_round(w, fx.instance, led, mode=MODE_SAMPLED, stream=base.for_trial(trial))
+        out = run_protocol_round(w, fx.instance, led, mode=MODE_SAMPLED, stream=replace(base, trial=trial))
         counts[dict(out.trace)["test"] - 1] += 1
     p = np.asarray(led.p_float())
     sigma = np.sqrt(p * (1 - p) / n)
@@ -468,7 +466,7 @@ def test_sampled_paths_match_exact_rates():
         base = CounterStream(23 + test_id, stream_for_test(test_id), 0)
         hits = 0
         for trial in range(n):
-            out = run_test(test_id, witnesses, inst, mode=MODE_SAMPLED, stream=base.for_trial(trial))
+            out = run_test(test_id, witnesses, inst, mode=MODE_SAMPLED, stream=replace(base, trial=trial))
             hits += out.verdict == "accept"
         sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / n)
         assert abs(hits / n - exact) <= 4 * sigma, test_id
@@ -541,7 +539,7 @@ def test_replaced_proof_starts_an_empty_cache():
         run_test(3, w, inst, mode=MODE_SAMPLED, stream=CounterStream(4, stream_for_test(3), t))
     assert abs(float(run_test(3, w, inst).accept_probability) - 1.0) < 1e-9
     two_m = 2 * inst.m
-    u = WitnessU(RegisteredState(RegisterShape((two_m, inst.G)), np.kron(np.eye(two_m)[0], uniform_vector(inst.G))))
+    u = WitnessU(RegisteredState(np.outer(np.eye(two_m)[0], uniform_vector(inst.G))))
     out = run_test(3, replace(w, u=u), inst)
     assert abs(float(out.accept_probability) - 1.0 / two_m) < 1e-12
     assert abs(float(run_test(3, w, inst).accept_probability) - 1.0) < 1e-9
@@ -621,6 +619,16 @@ def test_verdict_entry_points_refuse_what_they_cannot_serve(entry):
         entry(honest(fx), fx.instance, derive_parameters(fx.instance), parts)
 
 
+@pytest.mark.parametrize("test_id", [0, 9, "PRODUCT"])
+def test_unknown_test_id_is_named(test_id):
+    fx = get_fixture("idle")
+    proof = honest(fx)
+    for entry in (branch_plan, run_test):
+        with pytest.raises(ValueError, match=f"test id must be one of 1..8, got {test_id!r}"):
+            entry(test_id, proof, fx.instance)
+    assert proof.plans == {}
+
+
 # ---------------------------------------------------------------------------
 # product test
 # ---------------------------------------------------------------------------
@@ -640,7 +648,7 @@ def test_product_orthogonal_part_caps_acceptance():
     u, up, s, sp = w.u, w.u_prime, w.s, w.s_prime
     t = np.zeros((2, fx.instance.G), dtype=complex)
     t[0, 2], t[1, 3] = 1 / math.sqrt(2), 1 / math.sqrt(2)
-    u_orth = WitnessU(RegisteredState(u.state.shape, t.ravel()))
+    u_orth = WitnessU(RegisteredState(t))
     out = product_test((u, up, s, sp), (u_orth, up, s, sp))
     assert float(out.accept_probability) <= 0.5 + 1e-12
 
@@ -665,8 +673,8 @@ def test_product_reject_keeps_mass_below_double_resolution():
     # first parts differ by an angle of 1e-10: swap rejection 5e-21, far below
     # the spacing of doubles near 1, so 1 - accept would read 0.0
     theta = 1e-10
-    zero = basis_state(RegisterShape((2,)), (0,))
-    tilted = RegisteredState(RegisterShape((2,)), [math.cos(theta), math.sin(theta)])
+    zero = basis_state((2,), (0,))
+    tilted = RegisteredState([math.cos(theta), math.sin(theta)])
     a = [zero, zero, zero, zero]
     b = [tilted, zero, zero, zero]
     out = product_test(a, b)
@@ -685,7 +693,7 @@ def test_product_sampled_rate():
     n = 20_000
     base = CounterStream(5, 9, 0)
     hits = sum(
-        product_test(a, b, mode=MODE_SAMPLED, stream=base.for_trial(t)).verdict == "accept" for t in range(n)
+        product_test(a, b, mode=MODE_SAMPLED, stream=replace(base, trial=t)).verdict == "accept" for t in range(n)
     )
     sigma = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) <= 4 * sigma
@@ -699,14 +707,14 @@ def test_product_shot_equals_bulk():
     rng = np.random.default_rng(78)
     a = [random_registered_state((4,), rng) for _ in range(4)]
     b = [random_registered_state((4,), rng) for _ in range(4)]
-    c = [basis_state(RegisterShape((4,)), (k,)) for k in range(4)]
+    c = [basis_state((4,), (k,)) for k in range(4)]
     n = 2000
     for left, right in ((a, b), (c, [c[0], b[1], c[2], b[3]])):
         p = float(product_test(left, right).reject_probability)
         base = CounterStream(5, 9, 0, 3)
         rejects = 0
         for t in range(n):
-            shot = product_test(left, right, mode=MODE_SAMPLED, stream=base.for_trial(t))
+            shot = product_test(left, right, mode=MODE_SAMPLED, stream=replace(base, trial=t))
             assert (shot.verdict == "reject") == (_kernels.tally_bernoulli(5, 9, [t], 3, p)[1] == 1), t
             rejects += shot.verdict == "reject"
         assert _kernels.tally_bernoulli(5, 9, np.arange(n, dtype=np.uint64), 3, p) == (n - rejects, rejects)
@@ -721,7 +729,7 @@ def test_product_of_identical_parts_draws_nothing(monkeypatch):
     monkeypatch.setattr(_kernels, "_philox", lambda *a: calls.append(a) or body(*a))
     base = CounterStream(5, 9, 0)
     for parts in ((w.u, w.u_prime, w.s, w.s_prime), tuple(random_registered_state((4,), rng) for _ in range(4))):
-        assert all(product_test(parts, parts, mode=MODE_SAMPLED, stream=base.for_trial(t)).accepted for t in range(200))
+        assert all(product_test(parts, parts, mode=MODE_SAMPLED, stream=replace(base, trial=t)).verdict == "accept" for t in range(200))
     assert calls == []
 
 
@@ -730,7 +738,7 @@ def test_product_shape_guard():
     w = honest(fx)
     u, up, s, sp = w.u, w.u_prime, w.s, w.s_prime
     with pytest.raises(ShapeMismatchError):
-        product_test((u, up, s, sp), (u, up, sp, s.state and basis_state(RegisterShape((3,)), (0,))))
+        product_test((u, up, s, sp), (u, up, sp, s.state and basis_state((3,), (0,))))
     with pytest.raises(ShapeMismatchError):
         product_test((u, up), (u, up))
 
