@@ -30,13 +30,11 @@ from .states import (
     swap_test_reject_prob,
     tensor_with,
 )
-from .verifier import TestOutcome, product_test, run_protocol_round, run_test
+from .verifier import TestOutcome, run_protocol_round, run_test
 from .witnesses import (
     AdversaryKind,
     AdversarySpec,
     Proof,
-    WitnessS,
-    WitnessU,
     apply_W,
     build_honest_S,
     build_honest_U,

@@ -27,9 +27,9 @@ import numpy as np
 from .fixtures import builtin_instances, get_fixture, verify_certificate
 from .instances import GsconInstance, TraversalCertificate, load_instance, validate_instance
 from .ledger import LEDGER_DPS, ParameterLedger, derive_parameters
-from .rng import STREAM_ROUND, stream_for_test
+from .rng import STREAM_ROUND
 from .verifier import MODE_EXACT, TEST_NAMES, branch_plan, exact_round, run_test, sample_round
-from .witnesses import WITNESS_DPS, AdversaryKind, AdversarySpec, Proof, forge_adversary, forge_composed, honest_proof
+from .witnesses import AdversaryKind, AdversarySpec, Proof, forge_adversary, forge_composed, honest_proof, precision
 
 DESK_CAPS = {"n": 6, "m": 4, "G": 16}
 BLOCK_TRIALS = 1 << 14  # a block's ~16 live uint64 temporaries (128 KiB each) fit a 2 MiB L2
@@ -248,7 +248,7 @@ def _sample_all(plans: dict, cdf, seed: int, trials: int, workers: int) -> list[
         total = [(0, 0)] * 9
         for start in starts:
             block = np.arange(start, min(start + BLOCK_TRIALS, trials), dtype=np.uint64)
-            counts = [plans[i].tally(seed, stream_for_test(i), block) for i in range(1, 9)]
+            counts = [plans[i].tally(seed, i, block) for i in range(1, 9)]  # test i draws on stream i
             counts.append(sample_round(plans.__getitem__, cdf, seed, STREAM_ROUND, block)[:2])
             total = [(a + da, r + dr) for (a, r), (da, dr) in zip(total, counts)]
         return total
@@ -370,7 +370,7 @@ def run_lemma_suite(inst: GsconInstance, cert: TraversalCertificate | None = Non
     for spec in boundary_specs(inst, ledger):
         forged = forge_adversary(inst, cert, spec, extended=True)
         out = run_test(forged.targeted_test, forged, inst, mode=MODE_EXACT)
-        with mpmath.workdps(WITNESS_DPS):
+        with precision(extended=True):
             reject = mpmath.mpf(out.reject_probability)
             threshold = ledger.r[forged.targeted_test - 1]
             margin = reject - threshold

@@ -13,11 +13,9 @@ slot ``draw`` on; it reads the slots at the address and never advances it.
 
 Stream ids (documented, frozen):
 
-* 1..8   -- verifier test i run stand-alone
+* k      -- verifier test k (1..8) run stand-alone: the stream id is the test id
 * 0      -- protocol round: slot 0's first uniform picks the test, slots 1..
   feed the test
-* 9      -- the product test (one Bernoulli draw on its reject sum: the first
-  uniform of slot ``draw``, read once, if the sum is non-zero)
 * 16+    -- free for callers (seeded adversaries, ad-hoc sampling in tests)
 """
 
@@ -26,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 STREAM_ROUND = 0
-STREAM_PRODUCT = 9
 STREAM_USER = 16
 
 
@@ -42,8 +39,3 @@ class CounterStream:
     stream: int = STREAM_USER
     trial: int = 0
     draw: int = 0
-
-
-def stream_for_test(test_id) -> int:
-    """The stream id of verifier test ``test_id``: its own number, or 9 for ``"PRODUCT"``."""
-    return STREAM_PRODUCT if test_id == "PRODUCT" else int(test_id)

@@ -1,4 +1,4 @@
-"""The eight verification tests, the dispatching round, and the product test.
+"""The eight verification tests and the dispatching round.
 
 Each test's branch tree is defined once, as a frozen :class:`BranchPlan`
 that :func:`branch_plan` builds at the proof's precision: its branch
@@ -6,8 +6,7 @@ probabilities, its exact accept and reject sums, and the tally kernel of
 :mod:`ffgscon._kernels` with the float arguments that realize the tree trial
 by trial.  A :class:`~ffgscon.witnesses.Proof` keeps the plans built on it,
 so the exact sums, the bulk tallies and every single shot on one proof and
-instance read one plan per test, built once.  The product test is a plan
-too, built by :func:`product_test` from its part-wise swap tests.
+instance read one plan per test, built once.
 
 Exact mode is the analytic branch sum over the plan; nothing is ever
 estimated by averaging samples.  Accept and reject masses are accumulated
@@ -31,7 +30,6 @@ registers are perfectly correlated after the equal-label projection.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -44,8 +42,8 @@ from .instances import GsconInstance, energy_sum, prepare_state_from_circuit, te
 from .rng import CounterStream
 from .states import (
     RegisteredState,
-    ShapeMismatchError,
     _apply_matrix_axes,
+    _sqrt,
     conditional_state,
     project_onto,
     projection_deficit,
@@ -54,7 +52,7 @@ from .states import (
     tensor_with,
     uniform_vector,
 )
-from .witnesses import WITNESS_DPS, Proof
+from .witnesses import Proof, precision
 
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
@@ -73,7 +71,7 @@ TEST_NAMES = {
 
 @dataclass(frozen=True)
 class TestOutcome:
-    test_id: object  # 1..8, "ROUND" or "PRODUCT"
+    test_id: object  # 1..8 or "ROUND"
     mode: str
     accept_probability: object | None = None  # float or mpf, exact mode
     reject_probability: object | None = None
@@ -103,7 +101,7 @@ class BranchPlan:
     that realizes the tree per trial, on the float arguments ``args``.
     """
 
-    test_id: object  # 1..8 or "PRODUCT"
+    test_id: int  # 1..8
     trace: tuple
     reject: object
     accept: object
@@ -143,11 +141,11 @@ def _swap_plan(test_id, a: RegisteredState, b: RegisteredState) -> BranchPlan:
 
 
 def _swap_u_plan(proof: Proof, inst) -> BranchPlan:
-    return _swap_plan(1, proof.u.state, proof.u_prime.state)
+    return _swap_plan(1, proof.u, proof.u_prime)
 
 
 def _swap_s_plan(proof: Proof, inst) -> BranchPlan:
-    return _swap_plan(4, proof.s.state, proof.s_prime.state)
+    return _swap_plan(4, proof.s, proof.s_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +154,13 @@ def _swap_s_plan(proof: Proof, inst) -> BranchPlan:
 
 
 def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
-    u = proof.u
-    pa = u.outcome_probabilities()
-    pb = proof.u_prime.outcome_probabilities()
+    pa = np.abs(proof.u.amplitudes) ** 2
+    pb = np.abs(proof.u_prime.amplitudes) ** 2
     n_set = len(inst.gate_set)
     G = inst.G
     # over joint outcomes; never formed as 1 - accept
     reject = 0.0
-    for i in range(u.label_dim):
+    for i in range(pa.shape[0]):
         for g in range(G):
             for g2 in range(G):
                 if g != g2 or g >= n_set:
@@ -188,11 +185,11 @@ def _chain_plan(test_id, stages) -> BranchPlan:
 def _uniform_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Test 3: uniform gate register, then uniform labels."""
     u = proof.u
-    gbar = uniform_vector(inst.G, extended=u.state.extended)
-    p_gbar, post = project_onto(u.state, 1, gbar)
+    gbar = uniform_vector(inst.G, extended=u.extended)
+    p_gbar, post = project_onto(u, 1, gbar)
     q_label = None
     if post is not None:
-        lbar = uniform_vector(u.label_dim, extended=u.state.extended)
+        lbar = uniform_vector(u.dims[0], extended=u.extended)
         q_label = projection_deficit(post, 0, lbar)
     return _chain_plan(3, (("gate_uniform_prob", p_gbar), ("label_nonuniform_prob", q_label)))
 
@@ -204,11 +201,7 @@ def _sequence_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     witnesses the joint projection success is exactly 1/(2mG): 1/G for the
     gate projection times 1/(2m) for the label match.
     """
-    u, s, sp = proof.u, proof.s, proof.s_prime
-    if u.state.extended != s.state.extended or s.state.extended != sp.state.extended:
-        raise ShapeMismatchError("witnesses must share one precision level")
-    ext = u.state.extended
-    joint = tensor_with(u.state, s.state)  # (2m, G, 2m, 2 ... 2)
+    joint = tensor_with(proof.u, proof.s)  # (2m, G, 2m, 2 ... 2)
     t = joint.amplitudes.copy()
     n_set = len(inst.gate_set)
     for g in range(min(inst.G, n_set)):  # out-of-set encodings act as identity
@@ -217,20 +210,17 @@ def _sequence_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
         t[:, g] = _apply_matrix_axes(t[:, g], gate.matrix, axes)
     controlled = RegisteredState(t, check=False)
 
-    gbar = uniform_vector(inst.G, extended=ext)
+    gbar = uniform_vector(inst.G, extended=proof.extended)
     p_gate, post = project_onto(controlled, 1, gbar)
     p_label = q_swap = None
     if post is not None:
         # drop the gate register (it is exactly |gbar> after the projection)
         reduced = np.tensordot(np.conj(gbar), post.amplitudes, axes=([0], [1]))  # (2m, 2m, data...)
-        two_m = u.label_dim
-        diag = np.array([reduced[i, i] for i in range(two_m)])  # (2m, data...)
+        diag = np.array([reduced[i, i] for i in range(reduced.shape[0])])  # (2m, data...)
         p_label = (np.abs(diag) ** 2).sum()
         if p_label > 0:
-            diag = diag / (mpmath.sqrt(p_label) if ext else math.sqrt(p_label))
-            shifted = np.roll(diag, 1, axis=0)  # cyclic label shift, 2m -> 1
-            t_prime = RegisteredState(shifted, check=False)
-            q_swap = swap_test_reject_prob(t_prime, sp.state)
+            shifted = np.roll(diag / _sqrt(p_label), 1, axis=0)  # cyclic label shift, 2m -> 1
+            q_swap = swap_test_reject_prob(RegisteredState(shifted, check=False), proof.s_prime)
     return _chain_plan(5, (("gate_projection_prob", p_gate), ("label_match_prob", p_label), ("swap_reject", q_swap)))
 
 
@@ -242,12 +232,12 @@ def _sequence_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
 def _boundary_plan(test_id, which, proof: Proof, inst: GsconInstance) -> BranchPlan:
     s = proof.s
     target = 0 if which == "psi" else inst.m
-    probs = register_distribution(s.state, 0)
+    probs = register_distribution(s, 0)
     p_label = probs[target]
     q = None
     if p_label > 0:
-        _, data = conditional_state(s.state, 0, target)
-        anchor = prepare_state_from_circuit(inst, which, extended=s.state.extended)
+        _, data = conditional_state(s, 0, target)
+        anchor = prepare_state_from_circuit(inst, which, extended=s.extended)
         q = swap_test_reject_prob(data, anchor)
     reject, q_float = (0.0, 0.0) if q is None else (p_label * q, float(q))
     trace = (("label_prob", p_label), ("swap_reject", q))
@@ -270,14 +260,15 @@ def _end_plan(proof: Proof, inst) -> BranchPlan:
 def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Measure the label, pick a term uniformly, reject with <H_term>: reject = sum p_i E_i / R."""
     s = proof.s
-    probs = register_distribution(s.state, 0)
-    energies = [0.0] * s.label_dim  # per label; 0 where the label has no mass
-    reject_table = np.zeros((s.label_dim, inst.R))  # per label and term: the clamped float expectation
-    for i in range(s.label_dim):
-        _, data = conditional_state(s.state, 0, i)
+    probs = register_distribution(s, 0)
+    two_m = s.dims[0]
+    energies = [0.0] * two_m  # per label; 0 where the label has no mass
+    reject_table = np.zeros((two_m, inst.R))  # per label and term: the clamped float expectation
+    for i in range(two_m):
+        _, data = conditional_state(s, 0, i)
         if data is not None:
             row = term_energies(inst, data)
-            energies[i] = energy_sum(row, s.state.extended)
+            energies[i] = energy_sum(row, s.extended)
             reject_table[i] = [min(max(float(v), 0.0), 1.0) for v in row]
     reject = sum(p * e for p, e in zip(probs, energies)) / inst.R
     return _plan(8, (("mean_energy_over_R", reject),), reject, _kernels.tally_low, _label_cdf(probs), reject_table)
@@ -314,12 +305,9 @@ def branch_plan(test_id: int, proof: Proof, inst: GsconInstance) -> BranchPlan:
         return entry[1]
     if test_id not in _PLAN_BUILDERS:
         raise ValueError(f"test id must be one of 1..8, got {test_id!r}")
-    precision = contextlib.nullcontext()
-    if any(w.state.extended for w in (proof.u, proof.u_prime, proof.s, proof.s_prime)):
-        # extended amplitudes carry WITNESS_DPS digits; arithmetic must too,
-        # or the branch sums measure rounding noise instead of the deviation
-        precision = mpmath.workdps(max(mpmath.mp.dps, WITNESS_DPS))
-    with precision:
+    # extended amplitudes carry WITNESS_DPS digits; arithmetic must too,
+    # or the branch sums measure rounding noise instead of the deviation
+    with precision(proof.extended):
         plan = _PLAN_BUILDERS[test_id](proof, inst)
     proof.plans[test_id] = (inst, plan)
     return plan
@@ -339,7 +327,7 @@ def exact_round(plans: dict, ledger) -> TestOutcome:
     stays exact where the acceptance side would round to 1.  The per-test
     exact probabilities go in the trace.
     """
-    with mpmath.workdps(max(mpmath.mp.dps, WITNESS_DPS)):
+    with precision(extended=True):
         total_rej = mpmath.mpf(0)
         trace = []
         for i in range(1, 9):
@@ -384,37 +372,3 @@ def run_protocol_round(proof: Proof, inst, ledger, *, mode=MODE_EXACT, stream: C
     trace = (("test", pick),) + branch_plan(pick, proof, inst).trace
     return TestOutcome("ROUND", MODE_SAMPLED, verdict="reject" if rejected else "accept", trace=trace)
 
-
-# ---------------------------------------------------------------------------
-# product test over two composite witnesses
-# ---------------------------------------------------------------------------
-
-
-def product_test(composite_a, composite_b, *, mode=MODE_EXACT, stream: CounterStream | None = None) -> TestOutcome:
-    """Pairwise swap tests between corresponding parts of two 4-part products.
-
-    Accept iff all four part-wise swap tests accept; exact probability is the
-    product of the four (1 + overlap^2)/2 factors.  Only product-form inputs
-    (explicit 4-tuples of states) are supported; a jointly entangled composite
-    is outside the desk-scale exact path.  The tree is one
-    :class:`BranchPlan`: a sampled shot is one Bernoulli draw on the float
-    reject sum, from the first uniform of slot ``stream.draw``.
-    """
-    _check_mode(mode, stream)
-    parts_a = [w.state if hasattr(w, "state") else w for w in composite_a]
-    parts_b = [w.state if hasattr(w, "state") else w for w in composite_b]
-    if len(parts_a) != 4 or len(parts_b) != 4:
-        raise ShapeMismatchError("product test expects two 4-part composites")
-    rejects = []
-    for a, b in zip(parts_a, parts_b):
-        if a.dims != b.dims:
-            raise ShapeMismatchError(f"component layouts differ: {a.dims} vs {b.dims}")
-        rejects.append(swap_test_reject_prob(a, b))
-    trace = tuple((f"swap_reject_{k+1}", q) for k, q in enumerate(rejects))
-    # part k rejects when parts 1..k-1 accepted: a branch sum, never 1 - accept
-    accept, reject = 1, 0
-    for q in rejects:
-        reject = reject + accept * q
-        accept = accept * (1 - q)
-    plan = BranchPlan("PRODUCT", trace, reject, accept, _kernels.tally_bernoulli, (float(reject),))
-    return plan.exact() if mode == MODE_EXACT else plan.shot(stream)

@@ -14,11 +14,14 @@ states, never assumed).  No optimization over cheating strategies is
 attempted.  Magnitudes at the protocol's native thresholds are far below
 double-precision resolution of an O(1) amplitude, so every construction can
 also be built on extended-precision amplitudes (``extended=True``), carried
-as mpmath object arrays at :data:`WITNESS_DPS` significant digits.
+as mpmath object arrays at :data:`WITNESS_DPS` significant digits.  The
+public builders take that choice once, as their ``extended`` keyword; below
+them it is read off the base proof or the scalar type.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,6 +34,8 @@ from ._kernels import uniforms
 from .rng import STREAM_USER
 from .states import (
     RegisteredState,
+    ShapeMismatchError,
+    _sqrt,
     apply_local_gate,
     conditional_state,
     phase_optimized_distance,
@@ -39,6 +44,21 @@ from .states import (
 )
 
 WITNESS_DPS = 120  # digits carried by extended-precision witness amplitudes
+
+
+@contextlib.contextmanager
+def precision(extended: bool):
+    """Arithmetic at one precision level; yields its real scalar type.
+
+    Extended builds and branch sums run at :data:`WITNESS_DPS` digits (or the
+    caller's, if higher) on ``mpmath.mpf``; double ones on ``float``, with the
+    mpmath context left as it is.
+    """
+    if not extended:
+        yield float
+        return
+    with mpmath.workdps(max(mpmath.mp.dps, WITNESS_DPS)):
+        yield mpmath.mpf
 
 
 class GateSetNotClosedError(ValueError):
@@ -98,49 +118,33 @@ class AdversarySpec:
 
 
 @dataclass(frozen=True)
-class WitnessU:
-    """Label/gate witness on layout (2m, G)."""
-
-    state: RegisteredState
-
-    @property
-    def label_dim(self) -> int:
-        return self.state.dims[0]
-
-    def outcome_probabilities(self) -> np.ndarray:
-        """Joint label/gate computational-basis distribution."""
-        return np.abs(self.state.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class WitnessS:
-    """Label/data witness on layout (2m, 2, ..., 2)."""
-
-    state: RegisteredState
-
-    @property
-    def label_dim(self) -> int:
-        return self.state.dims[0]
-
-
-@dataclass(frozen=True)
 class Proof:
-    """The two-copy unentangled proof: U, U' (label/gate) and S, S' (label/data).
+    """The two-copy unentangled proof: four amplitude tensors at one precision.
 
-    A forged proof also carries the :class:`AdversarySpec` it plants and the
-    deviation measured from its states.  ``plans`` memoizes the verifier's
-    branch plans of this proof (see :func:`ffgscon.verifier.branch_plan`); it
-    is no init argument, so :func:`dataclasses.replace` starts a new proof
-    with an empty cache.
+    U and U' are label/gate states on layout (2m, G); S and S' are label/data
+    states on layout (2m, 2, ..., 2).  All four are double or all four are
+    extended.  A forged proof also carries the :class:`AdversarySpec` it
+    plants and the deviation measured from its states.  ``plans`` memoizes
+    the verifier's branch plans of this proof (see
+    :func:`ffgscon.verifier.branch_plan`); it is no init argument, so
+    :func:`dataclasses.replace` starts a new proof with an empty cache.
     """
 
-    u: WitnessU
-    u_prime: WitnessU
-    s: WitnessS
-    s_prime: WitnessS
+    u: RegisteredState
+    u_prime: RegisteredState
+    s: RegisteredState
+    s_prime: RegisteredState
     spec: AdversarySpec | None = None
     measured_deviation: object = None
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len({w.extended for w in (self.u, self.u_prime, self.s, self.s_prime)}) != 1:
+            raise ShapeMismatchError("witnesses must share one precision level")
+
+    @property
+    def extended(self) -> bool:
+        return self.u.extended
 
     @property
     def targeted_test(self) -> int | None:
@@ -170,31 +174,26 @@ def honest_gate_assignment(inst: GsconInstance, cert: TraversalCertificate) -> t
     return tuple(cert.gates) + tuple(back)
 
 
-def _one(extended: bool):
-    return mpmath.mpf(1) if extended else 1.0
-
-
-def _sqrtv(x, extended: bool):
-    return mpmath.sqrt(x) if extended else math.sqrt(x)
-
-
-def build_honest_U(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> WitnessU:
+def build_honest_U(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> RegisteredState:
+    """The label/gate state: label i holds gate i of the honest assignment, at amplitude 1/sqrt(2m)."""
     assignment = honest_gate_assignment(inst, cert)
     two_m = 2 * inst.m
-    amp = _sqrtv(_one(extended) / two_m, extended)
     amps = zeros_like_dtype((two_m, inst.G), extended)
+    with precision(extended) as num:
+        amp = _sqrt(num(1) / two_m)
     for i, u in enumerate(assignment):
         amps[i, u] = amp
-    return WitnessU(RegisteredState(amps))
+    return RegisteredState(amps)
 
 
-def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> WitnessS:
+def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> RegisteredState:
     """The cyclic chain psi_1, ..., psi_2m threaded by the honest gates, at amplitude 1/sqrt(2m) per label."""
-    chain = [prepare_state_from_circuit(inst, "psi", extended=extended)]
-    for idx in honest_gate_assignment(inst, cert)[:-1]:
-        chain.append(apply_local_gate(chain[-1], inst.gate_set[idx], 0))
-    amp = _sqrtv(_one(extended) / len(chain), extended)
-    return WitnessS(RegisteredState(np.stack([psi.amplitudes * amp for psi in chain])))
+    with precision(extended) as num:
+        chain = [prepare_state_from_circuit(inst, "psi", extended=extended)]
+        for idx in honest_gate_assignment(inst, cert)[:-1]:
+            chain.append(apply_local_gate(chain[-1], inst.gate_set[idx], 0))
+        amp = _sqrt(num(1) / len(chain))
+        return RegisteredState(np.stack([psi.amplitudes * amp for psi in chain]))
 
 
 def honest_proof(inst: GsconInstance, cert: TraversalCertificate | None, *, extended: bool = False) -> Proof:
@@ -205,16 +204,16 @@ def honest_proof(inst: GsconInstance, cert: TraversalCertificate | None, *, exte
     return Proof(u, u, s, s)
 
 
-def apply_W(inst: GsconInstance, assignment, s: WitnessS) -> WitnessS:
-    """The shift-and-gate unitary: |i>|x> -> |i+1> U_i|x>, cyclically."""
+def apply_W(inst: GsconInstance, assignment, s: RegisteredState) -> RegisteredState:
+    """The shift-and-gate unitary on a label/data state: |i>|x> -> |i+1> U_i|x>, cyclically."""
     two_m = 2 * inst.m
     if len(assignment) != two_m:
         raise ValueError(f"assignment must list {two_m} gates, got {len(assignment)}")
     moved = [
         apply_local_gate(RegisteredState(piece, check=False), inst.gate_set[idx], 0).amplitudes
-        for piece, idx in zip(s.state.amplitudes, assignment)
+        for piece, idx in zip(s.amplitudes, assignment)
     ]
-    return WitnessS(RegisteredState(np.roll(np.stack(moved), 1, axis=0), check=False))
+    return RegisteredState(np.roll(np.stack(moved), 1, axis=0), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -246,34 +245,26 @@ def _orthogonal_state(psi: RegisteredState, seed: int | None) -> RegisteredState
         j = _seeded_index(seed, 0, dim)
     for k in (j, (j + 1) % dim):  # if psi is concentrated on e_j, any other axis works
         e = zeros_like_dtype(dim, psi.extended)
-        e[k] = _one(psi.extended)
+        e[k] = 1
         res = e - amps * (np.conj(amps) * e).sum()  # e_k - psi <psi|e_k>
         nrm2 = (np.abs(res) ** 2).sum()
         if float(nrm2) >= 1e-12:
             break
-    return RegisteredState((res / _sqrtv(nrm2, psi.extended)).reshape(psi.dims), check=False)
+    return RegisteredState((res / _sqrt(nrm2)).reshape(psi.dims), check=False)
 
 
 def _rotate_toward(base: RegisteredState, cos_theta, seed) -> RegisteredState:
     """cos(t) base + sin(t) base_perp with the requested cosine."""
-    ext = base.extended
-    one = _one(ext)
-    sin_theta = _sqrtv(one - cos_theta * cos_theta, ext)
+    sin_theta = _sqrt(1 - cos_theta * cos_theta)
     perp = _orthogonal_state(base, seed)
     return RegisteredState(base.amplitudes * cos_theta + perp.amplitudes * sin_theta, check=False)
 
 
-def _replace_data_slice(s: WitnessS, label_index: int, new_data: RegisteredState) -> WitnessS:
-    t = s.state.amplitudes.copy()
-    weight = _sqrtv((np.abs(t[label_index]) ** 2).sum(), s.state.extended)
+def _replace_data_slice(s: RegisteredState, label_index: int, new_data: RegisteredState) -> RegisteredState:
+    t = s.amplitudes.copy()
+    weight = _sqrt((np.abs(t[label_index]) ** 2).sum())
     t[label_index] = new_data.amplitudes * weight
-    return WitnessS(RegisteredState(t, check=False))
-
-
-def _numf(x, extended: bool):
-    if extended:
-        return x if isinstance(x, (mpmath.mpf, mpmath.mpc)) else mpmath.mpf(x)
-    return float(x)
+    return RegisteredState(t, check=False)
 
 
 def forge_adversary(
@@ -289,8 +280,8 @@ def forge_adversary(
     reference certificate).  The returned ``measured_deviation`` is read back
     from the constructed states.
     """
-    with mpmath.workdps(WITNESS_DPS if extended else mpmath.mp.dps):
-        return _forge(inst, cert, spec, extended)
+    with precision(extended) as num:
+        return _forge(inst, cert, spec, honest_proof(inst, cert, extended=extended), num)
 
 
 def forge_composed(
@@ -306,118 +297,109 @@ def forge_composed(
     measured deviation of the last spec is reported.
     """
     forged = None
-    for spec in specs:
-        with mpmath.workdps(WITNESS_DPS if extended else mpmath.mp.dps):
-            forged = _forge(inst, cert, spec, extended, base=forged)
+    with precision(extended) as num:
+        for spec in specs:
+            base = honest_proof(inst, cert, extended=extended) if forged is None else forged
+            forged = _forge(inst, cert, spec, base, num)
     if forged is None:
         raise ValueError("no adversary specs given")
     return forged
 
 
-def _forge(inst, cert, spec, extended, base: Proof | None = None) -> Proof:
+def _forge(inst, cert, spec, base: Proof, num) -> Proof:
+    """Plant ``spec`` on ``base`` inside the :func:`precision` context of the base, whose scalar type is ``num``."""
     assignment = honest_gate_assignment(inst, reference_certificate(inst, cert))
     two_m = 2 * inst.m
-
-    if base is None:
-        base = honest_proof(inst, cert, extended=extended)
+    ext = base.extended
+    one = num(1)
     u, u_prime, s, s_prime = base.u, base.u_prime, base.s, base.s_prime
     kind = spec.kind
 
     if kind is AdversaryKind.MISMATCHED_U:
-        delta = _numf(spec.magnitude, extended)
+        delta = num(spec.magnitude)
         if not 0 < delta <= 1.0 / two_m:
             raise MagnitudeRangeError(f"probability gap must lie in (0, 1/(2m)], got {float(delta)}")
         u0 = assignment[0]
         alt = _pick_other_index(u0, inst.G, spec.seed)
-        amps = u.state.amplitudes.copy()
-        amps[0, u0] = _sqrtv(_one(extended) / two_m - delta, extended)
-        amps[0, alt] = _sqrtv(delta, extended)
-        u_prime = WitnessU(RegisteredState(amps, check=False))
-        measured = _max_prob_gap(u, u_prime)
+        amps = u.amplitudes.copy()
+        amps[0, u0] = _sqrt(one / two_m - delta)
+        amps[0, alt] = _sqrt(delta)
+        u_prime = RegisteredState(amps, check=False)
+        measured = np.abs(np.abs(u.amplitudes) ** 2 - np.abs(u_prime.amplitudes) ** 2).max()
 
     elif kind is AdversaryKind.SMEARED_GATE:
-        x, c = (_numf(v, extended) for v in spec.magnitude)
+        x, c = (num(v) for v in spec.magnitude)
         if not (0 < x <= 1 and 0 < c < 1):
             raise MagnitudeRangeError(f"need 0 < x <= 1 and 0 < c < 1, got {(float(x), float(c))}")
         u0 = assignment[0]
         alt = _pick_other_index(u0, inst.G, spec.seed)
-        amps = zeros_like_dtype((two_m, inst.G), extended)
-        amps[0, u0] = _sqrtv(x * (1 - c), extended)
-        amps[0, alt] = _sqrtv(x * c, extended)
-        rest = (_one(extended) - x) / (two_m - 1)
+        amps = zeros_like_dtype((two_m, inst.G), ext)
+        amps[0, u0] = _sqrt(x * (1 - c))
+        amps[0, alt] = _sqrt(x * c)
+        rest = (one - x) / (two_m - 1)
         for i in range(1, two_m):
-            amps[i, assignment[i]] = _sqrtv(rest, extended)
-        w = WitnessU(RegisteredState(amps, check=False))
-        u = u_prime = w
-        probs = w.outcome_probabilities()
+            amps[i, assignment[i]] = _sqrt(rest)
+        u = u_prime = RegisteredState(amps, check=False)
+        probs = np.abs(amps) ** 2
         label_mass = probs[0].sum()
         off = (label_mass - probs[0, u0]) / label_mass
         measured = (label_mass, off)
 
     elif kind is AdversaryKind.NONUNIFORM_LABELS:
-        f = _numf(spec.magnitude, extended)
+        f = num(spec.magnitude)
         if not 0 < f <= (two_m - 1) / 2.0:
             raise MagnitudeRangeError(f"label skew must lie in (0, (2m-1)/2], got {float(f)}")
-        one = _one(extended)
         boosted = one / two_m + f / inst.m
         others = one / two_m - f / (inst.m * (two_m - 1))
-        gbar = uniform_vector(inst.G, extended=extended)
-        amps = zeros_like_dtype((two_m, inst.G), extended)
-        amps[0] = gbar * _sqrtv(boosted, extended)
+        gbar = uniform_vector(inst.G, extended=ext)
+        amps = zeros_like_dtype((two_m, inst.G), ext)
+        amps[0] = gbar * _sqrt(boosted)
         for i in range(1, two_m):
-            amps[i] = gbar * _sqrtv(others, extended)
-        w = WitnessU(RegisteredState(amps, check=False))
-        u = u_prime = w
-        label_probs = w.outcome_probabilities()
+            amps[i] = gbar * _sqrt(others)
+        u = u_prime = RegisteredState(amps, check=False)
+        label_probs = np.abs(amps) ** 2
         measured = inst.m * max(abs(label_probs[i].sum() - one / two_m) for i in range(two_m))
 
     elif kind is AdversaryKind.INCONSISTENT_S:
-        z = _numf(spec.magnitude, extended)
+        z = num(spec.magnitude)
         if not 0 < z <= 2.0 / inst.m:
             raise MagnitudeRangeError(f"per-label defect must lie in (0, 2/m], got {float(z)}")
-        cos_theta = _one(extended) - inst.m * z
-        _, psi0 = conditional_state(s.state, 0, 0)
-        s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, cos_theta, spec.seed))
-        measured = _max_slice_defect(s.state, s_prime.state)
+        _, psi0 = conditional_state(s, 0, 0)
+        s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, one - inst.m * z, spec.seed))
+        measured = _max_slice_defect(s, s_prime)
 
     elif kind is AdversaryKind.BROKEN_SEQUENCE:
-        z = _numf(spec.magnitude, extended)
+        z = num(spec.magnitude)
         if not 0 < z <= 2.0 / inst.m:
             raise MagnitudeRangeError(f"link defect must lie in (0, 2/m], got {float(z)}")
-        cos_theta = _one(extended) - inst.m * z
-        _, psi1 = conditional_state(s.state, 0, 1)
-        broken = _replace_data_slice(s, 1, _rotate_toward(psi1, cos_theta, spec.seed))
-        s = s_prime = broken
-        shifted = apply_W(inst, assignment, s)
-        measured = _max_slice_defect(shifted.state, s_prime.state)
+        _, psi1 = conditional_state(s, 0, 1)
+        s = s_prime = _replace_data_slice(s, 1, _rotate_toward(psi1, one - inst.m * z, spec.seed))
+        measured = _max_slice_defect(apply_W(inst, assignment, s), s_prime)
 
     elif kind in (AdversaryKind.WRONG_START, AdversaryKind.WRONG_END):
-        w_req = _numf(spec.magnitude, extended)
+        w_req = num(spec.magnitude)
         if not 0 < w_req <= math.sqrt(2.0) + 1e-12:
             raise MagnitudeRangeError(f"distance must lie in (0, sqrt(2)], got {float(w_req)}")
-        cos_theta = _one(extended) - w_req * w_req / 2
         label = 0 if kind is AdversaryKind.WRONG_START else inst.m
-        anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi", extended=extended)
-        planted = _rotate_toward(anchor, cos_theta, spec.seed)
+        anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi", extended=ext)
+        planted = _rotate_toward(anchor, one - w_req * w_req / 2, spec.seed)
         s = s_prime = _replace_data_slice(s, label, planted)
-        _, got = conditional_state(s.state, 0, label)
+        _, got = conditional_state(s, 0, label)
         measured = phase_optimized_distance(got, anchor)
 
     elif kind is AdversaryKind.HIGH_ENERGY:
-        energy = _numf(spec.magnitude, extended)
+        energy = num(spec.magnitude)
         evals, evecs = np.linalg.eigh(dense_hamiltonian(inst))
         top = float(evals[-1])
         if not 0 <= float(energy) <= top + 1e-12:
             raise MagnitudeRangeError(f"energy must lie in [0, {top}], got {float(energy)}")
         if float(evals[0]) > 1e-10:
             raise MagnitudeRangeError("instance is not frustration-free; no zero-energy anchor")
-        dims = (2,) * inst.n
-        gs = _cast_vec(evecs[:, 0], extended).reshape(dims)
-        hot = _cast_vec(evecs[:, -1], extended).reshape(dims)
         sin2 = energy / top
-        mixed = RegisteredState(gs * _sqrtv(_one(extended) - sin2, extended) + hot * _sqrtv(sin2, extended), check=False)
-        s = s_prime = _replace_data_slice(s, 0, mixed)
-        _, got = conditional_state(s.state, 0, 0)
+        # complex128 eigenvectors times an mpf scale are mpc object arrays
+        mixed = evecs[:, 0] * _sqrt(one - sin2) + evecs[:, -1] * _sqrt(sin2)
+        s = s_prime = _replace_data_slice(s, 0, RegisteredState(mixed.reshape((2,) * inst.n), check=False))
+        _, got = conditional_state(s, 0, 0)
         measured = energy_of(inst, got)
 
     else:  # pragma: no cover
@@ -456,20 +438,7 @@ def _pick_other_index(taken: int, dim: int, seed) -> int:
     return j
 
 
-def _max_prob_gap(a: WitnessU, b: WitnessU):
-    pa, pb = a.outcome_probabilities(), b.outcome_probabilities()
-    return np.abs(pa - pb).max()
-
-
 def _max_slice_defect(sa: RegisteredState, sb: RegisteredState):
     """max over labels of the squared norm of the per-label difference."""
     diff = np.abs(sa.amplitudes - sb.amplitudes) ** 2
     return max(row.sum() for row in diff)
-
-
-def _cast_vec(vec: np.ndarray, extended: bool) -> np.ndarray:
-    if not extended:
-        return np.asarray(vec, dtype=np.complex128)
-    out = np.empty(vec.shape[0], dtype=object)
-    out[:] = [mpmath.mpc(z) for z in vec]
-    return out

@@ -22,10 +22,10 @@ from ffgscon.harness import (
 )
 from ffgscon.instances import dense_hamiltonian, prepare_state_from_circuit
 from ffgscon.ledger import derive_parameters, qma2_tuning
-from ffgscon.rng import STREAM_ROUND, stream_for_test
+from ffgscon.rng import STREAM_ROUND
 from ffgscon.states import RegisteredState, apply_local_gate, swap_test_reject_prob, tensor_with, uniform_vector
 from ffgscon.verifier import branch_plan, run_protocol_round, run_test, sample_round
-from ffgscon.witnesses import AdversaryKind, AdversarySpec, WitnessS, apply_W, build_honest_S, honest_gate_assignment
+from ffgscon.witnesses import AdversaryKind, AdversarySpec, apply_W, build_honest_S, honest_gate_assignment
 
 from oracles import brute_force_no_check, random_registered_state, swap_circuit_reject_prob
 
@@ -88,7 +88,7 @@ def test_criterion_3_w_invariance_and_cycle_identity():
             assignment = honest_gate_assignment(inst, cert)
             s = build_honest_S(inst, cert)
             moved = apply_W(inst, assignment, s)
-            assert float(np.linalg.norm(np.asarray(moved.state.amplitudes - s.state.amplitudes, complex))) <= 1e-9
+            assert float(np.linalg.norm(np.asarray(moved.amplitudes - s.amplitudes, complex))) <= 1e-9
             dim = 2**inst.n
             full = np.eye(dim, dtype=complex)
             for idx in assignment:
@@ -180,7 +180,7 @@ def test_criterion_8_monte_carlo_fidelity():
                 plans = {i: branch_plan(i, witnesses, inst) for i in range(1, 9)}
                 for i in range(1, 9):
                     exact = float(run_test(i, witnesses, inst).accept_probability)
-                    acc, rej = plans[i].tally(seed, stream_for_test(i), idx)
+                    acc, rej = plans[i].tally(seed, i, idx)
                     sigma = math.sqrt(exact * (1 - exact) / trials)
                     assert abs(acc / trials - exact) <= 4 * sigma + 1e-12, (fx.name, adv, i)
                 round_exact = float(run_protocol_round(witnesses, inst, led).accept_probability)
@@ -208,7 +208,7 @@ def test_criterion_9_energy_oracle():
 
             def energy_reject(s):
                 # test 8 on a proof whose S carries s on every label rejects with <s|H|s>/R
-                proof = dataclasses.replace(honest, s=WitnessS(tensor_with(labels, s)))
+                proof = dataclasses.replace(honest, s=tensor_with(labels, s))
                 return float(run_test(8, proof, inst).reject_probability)
 
             for _ in range(20):

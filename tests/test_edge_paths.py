@@ -24,7 +24,7 @@ from ffgscon.instances import (
 from ffgscon.ledger import derive_parameters
 from ffgscon.states import RegisteredState
 from ffgscon.verifier import run_test
-from ffgscon.witnesses import Proof, WitnessS, WitnessU, forge_composed
+from ffgscon.witnesses import Proof, forge_composed
 
 
 def test_degenerate_eta3_zero_is_perfectly_complete():
@@ -56,7 +56,7 @@ def test_uniform_test_accepts_when_gate_projection_dies():
     inst = fx.instance
     two_m = 2 * inst.m
     row = np.array([1, -1, 0, 0]) / math.sqrt(2)  # (|I> - |X>)/sqrt2 per label
-    u = WitnessU(RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), row)))
+    u = RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), row))
     w = build_witnesses(inst, fx.certificate)
     out = run_test(3, replace(w, u=u), inst)
     assert float(out.accept_probability) == 1.0
@@ -70,9 +70,9 @@ def test_sequence_test_accepts_when_controlled_branches_cancel():
     inst = fx.instance
     two_m = 2 * inst.m
     row = np.array([1, -1, 0, 0]) / math.sqrt(2)
-    u = WitnessU(RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), row)))
+    u = RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), row))
     plus = np.array([1, 1]) / math.sqrt(2)
-    s = WitnessS(RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), plus)))
+    s = RegisteredState(np.outer(np.full(two_m, 1 / math.sqrt(two_m)), plus))
     out5 = run_test(5, Proof(u, u, s, s), inst)
     assert float(out5.accept_probability) == 1.0
     assert dict(out5.trace)["label_match_prob"] is None

@@ -1,5 +1,6 @@
 """Experiment orchestration, reports, reproducibility, and the CLI."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -27,7 +28,7 @@ from ffgscon.harness import (
 )
 from ffgscon.instances import GsconInstance, HamiltonianTerm, gate_i, gate_x, save_instance
 from ffgscon.ledger import derive_parameters
-from ffgscon.rng import STREAM_ROUND, CounterStream, stream_for_test
+from ffgscon.rng import STREAM_ROUND, CounterStream
 from ffgscon.verifier import MODE_SAMPLED, branch_plan, run_protocol_round, run_test, sample_round
 from ffgscon.witnesses import AdversaryKind, AdversarySpec
 
@@ -135,7 +136,7 @@ def test_blocked_counts_equal_one_unblocked_call(monkeypatch):
     inst, cert, _ = resolve_instance("tilted-target")
     plans = {i: branch_plan(i, build_witnesses(inst, cert), inst) for i in range(1, 9)}
     idx = np.arange(trials, dtype=np.uint64)
-    want = [plans[i].tally(seed, stream_for_test(i), idx) for i in range(1, 9)]
+    want = [plans[i].tally(seed, i, idx) for i in range(1, 9)]
     want.append(sample_round(plans.__getitem__, derive_parameters(inst).round_cdf, seed, STREAM_ROUND, idx)[:2])
     for workers in (1, 2, 5):
         rep = run_monte_carlo(ExperimentConfig("tilted-target", mode="sampled", trials=trials, seed=seed, workers=workers))
@@ -220,7 +221,7 @@ def test_shots_without_reject_mass_draw_nothing(monkeypatch):
     lanes = counting_philox(monkeypatch)
     for trial in range(50):
         for i in (1, 4, 6, 7, 8):
-            stream = CounterStream(3, stream_for_test(i), trial)
+            stream = CounterStream(3, i, trial)
             assert run_test(i, proof, fx.instance, mode=MODE_SAMPLED, stream=stream).verdict == "accept"
         stream = CounterStream(3, STREAM_ROUND, trial)
         shot = run_protocol_round(proof, fx.instance, ledger, mode=MODE_SAMPLED, stream=stream)
@@ -268,6 +269,53 @@ def test_emit_io_error():
     rep = run_monte_carlo(ExperimentConfig("idle", mode="exact"))
     with pytest.raises(IOError):
         emit_report(rep, "/no/such/dir/report.json", "json")
+
+
+# sha256 of the default (no timings) report bytes; a deliberate format change
+# bumps the format version and updates these digests in the same change
+REPORT_SHA256 = {
+    "verify idle json": "8e0811bd2176e56320f959dd9d1c3b0c733474a67245980cdb31c14733feb4a2",
+    "verify idle csv": "62ad1d005e84254a68f5440ef6ae7288eff587e4fb68d3c1c8e62cccccfb25ae",
+    "verify bell-flip json": "c94745feb09bc794ade33f1b82be12f5ef3f01cff275d3501976674f3312f39e",
+    "verify bell-flip csv": "80dbd7ce57d7ae8ebda82d7b21c7eefa6b10b9260d8d28baf844202a98b7e621",
+    "verify bell-stepwise json": "31a837a227160faf450b36037b561ef38e3ef9695a60763d71a955c24ac4f20b",
+    "verify bell-stepwise csv": "b5e587f4bb1f9a2ad450522c41d51874abe606bd905f3869f78ddbc5bd618381",
+    "verify tilted-target json": "ed2029548e7913fb3261f6ef5f912bafcb28019e328e69387a91d4ff14c3b616",
+    "verify tilted-target csv": "6bfe66bb48dd5000ea5f439c30dfbe1f38ee2fca826bf725b5ecba82ebf5aaa6",
+    "verify blocked-bell json": "0ff9697c4d13d05e22f1c4b1a373871768cabc55a0fa0009099e670a916992fb",
+    "verify blocked-bell csv": "bedaf99b5ee0b26bd08961e073988e1b6766ad35f99c33df9ec9b37dc9607fb6",
+    "verify blocked-qubit json": "690e4ef93e5e55ca172edd6e546bb202fa5d70a806d9435c43fbd9b11041ebe9",
+    "verify blocked-qubit csv": "382004f30e268cb3323efd7c3e5530fa1ed2abb12f0dc5c0b1e9ff602b1a66e8",
+    "verify bell-flip+WRONG_END+MISMATCHED_U json": "40653a97cbd094c5d10d5c6c34c805ab3c3525e71bc8155979eafef74eaa2e20",
+    "verify bell-flip+WRONG_END+MISMATCHED_U csv": "073df50951b6d21fbe8f3fb3bb50ab9be1edbabaa1b0a6b6261badca35d36e5d",
+    "verify bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY json": "72ea5a19a3409a715433cfded15327e04433d4ec715295f14b2438769cc647a1",
+    "verify bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY csv": "1b757a82a6b13b6353750fd72b1d57dc7384de87e116d64328b357134dccbcc6",
+    "lemmas idle json": "e1bd45f9e3d03989308403f022458abdb8c3263590cb20c34d6477eb1deef477",
+    "lemmas bell-flip json": "97405584cd7b37ea02cf687779466b37b756db74353f723fde5fa1e00e2996fc",
+    "lemmas bell-stepwise json": "bca29148425273b3462eb1974d116f90da8cf4adf9123aee85b0bd1fa2dd04d0",
+    "lemmas tilted-target json": "d68e621ecbb48f5281cc1c3101edb880c8c52f2a9c6906b414a6e1f2dc3c1a20",
+    "lemmas blocked-bell json": "852c2114ac3caada2c69d28107183139cc1e8c7ff8c7a71eb66f6f96723188c6",
+    "lemmas blocked-qubit json": "0e74ace9bf78bcd51d4e5aea9dd505b81735e05dafa63b62304808cfb49ef67d",
+}
+
+
+@pytest.mark.parametrize("config", sorted({key.rpartition(" ")[0] for key in REPORT_SHA256}))
+def test_default_report_bytes_are_pinned(config, tmp_path):
+    # verify: --mode both --trials 20000 --seed 7 at each kind's demo magnitude; lemmas: as the CLI runs them
+    verb, _, target = config.partition(" ")
+    name, *kinds = target.split("+")
+    inst, cert, display = resolve_instance(name)
+    if verb == "lemmas":
+        rep = run_lemma_suite(inst, cert, display)
+    else:
+        ledger = derive_parameters(inst)
+        specs = tuple(AdversarySpec(AdversaryKind[k], demo_magnitude(AdversaryKind[k], inst, ledger)) for k in kinds)
+        rep = run_monte_carlo(ExperimentConfig(name, mode="both", trials=20_000, seed=7, adversary=specs))
+    for fmt in ("json", "csv"):
+        if f"{config} {fmt}" in REPORT_SHA256:
+            path = tmp_path / f"report.{fmt}"
+            emit_report(rep, path, fmt)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[f"{config} {fmt}"], fmt
 
 
 def test_lemma_suite_total_and_green():

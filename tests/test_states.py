@@ -239,6 +239,11 @@ def test_swap_reject_at_known_overlap():
         a = basis_state((2,), (0,))
         b = RegisteredState([ov, math.sqrt(1 - ov**2)])
         assert abs(swap_test_reject_prob(a, b) - delta**2 / 8) < 1e-15
+    # an angle of 1e-10: reject sin^2/2 = 5e-21, far below the spacing of
+    # doubles near 1, so 1 - |<a|b>|^2 would read 0.0
+    theta = 1e-10
+    tilted = RegisteredState([math.cos(theta), math.sin(theta)])
+    assert abs(swap_test_reject_prob(basis_state((2,), (0,)), tilted) - 5e-21) <= 1e-30
 
 
 def test_swap_phase_invariance():

@@ -11,22 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from ffgscon import _kernels, verifier
+from ffgscon import verifier
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import build_witnesses, demo_magnitude
 from ffgscon.instances import GsconInstance
 from ffgscon.ledger import derive_parameters
-from ffgscon.rng import STREAM_ROUND, CounterStream, stream_for_test
+from ffgscon.rng import STREAM_ROUND, CounterStream
 from ffgscon.states import (
     RegisteredState,
     ShapeMismatchError,
-    basis_state,
     uniform_vector,
 )
 from ffgscon.verifier import (
     MODE_SAMPLED,
     branch_plan,
-    product_test,
     run_protocol_round,
     run_test,
     sample_round,
@@ -36,8 +34,6 @@ from ffgscon.witnesses import (
     AdversaryKind,
     AdversarySpec,
     Proof,
-    WitnessS,
-    WitnessU,
     build_honest_S,
     build_honest_U,
     forge_adversary,
@@ -123,7 +119,7 @@ def test1_orthogonal_copy_accepts_half():
     u = build_honest_U(fx.instance, fx.certificate)
     t = np.zeros((2, fx.instance.G), dtype=complex)
     t[0, 2], t[1, 3] = 1 / math.sqrt(2), 1 / math.sqrt(2)  # disjoint gate support
-    u_orth = WitnessU(RegisteredState(t))
+    u_orth = RegisteredState(t)
     s = build_honest_S(fx.instance, fx.certificate)
     out = run_test(1, Proof(u, u_orth, s, s), fx.instance)
     assert abs(float(out.accept_probability) - 0.5) < 1e-12
@@ -148,8 +144,8 @@ def test2_exact_matches_enumeration_oracle():
     fx = get_fixture("bell-flip")
     forged = forge(fx, AdversaryKind.SMEARED_GATE, (0.4, 0.2))
     out = run_test(2, forged, fx.instance)
-    pa = np.asarray(forged.u.outcome_probabilities(), float)
-    pb = np.asarray(forged.u_prime.outcome_probabilities(), float)
+    pa = np.asarray(np.abs(forged.u.amplitudes) ** 2, float)
+    pb = np.asarray(np.abs(forged.u_prime.amplitudes) ** 2, float)
     valid = np.arange(fx.instance.G) < len(fx.instance.gate_set)
     oracle = unique_test_reject_by_enumeration(pa, pb, valid)
     assert abs(float(out.reject_probability) - oracle) < 1e-12
@@ -171,12 +167,12 @@ def test2_out_of_set_encoding_rejected():
     t[0, 0] = math.sqrt(1 / two_m - q)
     t[0, pad] = math.sqrt(q)
     t[1, 0] = math.sqrt(1 / two_m)
-    u = WitnessU(RegisteredState(t))
+    u = RegisteredState(t)
     s = build_honest_S(inst, get_fixture("idle").certificate)
     out = run_test(2, Proof(u, u, s, s), inst)
     label_collision = float(sum(p * p for p in (0.5, 0.5)))
     assert float(out.reject_probability) >= q * label_collision
-    pa = np.asarray(u.outcome_probabilities(), float)
+    pa = np.asarray(np.abs(u.amplitudes) ** 2, float)
     valid = np.arange(inst.G) < len(inst.gate_set)
     assert abs(float(out.reject_probability) - unique_test_reject_by_enumeration(pa, pa, valid)) < 1e-12
 
@@ -212,7 +208,7 @@ def test3_nonuniform_labels_beat_lemma_bound():
 def test3_single_label_uniform_gate_accepts_one_over_2m():
     fx = get_fixture("bell-flip")
     two_m = 2 * fx.instance.m
-    u = WitnessU(RegisteredState(np.outer(np.eye(two_m)[0], uniform_vector(fx.instance.G))))
+    u = RegisteredState(np.outer(np.eye(two_m)[0], uniform_vector(fx.instance.G)))
     w = honest(fx)
     out = run_test(3, replace(w, u=u), fx.instance)
     assert abs(float(out.accept_probability) - 1.0 / two_m) < 1e-12
@@ -228,7 +224,7 @@ def _tilted_gate_proof(fx, k):
         gate = eps * uniform_vector(G, extended=True) + mpmath.sqrt(1 - eps**2) * perp
         amps = np.full((two_m, G), mpmath.mpc(0), dtype=object)
         amps[0] = gate
-        u = WitnessU(RegisteredState(amps))
+        u = RegisteredState(amps)
     return replace(honest_proof(inst, fx.certificate, extended=True), u=u, u_prime=u)
 
 
@@ -271,7 +267,7 @@ def test4_orthogonal_sequences_accept_half():
     s = build_honest_S(fx.instance, fx.certificate)  # data parts all |0>
     t = np.zeros((2, 2), dtype=complex)
     t[0, 1], t[1, 1] = 1 / math.sqrt(2), 1 / math.sqrt(2)  # data parts all |1>
-    s_orth = WitnessS(RegisteredState(t))
+    s_orth = RegisteredState(t)
     u = build_honest_U(fx.instance, fx.certificate)
     out = run_test(4, Proof(u, u, s, s_orth), fx.instance)
     assert abs(float(out.accept_probability) - 0.5) < 1e-12
@@ -289,7 +285,7 @@ def test5_honest_joint_projection_matches_projector_oracle():
         # independent dense-projector recomputation of the joint success mass
         from ffgscon.states import tensor_with, _apply_matrix_axes
 
-        joint = tensor_with(w.u.state, w.s.state)
+        joint = tensor_with(w.u, w.s)
         t = np.asarray(joint.amplitudes, complex).copy()
         for g in range(min(G, len(inst.gate_set))):
             gate = inst.gate_set[g]
@@ -345,7 +341,7 @@ def test6_label_mass_away_from_start_always_accepts():
     fx = get_fixture("idle")
     t = np.zeros((2, 2), dtype=complex)
     t[1, 1] = 1.0  # all label mass on label 2
-    s = WitnessS(RegisteredState(t))
+    s = RegisteredState(t)
     u = build_honest_U(fx.instance, fx.certificate)
     out = run_test(6, Proof(u, u, s, s), fx.instance)
     assert float(out.accept_probability) == 1.0
@@ -358,7 +354,7 @@ def test6_tiny_start_label_mass_keeps_its_reject_mass():
         amps = np.full((2, 2), mpmath.mpc(0), dtype=object)
         amps[0] = mpf("1e-9") * mpmath.cos(1), mpf("1e-9") * mpmath.sin(1)
         amps[1, 0] = mpmath.sqrt(1 - mpf("1e-18"))
-        s = WitnessS(RegisteredState(amps))
+        s = RegisteredState(amps)
         proof = replace(honest_proof(fx.instance, fx.certificate, extended=True), s=s, s_prime=s)
         expect = mpf("1e-18") * mpmath.sin(1) ** 2 / 2
         out = run_test(6, proof, fx.instance)
@@ -408,7 +404,7 @@ def test8_maximal_energy_sequence_rejects_surely():
     )
     t = np.zeros((2, 2), dtype=complex)
     t[0, 1] = t[1, 1] = 1 / math.sqrt(2)  # every sequence entry is |1>, energy R
-    s = WitnessS(RegisteredState(t))
+    s = RegisteredState(t)
     u = build_honest_U(inst, get_fixture("idle").certificate)
     out = run_test(8, Proof(u, u, s, s), inst)
     assert abs(float(out.reject_probability) - 1.0) < 1e-12
@@ -463,7 +459,7 @@ def test_sampled_paths_match_exact_rates():
     for test_id, witnesses, name in cases:
         inst = get_fixture(name).instance
         exact = float(run_test(test_id, witnesses, inst).accept_probability)
-        base = CounterStream(23 + test_id, stream_for_test(test_id), 0)
+        base = CounterStream(23 + test_id, test_id, 0)
         hits = 0
         for trial in range(n):
             out = run_test(test_id, witnesses, inst, mode=MODE_SAMPLED, stream=replace(base, trial=trial))
@@ -489,9 +485,9 @@ def test_shot_equals_bulk(name, kind):
     n, seed = 2000, 41
     trials = np.arange(n, dtype=np.uint64)
     for i in range(1, 9):
-        streams = (CounterStream(seed, stream_for_test(i), t) for t in range(n))
+        streams = (CounterStream(seed, i, t) for t in range(n))
         shots = sum(run_test(i, w, inst, mode=MODE_SAMPLED, stream=st).verdict == "reject" for st in streams)
-        assert shots == branch_plan(i, w, inst).tally(seed, stream_for_test(i), trials)[1], i
+        assert shots == branch_plan(i, w, inst).tally(seed, i, trials)[1], i
     streams = (CounterStream(seed, STREAM_ROUND, t) for t in range(n))
     shots = sum(run_protocol_round(w, inst, led, mode=MODE_SAMPLED, stream=st).verdict == "reject" for st in streams)
     assert shots == sample_round(lambda i: branch_plan(i, w, inst), led.round_cdf, seed, STREAM_ROUND, trials)[1]
@@ -527,7 +523,7 @@ def test_shots_build_each_plan_once(monkeypatch):
     assert built == {i: 1 for i in picked}
     for i in range(1, 9):
         for t in range(200):
-            run_test(i, w, inst, mode=MODE_SAMPLED, stream=CounterStream(3, stream_for_test(i), t))
+            run_test(i, w, inst, mode=MODE_SAMPLED, stream=CounterStream(3, i, t))
     assert built == {i: 1 for i in range(1, 9)}
 
 
@@ -536,10 +532,10 @@ def test_replaced_proof_starts_an_empty_cache():
     inst = fx.instance
     w = honest(fx)
     for t in range(50):
-        run_test(3, w, inst, mode=MODE_SAMPLED, stream=CounterStream(4, stream_for_test(3), t))
+        run_test(3, w, inst, mode=MODE_SAMPLED, stream=CounterStream(4, 3, t))
     assert abs(float(run_test(3, w, inst).accept_probability) - 1.0) < 1e-9
     two_m = 2 * inst.m
-    u = WitnessU(RegisteredState(np.outer(np.eye(two_m)[0], uniform_vector(inst.G))))
+    u = RegisteredState(np.outer(np.eye(two_m)[0], uniform_vector(inst.G)))
     out = run_test(3, replace(w, u=u), inst)
     assert abs(float(out.accept_probability) - 1.0 / two_m) < 1e-12
     assert abs(float(run_test(3, w, inst).accept_probability) - 1.0) < 1e-9
@@ -567,14 +563,44 @@ def test_one_proof_against_two_instances():
         assert run_test(test_id, w, inst).reject_probability != run_test(test_id, w, other).reject_probability
 
 
+@pytest.mark.parametrize("field", ["u", "u_prime", "s", "s_prime"])
+def test_proof_refuses_mixed_precision(field):
+    fx = get_fixture("bell-flip")
+    f64 = honest_proof(fx.instance, fx.certificate)
+    ext = honest_proof(fx.instance, fx.certificate, extended=True)
+    with pytest.raises(ShapeMismatchError, match="witnesses must share one precision level"):
+        replace(ext, **{field: getattr(f64, field)})
+
+
+EXTENDED_AGREEMENT = 1e-13  # absolute, on every test's reject sum, for every proof below
+
+
+@pytest.mark.parametrize("name", [fx.name for fx in builtin_instances()])
+def test_double_and_extended_proofs_agree(name):
+    # one proof built on double and on 120-digit amplitudes: the honest one and
+    # each adversary kind at its double-representable demo magnitude
+    fx = get_fixture(name)
+    inst, cert = fx.instance, fx.certificate
+    ledger = derive_parameters(inst)
+    builds = {"honest": lambda ext: honest_proof(inst, cert, extended=ext)}
+    for kind in AdversaryKind:
+        spec = AdversarySpec(kind, demo_magnitude(kind, inst, ledger))
+        builds[kind.value] = lambda ext, spec=spec: forge_adversary(inst, cert, spec, extended=ext)
+    for label, build in builds.items():
+        f64, ext = build(False), build(True)
+        for i in range(1, 9):
+            gap = abs(float(branch_plan(i, f64, inst).reject) - float(branch_plan(i, ext, inst).reject))
+            assert gap <= EXTENDED_AGREEMENT, (label, i, gap)
+
+
 @st.composite
 def _random_proofs(draw):
     fx = draw(st.sampled_from(builtin_instances()))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     inst = fx.instance
     two_m = 2 * inst.m
-    u, up = (WitnessU(random_registered_state((two_m, inst.G), rng)) for _ in range(2))
-    s, sp = (WitnessS(random_registered_state((two_m,) + (2,) * inst.n, rng)) for _ in range(2))
+    u, up = (random_registered_state((two_m, inst.G), rng) for _ in range(2))
+    s, sp = (random_registered_state((two_m,) + (2,) * inst.n, rng) for _ in range(2))
     return inst, Proof(u, up, s, sp)
 
 
@@ -583,13 +609,13 @@ def _random_proofs(draw):
 def test_cached_plan_equals_a_fresh_one(case, seed, trial):
     inst, proof = case
     for i in range(1, 9):
-        branch_plan(i, proof, inst).tally(seed, stream_for_test(i), [trial])  # fills the cache
+        branch_plan(i, proof, inst).tally(seed, i, [trial])  # fills the cache
         cached, fresh = branch_plan(i, proof, inst), branch_plan(i, replace(proof), inst)
         assert cached is branch_plan(i, proof, inst) and cached is not fresh
         a, b = cached.exact(), fresh.exact()
         assert (a.accept_probability, a.reject_probability) == (b.accept_probability, b.reject_probability), i
         assert a.trace == b.trace, i
-        assert cached.tally(seed, stream_for_test(i), [trial]) == fresh.tally(seed, stream_for_test(i), [trial]), i
+        assert cached.tally(seed, i, [trial]) == fresh.tally(seed, i, [trial]), i
 
 
 def test_sampled_needs_stream():
@@ -601,22 +627,17 @@ def test_sampled_needs_stream():
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda w, inst, led, parts: run_test(1, w, inst, mode="Exact", stream=CounterStream(3, 1, 0)),
-        lambda w, inst, led, parts: run_protocol_round(w, inst, led, mode="bogus"),
-        lambda w, inst, led, parts: run_test(1, w, inst, mode="both"),
-        lambda w, inst, led, parts: run_protocol_round(w, inst, led, mode=MODE_SAMPLED),
-        lambda w, inst, led, parts: product_test(parts, parts[::-1], mode=MODE_SAMPLED),
-        lambda w, inst, led, parts: product_test(parts, parts, mode=MODE_SAMPLED),
+        lambda w, inst, led: run_test(1, w, inst, mode="Exact", stream=CounterStream(3, 1, 0)),
+        lambda w, inst, led: run_protocol_round(w, inst, led, mode="bogus"),
+        lambda w, inst, led: run_test(1, w, inst, mode="both"),
+        lambda w, inst, led: run_protocol_round(w, inst, led, mode=MODE_SAMPLED),
     ],
-    ids=["misspelt-exact-with-stream", "bogus-round", "both", "round-without-stream",
-         "product-without-stream", "equal-product-without-stream"],
+    ids=["misspelt-exact-with-stream", "bogus-round", "both", "round-without-stream"],
 )
 def test_verdict_entry_points_refuse_what_they_cannot_serve(entry):
     fx = get_fixture("idle")
-    rng = np.random.default_rng(78)
-    parts = [random_registered_state((4,), rng) for _ in range(4)]
     with pytest.raises(ValueError, match="mode"):
-        entry(honest(fx), fx.instance, derive_parameters(fx.instance), parts)
+        entry(honest(fx), fx.instance, derive_parameters(fx.instance))
 
 
 @pytest.mark.parametrize("test_id", [0, 9, "PRODUCT"])
@@ -627,120 +648,6 @@ def test_unknown_test_id_is_named(test_id):
         with pytest.raises(ValueError, match=f"test id must be one of 1..8, got {test_id!r}"):
             entry(test_id, proof, fx.instance)
     assert proof.plans == {}
-
-
-# ---------------------------------------------------------------------------
-# product test
-# ---------------------------------------------------------------------------
-
-
-def test_product_identical_composites_accept():
-    fx = get_fixture("bell-flip")
-    w = honest(fx)
-    parts = (w.u, w.u_prime, w.s, w.s_prime)
-    out = product_test(parts, parts)
-    assert abs(float(out.accept_probability) - 1.0) < 1e-12
-
-
-def test_product_orthogonal_part_caps_acceptance():
-    fx = get_fixture("idle")
-    w = honest(fx)
-    u, up, s, sp = w.u, w.u_prime, w.s, w.s_prime
-    t = np.zeros((2, fx.instance.G), dtype=complex)
-    t[0, 2], t[1, 3] = 1 / math.sqrt(2), 1 / math.sqrt(2)
-    u_orth = WitnessU(RegisteredState(t))
-    out = product_test((u, up, s, sp), (u_orth, up, s, sp))
-    assert float(out.accept_probability) <= 0.5 + 1e-12
-
-
-def test_product_accept_is_product_of_swap_factors():
-    rng = np.random.default_rng(77)
-    from oracles import random_registered_state
-
-    dims_list = [(4,), (3,), (2, 2), (5,)]
-    a = [random_registered_state(d, rng) for d in dims_list]
-    b = [random_registered_state(d, rng) for d in dims_list]
-    out = product_test(a, b)
-    expect = 1.0
-    for sa, sb in zip(a, b):
-        o = abs(np.vdot(np.asarray(sa.amplitudes, complex), np.asarray(sb.amplitudes, complex))) ** 2
-        expect *= (1 + o) / 2
-    assert abs(float(out.accept_probability) - expect) < 1e-12
-    assert abs(float(out.reject_probability) - (1 - expect)) < 1e-12
-
-
-def test_product_reject_keeps_mass_below_double_resolution():
-    # first parts differ by an angle of 1e-10: swap rejection 5e-21, far below
-    # the spacing of doubles near 1, so 1 - accept would read 0.0
-    theta = 1e-10
-    zero = basis_state((2,), (0,))
-    tilted = RegisteredState([math.cos(theta), math.sin(theta)])
-    a = [zero, zero, zero, zero]
-    b = [tilted, zero, zero, zero]
-    out = product_test(a, b)
-    q1 = dict(out.trace)["swap_reject_1"]
-    assert abs(q1 - 5e-21) <= 1e-30
-    assert out.reject_probability == q1
-
-
-def test_product_sampled_rate():
-    rng = np.random.default_rng(78)
-    from oracles import random_registered_state
-
-    a = [random_registered_state((4,), rng) for _ in range(4)]
-    b = [random_registered_state((4,), rng) for _ in range(4)]
-    exact = float(product_test(a, b).accept_probability)
-    n = 20_000
-    base = CounterStream(5, 9, 0)
-    hits = sum(
-        product_test(a, b, mode=MODE_SAMPLED, stream=replace(base, trial=t)).verdict == "accept" for t in range(n)
-    )
-    sigma = math.sqrt(exact * (1 - exact) / n)
-    assert abs(hits / n - exact) <= 4 * sigma
-
-
-def test_product_shot_equals_bulk():
-    # a product shot at trial t is tally_bernoulli on [t] at the float reject sum,
-    # and the shots over 2000 trials add up to one bulk tally; on
-    # test_product_sampled_rate's states and on a pair whose parts 1 and 3 are
-    # equal basis states (swap reject exactly 0)
-    rng = np.random.default_rng(78)
-    a = [random_registered_state((4,), rng) for _ in range(4)]
-    b = [random_registered_state((4,), rng) for _ in range(4)]
-    c = [basis_state((4,), (k,)) for k in range(4)]
-    n = 2000
-    for left, right in ((a, b), (c, [c[0], b[1], c[2], b[3]])):
-        p = float(product_test(left, right).reject_probability)
-        base = CounterStream(5, 9, 0, 3)
-        rejects = 0
-        for t in range(n):
-            shot = product_test(left, right, mode=MODE_SAMPLED, stream=replace(base, trial=t))
-            assert (shot.verdict == "reject") == (_kernels.tally_bernoulli(5, 9, [t], 3, p)[1] == 1), t
-            rejects += shot.verdict == "reject"
-        assert _kernels.tally_bernoulli(5, 9, np.arange(n, dtype=np.uint64), 3, p) == (n - rejects, rejects)
-        assert 0 < rejects < n
-
-
-def test_product_of_identical_parts_draws_nothing(monkeypatch):
-    w = honest(get_fixture("bell-stepwise"))
-    rng = np.random.default_rng(78)  # complex double parts: <a|a> carries a rounded phase
-    calls = []
-    body = _kernels._philox
-    monkeypatch.setattr(_kernels, "_philox", lambda *a: calls.append(a) or body(*a))
-    base = CounterStream(5, 9, 0)
-    for parts in ((w.u, w.u_prime, w.s, w.s_prime), tuple(random_registered_state((4,), rng) for _ in range(4))):
-        assert all(product_test(parts, parts, mode=MODE_SAMPLED, stream=replace(base, trial=t)).verdict == "accept" for t in range(200))
-    assert calls == []
-
-
-def test_product_shape_guard():
-    fx = get_fixture("idle")
-    w = honest(fx)
-    u, up, s, sp = w.u, w.u_prime, w.s, w.s_prime
-    with pytest.raises(ShapeMismatchError):
-        product_test((u, up, s, sp), (u, up, sp, s.state and basis_state((3,), (0,))))
-    with pytest.raises(ShapeMismatchError):
-        product_test((u, up), (u, up))
 
 
 # ---------------------------------------------------------------------------

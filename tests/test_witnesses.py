@@ -25,6 +25,7 @@ from ffgscon.witnesses import (
     AdversaryKind,
     AdversarySpec,
     GateSetNotClosedError,
+    WITNESS_DPS,
     MagnitudeRangeError,
     TARGETED_TEST,
     apply_W,
@@ -33,6 +34,7 @@ from ffgscon.witnesses import (
     forge_adversary,
     forge_composed,
     honest_gate_assignment,
+    honest_proof,
     reference_certificate,
 )
 
@@ -89,7 +91,7 @@ def test_assignment_requires_closure():
 def test_honest_u_m1_self_adjoint_gate():
     fx = get_fixture("idle")
     u = build_honest_U(fx.instance, TraversalCertificate((1,)))  # cert [X]
-    t = np.asarray(u.state.amplitudes, complex)
+    t = np.asarray(u.amplitudes, complex)
     assert abs(t[0, 1] - S2) < 1e-15 and abs(t[1, 1] - S2) < 1e-15
     assert np.count_nonzero(t) == 2
 
@@ -98,11 +100,22 @@ def test_honest_u_label_marginals_uniform():
     for fx in builtin_instances():
         cert = reference_certificate(fx.instance, fx.certificate)
         u = build_honest_U(fx.instance, cert)
-        probs = np.asarray(u.outcome_probabilities(), float)
+        probs = np.asarray(np.abs(u.amplitudes) ** 2, float)
         two_m = 2 * fx.instance.m
         assert np.allclose(probs.sum(axis=1), 1.0 / two_m, atol=1e-12)
         # basis-pure gate register per label: one nonzero cell per row
         assert all(np.count_nonzero(row) == 1 for row in probs)
+
+
+def test_extended_honest_build_carries_witness_digits():
+    # built outside any forge, an extended honest proof still carries WITNESS_DPS
+    # digits (on idle, whose gates and start state are exact in double)
+    fx = get_fixture("idle")
+    proof = honest_proof(fx.instance, fx.certificate, extended=True)
+    with mpmath.workdps(WITNESS_DPS):
+        amp = 1 / mpmath.sqrt(2 * fx.instance.m)
+        assert abs(proof.u.amplitudes[0, fx.certificate.gates[0]] - amp) < mpmath.mpf(10) ** -100
+        assert abs(proof.s.amplitudes[0, 0] - amp) < mpmath.mpf(10) ** -100
 
 
 def test_cycle_product_is_identity():
@@ -129,7 +142,7 @@ def test_cycle_product_is_identity():
 def test_honest_s_m1_flip():
     fx = get_fixture("idle")
     s = build_honest_S(fx.instance, TraversalCertificate((1,)))  # cert [X]: |1>|0> + |2>|1>
-    t = np.asarray(s.state.amplitudes, complex)
+    t = np.asarray(s.amplitudes, complex)
     assert abs(t[0, 0] - S2) < 1e-15 and abs(t[1, 1] - S2) < 1e-15
 
 
@@ -140,10 +153,10 @@ def test_honest_s_energies_and_endpoint():
         inst = fx.instance
         s = build_honest_S(inst, fx.certificate)
         for i in range(2 * inst.m):
-            p, data = conditional_state(s.state, 0, i)
+            p, data = conditional_state(s, 0, i)
             assert abs(p - 1 / (2 * inst.m)) < 1e-12
             assert energy_of(inst, data) <= 1e-10
-        _, mid = conditional_state(s.state, 0, inst.m)
+        _, mid = conditional_state(s, 0, inst.m)
         phi = prepare_state_from_circuit(inst, "phi")
         assert phase_optimized_distance(mid, phi) <= inst.eta3 + 1e-9
 
@@ -155,7 +168,7 @@ def test_w_fixes_honest_sequences():
         assignment = honest_gate_assignment(inst, cert)
         s = build_honest_S(inst, cert)
         moved = apply_W(inst, assignment, s)
-        diff = np.asarray(moved.state.amplitudes - s.state.amplitudes, complex)
+        diff = np.asarray(moved.amplitudes - s.amplitudes, complex)
         assert np.linalg.norm(diff) <= 1e-9, fx.name
 
 
@@ -163,11 +176,10 @@ def test_w_on_basis_input():
     fx = get_fixture("idle")
     inst = fx.instance
     from ffgscon.states import RegisteredState
-    from ffgscon.witnesses import WitnessS
 
-    basis = WitnessS(RegisteredState([[1, 0], [0, 0]]))  # |label 1>|0>
+    basis = RegisteredState([[1, 0], [0, 0]])  # |label 1>|0>
     moved = apply_W(inst, (1, 1), basis)  # U_1 = X
-    assert abs(moved.state.amplitudes[1, 1] - 1.0) < 1e-15
+    assert abs(moved.amplitudes[1, 1] - 1.0) < 1e-15
 
 
 def test_w_cycles_back_after_2m_steps():
@@ -178,7 +190,7 @@ def test_w_cycles_back_after_2m_steps():
     cur = s
     for _ in range(2 * inst.m):
         cur = apply_W(inst, assignment, cur)
-    diff = np.asarray(cur.state.amplitudes - s.state.amplitudes, complex)
+    diff = np.asarray(cur.amplitudes - s.amplitudes, complex)
     assert np.linalg.norm(diff) <= 1e-9
 
 
@@ -190,10 +202,8 @@ def test_w_preserves_norm():
     from oracles import random_registered_state
 
     s = random_registered_state((2 * inst.m,) + (2,) * inst.n, rng)
-    from ffgscon.witnesses import WitnessS
-
-    moved = apply_W(inst, assignment, WitnessS(s))
-    assert abs(norm_sq(moved.state) - 1.0) < 1e-12
+    moved = apply_W(inst, assignment, s)
+    assert abs(norm_sq(moved) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -227,40 +237,40 @@ def test_every_kind_self_reports_within_tolerance():
             assert abs(float(g) - float(r)) <= 1e-6 * abs(float(r)), kind
         assert forged.targeted_test == TARGETED_TEST[kind]
         for w in (forged.u, forged.u_prime, forged.s, forged.s_prime):
-            assert abs(norm_sq(w.state) - 1.0) < 1e-9
+            assert abs(norm_sq(w) - 1.0) < 1e-9
 
 
 def test_mismatched_probability_gap_is_exact():
     _, forged = _forge("idle", AdversaryKind.MISMATCHED_U, 0.2)
-    pa = np.asarray(forged.u.outcome_probabilities(), float)
-    pb = np.asarray(forged.u_prime.outcome_probabilities(), float)
+    pa = np.asarray(np.abs(forged.u.amplitudes) ** 2, float)
+    pb = np.asarray(np.abs(forged.u_prime.amplitudes) ** 2, float)
     assert abs(np.abs(pa - pb).max() - 0.2) < 1e-12
 
 
 def test_wrong_start_distance_matches_request():
     for w_req in (0.1, 0.35, 1.0):
         fx, forged = _forge("bell-flip", AdversaryKind.WRONG_START, w_req)
-        _, data = conditional_state(forged.s.state, 0, 0)
+        _, data = conditional_state(forged.s, 0, 0)
         psi = prepare_state_from_circuit(fx.instance, "psi")
         assert abs(phase_optimized_distance(data, psi) - w_req) < 1e-9
 
 
 def test_wrong_start_keeps_labels_uniform():
     fx, forged = _forge("bell-flip", AdversaryKind.WRONG_START, 0.3)
-    probs = np.asarray(register_distribution(forged.s.state, 0), float)
+    probs = np.asarray(register_distribution(forged.s, 0), float)
     assert np.allclose(probs, 1.0 / (2 * fx.instance.m), atol=1e-12)
 
 
 def test_high_energy_pure_top_eigenvector():
     # at the top of the spectrum the planted state is an exact eigenvector
     fx, forged = _forge("bell-flip", AdversaryKind.HIGH_ENERGY, 1.0)
-    _, data = conditional_state(forged.s.state, 0, 0)
+    _, data = conditional_state(forged.s, 0, 0)
     assert abs(energy_of(fx.instance, data) - 1.0) < 1e-10
 
 
 def test_high_energy_half_eta2():
     fx, forged = _forge("tilted-target", AdversaryKind.HIGH_ENERGY, 0.25)
-    _, data = conditional_state(forged.s.state, 0, 0)
+    _, data = conditional_state(forged.s, 0, 0)
     assert abs(energy_of(fx.instance, data) - 0.25) < 1e-10
 
 
@@ -305,7 +315,7 @@ def test_seeded_choices_are_reproducible():
     a = forge_adversary(fx.instance, fx.certificate, spec)
     b = forge_adversary(fx.instance, fx.certificate, spec)
     assert np.array_equal(
-        np.asarray(a.u_prime.state.amplitudes, complex), np.asarray(b.u_prime.state.amplitudes, complex)
+        np.asarray(a.u_prime.amplitudes, complex), np.asarray(b.u_prime.amplitudes, complex)
     )
 
 
@@ -316,10 +326,10 @@ def test_composed_adversaries_stack():
         AdversarySpec(AdversaryKind.WRONG_START, 0.3),
     )
     forged = forge_composed(fx.instance, fx.certificate, specs)
-    pa = np.asarray(forged.u.outcome_probabilities(), float)
-    pb = np.asarray(forged.u_prime.outcome_probabilities(), float)
+    pa = np.asarray(np.abs(forged.u.amplitudes) ** 2, float)
+    pb = np.asarray(np.abs(forged.u_prime.amplitudes) ** 2, float)
     assert np.abs(pa - pb).max() > 0.09
-    _, data = conditional_state(forged.s.state, 0, 0)
+    _, data = conditional_state(forged.s, 0, 0)
     psi = prepare_state_from_circuit(fx.instance, "psi")
     assert abs(phase_optimized_distance(data, psi) - 0.3) < 1e-9
 
@@ -349,7 +359,7 @@ def test_orthogonal_helper_falls_back_off_psi_own_axis():
     assert _seeded_index(2, 0, psi.amplitudes.size) == int(np.argmax(np.abs(psi.amplitudes)))
     perp = _orthogonal_state(psi, 2)
     assert abs(inner_product(psi, perp)) < 1e-15 and abs(norm_sq(perp) - 1.0) < 1e-12
-    _, data = conditional_state(forged.s.state, 0, 0)
+    _, data = conditional_state(forged.s, 0, 0)
     assert abs(phase_optimized_distance(data, psi) - 0.3) < 1e-9
     assert abs(float(forged.measured_deviation) - 0.3) <= 1e-6 * 0.3
 
