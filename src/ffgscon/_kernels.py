@@ -104,8 +104,10 @@ def uniforms(seed, stream, trials, draw):
 # Each kernel reads at most a fixed number of draw slots per trial, starting
 # at ``draw0`` (the protocol-round dispatcher reserves slot 0 for test
 # choice); a slot holds two uniforms.  A uniform u in [0, 1) never satisfies
-# u < p for p <= 0, so a kernel whose reject can never fire returns without
-# drawing, and a slot that decides nothing for a trial is not read for it.
+# u < p for p <= 0, and an inverse-CDF pick never lands on an index whose
+# interval holds no u in [0, 1).  So a kernel whose reject can never fire
+# returns without drawing, and a slot that decides nothing for a trial is not
+# read for it.
 # Draws are addressed, so a skipped read cannot move any other trial's bits.
 # All return (accepts, rejects) with accepts + rejects == len(trials).
 # ---------------------------------------------------------------------------
@@ -114,6 +116,32 @@ def uniforms(seed, stream, trials, draw):
 def _pick(cdf, u):
     """Inverse-CDF index of each uniform, clamped to the last outcome."""
     return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
+
+
+def _reachable(cdf):
+    """Which indices :func:`_pick` can return for some u in [0, 1).
+
+    Index k takes u in ``[cdf[k-1], cdf[k])`` (from 0 for k = 0), and the
+    clamp gives the last index ``[cdf[-2], 1)``.  An interval of positive
+    float width with no multiple of 2**-53 in it counts as reachable, and so
+    does a NaN bound: the answer may say reachable where no draw lands, never
+    the reverse.
+    """
+    lo = np.concatenate(([0.0], cdf[:-1]))
+    hi = np.concatenate((cdf[:-1], [1.0]))
+    return ~(lo >= np.minimum(hi, 1.0))
+
+
+def unique_can_reject(cdf_a, cdf_b, gate_dim, valid):
+    """Whether some trial of :func:`tally_unique` can reject on these arguments.
+
+    True when a reachable (label, gate) index of ``cdf_a`` and one of
+    ``cdf_b`` share the label and differ in gate, or the ``cdf_a`` gate is invalid.
+    """
+    ra = _reachable(cdf_a).reshape(-1, gate_dim)
+    rb = _reachable(cdf_b).reshape(-1, gate_dim)
+    mismatch = ~np.eye(gate_dim, dtype=bool) | ~valid[:, None]  # [ga, gb]
+    return bool(np.any(ra[:, :, None] & rb[:, None, :] & mismatch))
 
 
 def tally_bernoulli(seed, stream, trials, draw0, p_reject):
@@ -146,7 +174,14 @@ def tally_chain(seed, stream, trials, draw0, probs):
     return len(trials) - rej, rej
 
 
-def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
+def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid, can_reject):
+    """Reject where the two picks share a label and differ in gate, or the gate is invalid.
+
+    ``can_reject`` is :func:`unique_can_reject` of the other arguments; when
+    it is false no trial can reject, so nothing is drawn.
+    """
+    if not can_reject:
+        return len(trials), 0
     u, v = uniforms(seed, stream, trials, draw0)
     fa, fb = _pick(cdf_a, u), _pick(cdf_b, v)
     la, ga = fa // gate_dim, fa % gate_dim

@@ -154,6 +154,15 @@ def _swap_s_plan(proof: Proof, inst) -> BranchPlan:
 
 
 def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
+    """Measure (label, gate) on U and U'; reject on equal labels with unequal or out-of-set gates.
+
+    The kernel draws from the float CDFs of the two outcome distributions.
+    Whether any pair it can realize rejects is decided here, once, from those
+    CDFs (:func:`ffgscon._kernels.unique_can_reject`, which counts the width
+    the last index gains from the clamp); when none can, the kernel draws
+    nothing.  The exact reject sum cannot stand in for that check: it
+    ignores the clamp.
+    """
     pa = np.abs(proof.u.amplitudes) ** 2
     pb = np.abs(proof.u_prime.amplitudes) ** 2
     n_set = len(inst.gate_set)
@@ -167,7 +176,9 @@ def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
                     reject = reject + pa[i, g] * pb[i, g2]
     cdf_a = np.cumsum(np.asarray(pa, dtype=np.float64).ravel())
     cdf_b = np.cumsum(np.asarray(pb, dtype=np.float64).ravel())
-    return _plan(2, (("joint_mismatch", reject),), reject, _kernels.tally_unique, cdf_a, cdf_b, G, np.arange(G) < n_set)
+    valid = np.arange(G) < n_set
+    can_reject = _kernels.unique_can_reject(cdf_a, cdf_b, G, valid)
+    return _plan(2, (("joint_mismatch", reject),), reject, _kernels.tally_unique, cdf_a, cdf_b, G, valid, can_reject)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ def reference_pick(cdf, u):
     return np.array([min(int(np.searchsorted(cdf, x, side="right")), len(cdf) - 1) for x in u])
 
 
+def reference_unique(cdf_a, cdf_b, gate_dim, valid, u, v):
+    """Test 2's reject per trial: the two picks share a label and differ in gate, or the first gate is invalid."""
+    fa, fb = reference_pick(cdf_a, u), reference_pick(cdf_b, v)
+    ga = fa % gate_dim
+    return (fa // gate_dim == fb // gate_dim) & ((ga != fb % gate_dim) | ~valid[ga])
+
+
 def test_uniform_addressing_changes_with_every_coordinate():
     base = uniform_at(1, 2, 3, 4)
     assert base != uniform_at(2, 2, 3, 4)
@@ -134,7 +141,7 @@ def test_philox_int_and_array_paths_agree():
     tallies = [
         (K.tally_bernoulli, (0.37,)),
         (K.tally_chain, (probs,)),
-        (K.tally_unique, (cdf12, cdf12, 4, valid)),
+        (K.tally_unique, (cdf12, cdf12, 4, valid, True)),
         (K.tally_boundary, (lab_cdf, 2, 0.4)),
         (K.tally_low, (lab_cdf, table)),
     ]
@@ -199,15 +206,14 @@ def test_tally_kernels_match_numpy_reference():
     # of one slot; boundary reads label and reject from one slot; low reads label and term
     # from its first slot and the reject from the next.
     chain = np.all([u(9, 3, 1 + k // 2)[k % 2] < probs[k] for k in range(len(probs))], axis=0)
-    fa, fb = (reference_pick(cdf12, x) for x in u(4, 2, 0))
-    unique = (fa // 4 == fb // 4) & ((fa % 4 != fb % 4) | ~valid[fa % 4])
+    unique = reference_unique(cdf12, cdf12, 4, valid, *u(4, 2, 0))
     boundary = (reference_pick(lab_cdf, u(8, 6, 0)[0]) == 2) & (u(8, 6, 0)[1] < 0.4)
     term = np.minimum((u(8, 8, 0)[1] * 3).astype(np.int64), 2)
     low = u(8, 8, 1)[0] < table[reference_pick(lab_cdf, u(8, 8, 0)[0]), term]
     pairs = [
         (K.tally_bernoulli(9, 1, trials, 0, 0.37), counts(u(9, 1, 0)[0] < 0.37)),
         (K.tally_chain(9, 3, trials, 1, probs), counts(chain)),
-        (K.tally_unique(4, 2, trials, 0, cdf12, cdf12, 4, valid), counts(unique)),
+        (K.tally_unique(4, 2, trials, 0, cdf12, cdf12, 4, valid, True), counts(unique)),
         (K.tally_boundary(8, 6, trials, 0, lab_cdf, 2, 0.4), counts(boundary)),
         (K.tally_low(8, 8, trials, 0, lab_cdf, table), counts(low)),
     ]
@@ -229,6 +235,26 @@ def cdf_of(weights):
     return np.cumsum(w / w.sum() if w.sum() > 0 else w)
 
 
+def grid_reachable(cdf):
+    """Indices that ``reference_pick`` returns for some multiple of 2**-53 in [0, 1).
+
+    The lowest grid point at or above an index's lower CDF bound picks that
+    index exactly when some grid point does.
+    """
+    lows = np.ceil(np.concatenate(([0.0], cdf[:-1])) * 2.0**53) / 2.0**53
+    return [x < 1 and reference_pick(cdf, [x])[0] == k for k, x in enumerate(lows)]
+
+
+def grid_reject_pair(cdf_a, cdf_b, gate_dim, valid):
+    """Whether two grid uniforms can pick a mismatching (label, gate) pair, one pair at a time."""
+    ra, rb = grid_reachable(cdf_a), grid_reachable(cdf_b)
+    return any(
+        ka // gate_dim == kb // gate_dim and (ka % gate_dim != kb % gate_dim or not valid[ka % gate_dim])
+        for ka in range(len(ra)) if ra[ka]
+        for kb in range(len(rb)) if rb[kb]
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -244,9 +270,15 @@ def cdf_of(weights):
     n_terms=st.integers(1, 3),
     entries=st.one_of(st.just([]), st.lists(PROB, min_size=12, max_size=12)),  # [] is the all-zero table
     certain=st.booleans(),
+    labels=st.integers(1, 3),
+    gate_dim=st.integers(1, 3),
+    joint_a=st.lists(PROB, min_size=9, max_size=9),  # label x gate weights, cut to labels * gate_dim
+    joint_b=st.lists(PROB, min_size=9, max_size=9),
+    valid=st.lists(st.booleans(), min_size=3, max_size=3),
 )
 def test_short_circuits_equal_the_drawn_tally_property(
-    seed, stream, draw0, small, large, p, stages, q, weights, target, n_terms, entries, certain
+    seed, stream, draw0, small, large, p, stages, q, weights, target, n_terms, entries, certain,
+    labels, gate_dim, joint_a, joint_b, valid,
 ):
     # the reference draws every slot for every trial; a kernel reads a slot only for
     # the trials it can decide, and draws nothing when nothing can fire
@@ -255,6 +287,11 @@ def test_short_circuits_equal_the_drawn_tally_property(
     target = min(target, len(weights) - 1)
     table = np.reshape(entries or [0.0] * 12, (4, 3))[: len(weights), :n_terms]
     pick_cdf = np.ones(3) if certain else lab_cdf  # cdf[0] == 1: the first outcome is certain
+    cdf_a, cdf_b = cdf_of(joint_a[: labels * gate_dim]), cdf_of(joint_b[: labels * gate_dim])
+    valid = np.array(valid[:gate_dim])
+    can_reject = K.unique_can_reject(cdf_a, cdf_b, gate_dim, valid)
+    # the check may call a pair reachable that no grid uniform lands on, never the reverse
+    assert can_reject or not grid_reject_pair(cdf_a, cdf_b, gate_dim, valid)
     for t in (small, large):
         trials = np.array(t, dtype=np.uint64)
         n = trials.size
@@ -272,9 +309,11 @@ def test_short_circuits_equal_the_drawn_tally_property(
         term = np.minimum((u[0][1] * n_terms).astype(np.int64), n_terms - 1)
         entry = table[lab, term]
         low_lanes = n + np.count_nonzero(entry > 0) if np.any(table > 0) else 0
+        unique = reference_unique(cdf_a, cdf_b, gate_dim, valid, *u[0])
         cases = [
             (K.tally_bernoulli, (p,), counts(u[0][0] < p), n if p > 0 else 0),
             (K.tally_chain, (stages,), counts(np.all(fired, axis=0)), chain_lanes if np.all(stages > 0) else 0),
+            (K.tally_unique, (cdf_a, cdf_b, gate_dim, valid, can_reject), counts(unique), n if can_reject else 0),
             (K.tally_boundary, (lab_cdf, target, q), counts((lab == target) & (u[0][1] < q)), n if q > 0 else 0),
             (K.tally_low, (lab_cdf, table), counts(u[1][0] < entry), low_lanes),
         ]
@@ -286,6 +325,62 @@ def test_short_circuits_equal_the_drawn_tally_property(
             picks = K.select(seed, stream, trials, draw0, pick_cdf)
         assert np.array_equal(picks, reference_pick(pick_cdf, u[0][0]))
         assert lanes_of(body) == (0 if pick_cdf[0] >= 1 else n)
+
+
+def drawn_unique(cdf_a, cdf_b, gate_dim, valid, trials):
+    """(tally, Philox lanes, reference tally) of ``tally_unique`` with the plan-build check."""
+    can_reject = K.unique_can_reject(cdf_a, cdf_b, gate_dim, valid)
+    with mock.patch.object(K, "_philox", wraps=K._philox) as body:
+        tally = K.tally_unique(5, 2, trials, 1, cdf_a, cdf_b, gate_dim, valid, can_reject)
+    rej = int(np.count_nonzero(reference_unique(cdf_a, cdf_b, gate_dim, valid, *reference_uniforms(5, 2, trials, 1))))
+    return tally, lanes_of(body), (trials.size - rej, rej)
+
+
+def test_unique_draws_for_a_reject_pair_on_the_clamped_last_index():
+    # one label, gates 0 and 1: gate 1 has weight 0, so its CDF entry has zero
+    # width, but u >= cdf[-1] = 0.5 is clamped onto it.  The exact branch sum
+    # (0.5 * 0 + 0 * 0.5) is 0, yet gate 0 against gate 1 rejects half the trials
+    cdf = np.cumsum([0.5, 0.0])
+    valid = np.array([True, True])
+    trials = np.arange(4000, dtype=np.uint64)
+    tally, lanes, ref = drawn_unique(cdf, cdf, 2, valid, trials)
+    assert K.unique_can_reject(cdf, cdf, 2, valid)
+    assert lanes == trials.size
+    assert tally == ref and ref[1] > 0
+
+
+def test_unique_does_not_draw_past_a_cdf_that_reaches_one():
+    # labels 0 and 1, gates 0 and 1: the CDF reaches 1 at label 1 gate 0, so
+    # label 1 gate 1 is unreachable despite its weight 0.25, and label 0 gate 1
+    # has zero width; every reachable pair agrees on a valid gate
+    cdf = np.cumsum([0.5, 0.0, 0.5, 0.25])
+    valid = np.array([True, True])
+    trials = np.arange(4000, dtype=np.uint64)
+    tally, lanes, ref = drawn_unique(cdf, cdf, 2, valid, trials)
+    assert not K.unique_can_reject(cdf, cdf, 2, valid)
+    assert lanes == 0
+    assert tally == ref == (trials.size, 0)
+
+
+def test_unique_plan_can_reject_only_on_a_mismatched_u():
+    from ffgscon.fixtures import builtin_instances, get_fixture
+    from ffgscon.harness import demo_magnitude
+    from ffgscon.ledger import derive_parameters
+    from ffgscon.verifier import branch_plan
+    from ffgscon.witnesses import AdversaryKind, AdversarySpec, forge_adversary, honest_proof
+
+    def can_reject(proof, inst):
+        plan = branch_plan(2, proof, inst)
+        assert plan.args[-1] == K.unique_can_reject(*plan.args[:-1])
+        return plan.args[-1]
+
+    for fx in builtin_instances():
+        for extended in (False, True):
+            assert not can_reject(honest_proof(fx.instance, fx.certificate, extended=extended), fx.instance), fx.name
+    fx = get_fixture("bell-flip")
+    kind = AdversaryKind.MISMATCHED_U
+    spec = AdversarySpec(kind, demo_magnitude(kind, fx.instance, derive_parameters(fx.instance)))
+    assert can_reject(forge_adversary(fx.instance, fx.certificate, spec), fx.instance)
 
 
 def test_tally_bernoulli_rate():
