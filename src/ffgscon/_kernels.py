@@ -103,11 +103,10 @@ def uniforms(seed, stream, trials, draw):
 #
 # Each kernel reads at most a fixed number of draw slots per trial, starting
 # at ``draw0`` (the protocol-round dispatcher reserves slot 0 for test
-# choice); a slot holds two uniforms.  A uniform u in [0, 1) never satisfies
-# u < p for p <= 0, and an inverse-CDF pick never lands on an index whose
-# interval holds no u in [0, 1).  So a kernel whose reject can never fire
-# returns without drawing, and a slot that decides nothing for a trial is not
-# read for it.
+# choice); a slot holds two uniforms.  Whether a whole call can reject is not
+# the kernels' business: a plan decides it once, at build, from
+# :func:`holds_uniform`, and does not call its kernel when it cannot.  Inside a
+# kernel, a slot that decides nothing for a trial is not read for it.
 # Draws are addressed, so a skipped read cannot move any other trial's bits.
 # All return (accepts, rejects) with accepts + rejects == len(trials).
 # ---------------------------------------------------------------------------
@@ -118,70 +117,63 @@ def _pick(cdf, u):
     return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
 
 
-def _reachable(cdf):
-    """Which indices :func:`_pick` can return for some u in [0, 1).
+def pick_bounds(cdf):
+    """``(lo, hi)``: on a non-decreasing ``cdf``, :func:`_pick` returns k exactly for u in ``[lo[k], hi[k])``.
 
-    Index k takes u in ``[cdf[k-1], cdf[k])`` (from 0 for k = 0), and the
-    clamp gives the last index ``[cdf[-2], 1)``.  An interval of positive
-    float width with no multiple of 2**-53 in it counts as reachable, and so
-    does a NaN bound: the answer may say reachable where no draw lands, never
-    the reverse.
+    That is ``[cdf[k-1], cdf[k])``, from 0 for k = 0; the clamp gives the last index ``[cdf[-2], 1)``.
     """
-    lo = np.concatenate(([0.0], cdf[:-1]))
-    hi = np.concatenate((cdf[:-1], [1.0]))
-    return ~(lo >= np.minimum(hi, 1.0))
+    return np.concatenate(([0.0], cdf[:-1])), np.concatenate((cdf[:-1], [1.0]))
+
+
+def holds_uniform(lo, hi):
+    """Whether ``[lo, hi)`` holds some u in [0, 1), elementwise, for ``lo >= 0``.
+
+    An interval of positive float width with no multiple of 2**-53 in it
+    counts as holding, and so does a NaN bound: the answer may say it holds
+    where no draw lands, never the reverse.
+    """
+    return ~(np.asarray(lo) >= np.minimum(hi, 1.0))
 
 
 def unique_can_reject(cdf_a, cdf_b, gate_dim, valid):
     """Whether some trial of :func:`tally_unique` can reject on these arguments.
 
-    True when a reachable (label, gate) index of ``cdf_a`` and one of
-    ``cdf_b`` share the label and differ in gate, or the ``cdf_a`` gate is invalid.
+    True when a (label, gate) index that ``cdf_a`` can pick and one that
+    ``cdf_b`` can pick share the label and differ in gate, or the ``cdf_a``
+    gate is invalid.
     """
-    ra = _reachable(cdf_a).reshape(-1, gate_dim)
-    rb = _reachable(cdf_b).reshape(-1, gate_dim)
+    ra = holds_uniform(*pick_bounds(cdf_a)).reshape(-1, gate_dim)
+    rb = holds_uniform(*pick_bounds(cdf_b)).reshape(-1, gate_dim)
     mismatch = ~np.eye(gate_dim, dtype=bool) | ~valid[:, None]  # [ga, gb]
     return bool(np.any(ra[:, :, None] & rb[:, None, :] & mismatch))
 
 
-def tally_bernoulli(seed, stream, trials, draw0, p_reject):
-    if p_reject <= 0:
-        return len(trials), 0
-    u, _ = uniforms(seed, stream, trials, draw0)
-    rej = int(np.count_nonzero(u < p_reject))
-    return len(trials) - rej, rej
+def _inside(u, lo, hi):
+    return (u >= lo) & (u < hi) if lo > 0 else u < hi  # u >= 0 always holds
 
 
-def tally_chain(seed, stream, trials, draw0, probs):
-    """Reject iff every stage fires: u_k < probs[k] for all k.
+def tally_chain(seed, stream, trials, draw0, lo, hi):
+    """Reject iff every stage k holds its uniform: ``lo[k] <= u_k < hi[k]``.
 
     Stages 2j and 2j + 1 read the two uniforms of slot ``draw0 + j``, on the
-    trials that survived every earlier stage.  A stage of probability <= 0
-    stops every trial, so then nothing is drawn.
+    trials that survived every earlier stage.  A Bernoulli reject p is the
+    one stage ``[0, p)``; a label pick is the stage :func:`pick_bounds` gives.
     """
-    if any(p <= 0 for p in probs):
-        return len(trials), 0
     alive = np.asarray(trials, dtype=np.uint64)
-    for j in range(0, len(probs), 2):
+    for j in range(0, len(hi), 2):
         if alive.size == 0:
             break
         u, v = uniforms(seed, stream, alive, draw0 + j // 2)
-        fire = u < probs[j]
-        if j + 1 < len(probs):
-            fire &= v < probs[j + 1]
+        fire = _inside(u, lo[j], hi[j])
+        if j + 1 < len(hi):
+            fire &= _inside(v, lo[j + 1], hi[j + 1])
         alive = alive[fire]
     rej = alive.size
     return len(trials) - rej, rej
 
 
-def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid, can_reject):
-    """Reject where the two picks share a label and differ in gate, or the gate is invalid.
-
-    ``can_reject`` is :func:`unique_can_reject` of the other arguments; when
-    it is false no trial can reject, so nothing is drawn.
-    """
-    if not can_reject:
-        return len(trials), 0
+def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
+    """Reject where the two picks share a label and differ in gate, or the gate is invalid."""
     u, v = uniforms(seed, stream, trials, draw0)
     fa, fb = _pick(cdf_a, u), _pick(cdf_b, v)
     la, ga = fa // gate_dim, fa % gate_dim
@@ -191,18 +183,8 @@ def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid, can
     return len(trials) - rej, rej
 
 
-def tally_boundary(seed, stream, trials, draw0, label_cdf, target, q_reject):
-    if q_reject <= 0:
-        return len(trials), 0
-    u, v = uniforms(seed, stream, trials, draw0)
-    rej = int(np.count_nonzero((_pick(label_cdf, u) == target) & (v < q_reject)))
-    return len(trials) - rej, rej
-
-
 def tally_low(seed, stream, trials, draw0, label_cdf, reject_table):
     """Label and term from slot ``draw0``; slot ``draw0 + 1`` only where the entry can reject."""
-    if not np.any(reject_table > 0):
-        return len(trials), 0
     trials = np.asarray(trials, dtype=np.uint64)
     n_terms = reject_table.shape[1]
     u, v = uniforms(seed, stream, trials, draw0)

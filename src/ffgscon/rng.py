@@ -32,10 +32,17 @@ class CounterStream:
     """The address ``(seed, stream, trial, draw)`` of a sampled shot's first draw slot.
 
     Addresses for different trials never interact; ``dataclasses.replace(s,
-    trial=t)`` is the sibling at the same seed, stream and draw.
+    trial=t)`` is the sibling at the same seed, stream and draw.  A field out
+    of its range raises ``ValueError``, since it would alias a valid address.
     """
 
     seed: int
     stream: int = STREAM_USER
     trial: int = 0
     draw: int = 0
+
+    def __post_init__(self):
+        # Philox word ranges; a round shot reads slots draw .. draw + 2
+        for name, end in (("seed", 2**64), ("stream", 2**32), ("trial", 2**64), ("draw", 2**32 - 2)):
+            if not 0 <= getattr(self, name) < end:
+                raise ValueError(f"counter stream {name} must be in [0, {end}), got {getattr(self, name)!r}")

@@ -99,12 +99,15 @@ class BranchPlan:
     ``trace`` names the branch probabilities; ``reject`` and ``accept`` are
     the exact branch sums; ``kernel`` is the tally of :mod:`ffgscon._kernels`
     that realizes the tree per trial, on the float arguments ``args``.
+    ``live`` is whether some trial of that kernel can reject, decided at build
+    (:func:`ffgscon._kernels.holds_uniform`); a plan that is not live draws nothing.
     """
 
     test_id: int  # 1..8
     trace: tuple
     reject: object
     accept: object
+    live: bool
     kernel: Callable
     args: tuple
 
@@ -113,6 +116,8 @@ class BranchPlan:
 
     def tally(self, seed, stream, trials, draw0=0) -> tuple[int, int]:
         """(accepts, rejects) over an array of trial indices, from draw ``draw0`` on."""
+        if not self.live:
+            return len(trials), 0
         return self.kernel(seed, stream, trials, draw0, *self.args)
 
     def shot(self, stream: CounterStream) -> TestOutcome:
@@ -121,13 +126,27 @@ class BranchPlan:
         return TestOutcome(self.test_id, MODE_SAMPLED, verdict="reject" if rejected else "accept", trace=self.trace)
 
 
-def _plan(test_id, trace, reject, kernel, *args) -> BranchPlan:
+def _plan(test_id, trace, reject, live, kernel, *args) -> BranchPlan:
     """A plan of tests 1..8, whose accept sum is ``1 - reject`` at the builder's precision."""
-    return BranchPlan(test_id, tuple(trace), reject, 1 - reject, kernel, args)
+    return BranchPlan(test_id, tuple(trace), reject, 1 - reject, bool(live), kernel, args)
 
 
 def _label_cdf(probs) -> np.ndarray:
     return np.cumsum(np.clip(np.asarray(probs, dtype=np.float64), 0, 1))
+
+
+def _chain_plan(test_id, stages, lo=None, hi=None) -> BranchPlan:
+    """A plan of :func:`ffgscon._kernels.tally_chain`: reject iff ``lo[k] <= u_k < hi[k]`` at every stage k.
+
+    ``stages`` names the stage probabilities in order; the reject sum is their product, and the bounds
+    default to ``[0, p_k)``.  A stage of None had no surviving mass and never fires.
+    """
+    probs = [p for _, p in stages]
+    reject = 0.0 if any(p is None for p in probs) else math.prod(probs)
+    if hi is None:
+        lo, hi = [0.0] * len(probs), [0.0 if p is None else p for p in probs]
+    lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
+    return _plan(test_id, stages, reject, np.all(_kernels.holds_uniform(lo, hi)), _kernels.tally_chain, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +155,7 @@ def _label_cdf(probs) -> np.ndarray:
 
 
 def _swap_plan(test_id, a: RegisteredState, b: RegisteredState) -> BranchPlan:
-    q = swap_test_reject_prob(a, b)
-    return _plan(test_id, (("swap_reject", q),), q, _kernels.tally_bernoulli, float(q))
+    return _chain_plan(test_id, (("swap_reject", swap_test_reject_prob(a, b)),))
 
 
 def _swap_u_plan(proof: Proof, inst) -> BranchPlan:
@@ -156,12 +174,9 @@ def _swap_s_plan(proof: Proof, inst) -> BranchPlan:
 def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Measure (label, gate) on U and U'; reject on equal labels with unequal or out-of-set gates.
 
-    The kernel draws from the float CDFs of the two outcome distributions.
-    Whether any pair it can realize rejects is decided here, once, from those
-    CDFs (:func:`ffgscon._kernels.unique_can_reject`, which counts the width
-    the last index gains from the clamp); when none can, the kernel draws
-    nothing.  The exact reject sum cannot stand in for that check: it
-    ignores the clamp.
+    The kernel draws from the float CDFs of the two outcome distributions; the plan is live when
+    a pair it can pick rejects (:func:`ffgscon._kernels.unique_can_reject`, which counts the width
+    the last index gains from the clamp).  The exact reject sum ignores the clamp, so it cannot stand in.
     """
     pa = np.abs(proof.u.amplitudes) ** 2
     pb = np.abs(proof.u_prime.amplitudes) ** 2
@@ -177,20 +192,13 @@ def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     cdf_a = np.cumsum(np.asarray(pa, dtype=np.float64).ravel())
     cdf_b = np.cumsum(np.asarray(pb, dtype=np.float64).ravel())
     valid = np.arange(G) < n_set
-    can_reject = _kernels.unique_can_reject(cdf_a, cdf_b, G, valid)
-    return _plan(2, (("joint_mismatch", reject),), reject, _kernels.tally_unique, cdf_a, cdf_b, G, valid, can_reject)
+    live = _kernels.unique_can_reject(cdf_a, cdf_b, G, valid)
+    return _plan(2, (("joint_mismatch", reject),), reject, live, _kernels.tally_unique, cdf_a, cdf_b, G, valid)
 
 
 # ---------------------------------------------------------------------------
 # tests 3 and 5: chains of projections; reject iff every stage fires
 # ---------------------------------------------------------------------------
-
-
-def _chain_plan(test_id, stages) -> BranchPlan:
-    """Stage probabilities in order; a stage of None had no surviving mass and never fires."""
-    probs = [p for _, p in stages]
-    reject = 0.0 if any(p is None for p in probs) else math.prod(probs)
-    return _plan(test_id, stages, reject, _kernels.tally_chain, np.array([0.0 if p is None else float(p) for p in probs]))
 
 
 def _uniform_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
@@ -250,9 +258,9 @@ def _boundary_plan(test_id, which, proof: Proof, inst: GsconInstance) -> BranchP
         _, data = conditional_state(s, 0, target)
         anchor = prepare_state_from_circuit(inst, which, extended=s.extended)
         q = swap_test_reject_prob(data, anchor)
-    reject, q_float = (0.0, 0.0) if q is None else (p_label * q, float(q))
-    trace = (("label_prob", p_label), ("swap_reject", q))
-    return _plan(test_id, trace, reject, _kernels.tally_boundary, _label_cdf(probs), target, q_float)
+    lo, hi = _kernels.pick_bounds(_label_cdf(probs))
+    stages = (("label_prob", p_label), ("swap_reject", q))
+    return _chain_plan(test_id, stages, [lo[target], 0.0], [hi[target], 0.0 if q is None else q])
 
 
 def _start_plan(proof: Proof, inst) -> BranchPlan:
@@ -282,7 +290,8 @@ def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
             energies[i] = energy_sum(row, s.extended)
             reject_table[i] = [min(max(float(v), 0.0), 1.0) for v in row]
     reject = sum(p * e for p, e in zip(probs, energies)) / inst.R
-    return _plan(8, (("mean_energy_over_R", reject),), reject, _kernels.tally_low, _label_cdf(probs), reject_table)
+    live = np.any(_kernels.holds_uniform(0.0, reject_table))
+    return _plan(8, (("mean_energy_over_R", reject),), reject, live, _kernels.tally_low, _label_cdf(probs), reject_table)
 
 
 # ---------------------------------------------------------------------------

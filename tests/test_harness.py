@@ -211,6 +211,32 @@ def test_philox_lanes_per_trial(monkeypatch):
     assert sum(lanes) / trials <= 2.5
 
 
+# Philox lanes of run_monte_carlo(mode="sampled", trials=200_000, seed=0) per sampled-bulk config
+SAMPLED_BULK_LANES = {
+    "idle": 425_088,
+    "bell-flip": 416_755,
+    "bell-stepwise": 408_471,
+    "tilted-target": 625_088,
+    "blocked-bell": 450_147,
+    "blocked-qubit": 300_144,
+    "bell-flip+WRONG_END+MISMATCHED_U": 1_216_755,
+    "bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY": 858_636,
+}
+
+
+@pytest.mark.parametrize("config", SAMPLED_BULK_LANES)
+def test_sampled_bulk_lane_totals_are_pinned(config, monkeypatch):
+    # a kernel or plan change that keeps every tally's bits keeps these totals;
+    # each adversary runs at its kind's demo magnitude
+    name, *kinds = config.split("+")
+    inst = get_fixture(name).instance
+    ledger = derive_parameters(inst)
+    specs = tuple(AdversarySpec(AdversaryKind[k], demo_magnitude(AdversaryKind[k], inst, ledger)) for k in kinds)
+    lanes = counting_philox(monkeypatch)
+    run_monte_carlo(ExperimentConfig(name, mode="sampled", trials=200_000, seed=0, adversary=specs))
+    assert sum(lanes) == SAMPLED_BULK_LANES[config]
+
+
 def test_shots_without_reject_mass_draw_nothing(monkeypatch):
     # honest idle: tests 1, 4, 6, 7 and 8 have float reject mass 0, test 2 has
     # no reachable mismatching pair, and the round picks test 1 surely, so
@@ -358,16 +384,20 @@ def test_sampling_plan_shapes():
     fx = get_fixture("bell-flip")
     from ffgscon import _kernels
     from ffgscon.harness import build_witnesses
+    from ffgscon.states import register_distribution
     from ffgscon.verifier import branch_plan
 
     w = build_witnesses(fx.instance, fx.certificate)
-    kernels = (_kernels.tally_bernoulli, _kernels.tally_chain, _kernels.tally_unique, _kernels.tally_boundary,
-               _kernels.tally_low)
+    kernels = {2: _kernels.tally_unique, 8: _kernels.tally_low}
     for i in range(1, 9):
         plan = branch_plan(i, w, fx.instance)
-        assert plan.kernel in kernels
+        assert plan.kernel is kernels.get(i, _kernels.tally_chain)
     _, reject_table = branch_plan(8, w, fx.instance).args
     assert reject_table.shape == (2 * fx.instance.m, fx.instance.R)
+    # m = 1: the end test's target label m is the last of 2m, reached through the pick's clamp
+    lo, hi = branch_plan(7, w, fx.instance).args
+    label_cdf = np.cumsum(np.asarray(register_distribution(w.s, 0), dtype=np.float64))
+    assert fx.instance.m == 1 and (lo[0], hi[0]) == (label_cdf[-2], 1.0)
 
 
 # ---------------------------------------------------------------------------

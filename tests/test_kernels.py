@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ffgscon import _kernels as K
 from ffgscon.rng import CounterStream
+from ffgscon.verifier import BranchPlan, _chain_plan
 
 MASK = np.uint64(0xFFFFFFFF)
 # small values, values around 2**32 and any 64-bit value
@@ -66,6 +67,28 @@ def reference_unique(cdf_a, cdf_b, gate_dim, valid, u, v):
     fa, fb = reference_pick(cdf_a, u), reference_pick(cdf_b, v)
     ga = fa % gate_dim
     return (fa // gate_dim == fb // gate_dim) & ((ga != fb % gate_dim) | ~valid[ga])
+
+
+def reference_boundary(lab_cdf, target, q, u, v):
+    """Tests 6 and 7's reject per trial: the label pick is the target and the swap test fires."""
+    return (reference_pick(lab_cdf, u) == target) & (v < q)
+
+
+def boundary_stages(lab_cdf, target, q):
+    """The ``tally_chain`` stages of a test-6/7 plan: the target label's pick interval, then ``[0, q)``."""
+    lo, hi = K.pick_bounds(lab_cdf)
+    return [lo[target], 0.0], [hi[target], q]
+
+
+def unique_plan(cdf_a, cdf_b, gate_dim, valid):
+    """A test-2 plan on these CDFs, live as ``verifier._unique_plan`` decides it."""
+    live = K.unique_can_reject(cdf_a, cdf_b, gate_dim, valid)
+    return BranchPlan(2, (), 0.0, 1.0, live, K.tally_unique, (cdf_a, cdf_b, gate_dim, valid))
+
+
+def low_plan(lab_cdf, table):
+    """A test-8 plan on this label CDF and reject table, live as ``verifier._low_plan`` decides it."""
+    return BranchPlan(8, (), 0.0, 1.0, bool(np.any(K.holds_uniform(0.0, table))), K.tally_low, (lab_cdf, table))
 
 
 def test_uniform_addressing_changes_with_every_coordinate():
@@ -139,16 +162,16 @@ def test_philox_int_and_array_paths_agree():
     lab_cdf = np.cumsum([0.1, 0.4, 0.25, 0.25])
     table = np.random.default_rng(1).uniform(size=(4, 3))
     tallies = [
-        (K.tally_bernoulli, (0.37,)),
-        (K.tally_chain, (probs,)),
-        (K.tally_unique, (cdf12, cdf12, 4, valid, True)),
-        (K.tally_boundary, (lab_cdf, 2, 0.4)),
+        (K.tally_chain, ([0.0], [0.37])),
+        (K.tally_chain, (np.zeros(3), probs)),
+        (K.tally_unique, (cdf12, cdf12, 4, valid)),
+        (K.tally_chain, boundary_stages(lab_cdf, 2, 0.4)),
         (K.tally_low, (lab_cdf, table)),
     ]
     for kernel, args in tallies:
         whole = kernel(9, 3, trials, 1, *args)
         shots = [kernel(9, 3, trials[i:i + 1], 1, *args) for i in range(trials.size)]
-        assert whole == (sum(s[0] for s in shots), sum(s[1] for s in shots)), kernel.__name__
+        assert whole == (sum(s[0] for s in shots), sum(s[1] for s in shots)), (kernel.__name__, args)
     picks = K.select(1, 0, trials, 0, lab_cdf)
     assert np.array_equal(picks, np.concatenate([K.select(1, 0, trials[i:i + 1], 0, lab_cdf) for i in range(trials.size)]))
 
@@ -202,19 +225,19 @@ def test_tally_kernels_match_numpy_reference():
         return n - rej, rej
 
     # every draw slot is computed for every trial; the kernels skip the slots they do not need.
-    # A slot holds two uniforms: chain stages 2j, 2j+1 read slot j; unique reads both halves
-    # of one slot; boundary reads label and reject from one slot; low reads label and term
-    # from its first slot and the reject from the next.
+    # A slot holds two uniforms: chain stages 2j, 2j+1 read slot j (a Bernoulli is one stage,
+    # a boundary test its label stage and its reject stage); unique reads both halves of one
+    # slot; low reads label and term from its first slot and the reject from the next.
     chain = np.all([u(9, 3, 1 + k // 2)[k % 2] < probs[k] for k in range(len(probs))], axis=0)
     unique = reference_unique(cdf12, cdf12, 4, valid, *u(4, 2, 0))
-    boundary = (reference_pick(lab_cdf, u(8, 6, 0)[0]) == 2) & (u(8, 6, 0)[1] < 0.4)
+    boundary = reference_boundary(lab_cdf, 2, 0.4, *u(8, 6, 0))
     term = np.minimum((u(8, 8, 0)[1] * 3).astype(np.int64), 2)
     low = u(8, 8, 1)[0] < table[reference_pick(lab_cdf, u(8, 8, 0)[0]), term]
     pairs = [
-        (K.tally_bernoulli(9, 1, trials, 0, 0.37), counts(u(9, 1, 0)[0] < 0.37)),
-        (K.tally_chain(9, 3, trials, 1, probs), counts(chain)),
-        (K.tally_unique(4, 2, trials, 0, cdf12, cdf12, 4, valid, True), counts(unique)),
-        (K.tally_boundary(8, 6, trials, 0, lab_cdf, 2, 0.4), counts(boundary)),
+        (K.tally_chain(9, 1, trials, 0, [0.0], [0.37]), counts(u(9, 1, 0)[0] < 0.37)),
+        (K.tally_chain(9, 3, trials, 1, np.zeros(3), probs), counts(chain)),
+        (K.tally_unique(4, 2, trials, 0, cdf12, cdf12, 4, valid), counts(unique)),
+        (K.tally_chain(8, 6, trials, 0, *boundary_stages(lab_cdf, 2, 0.4)), counts(boundary)),
         (K.tally_low(8, 8, trials, 0, lab_cdf, table), counts(low)),
     ]
     for fast, ref in pairs:
@@ -223,6 +246,8 @@ def test_tally_kernels_match_numpy_reference():
 
 
 PROB = st.one_of(st.just(0.0), st.floats(0.0, 1.0))  # exact zeros: branches that cannot reject
+BOUND = st.one_of(PROB, st.just(1.0), st.floats(1.0, 2.0))  # stage bounds, at and past 1 too
+STAGE = st.one_of(st.tuples(BOUND, BOUND), BOUND.map(lambda x: (x, x)))  # (lo, hi); equal bounds have zero width
 
 
 def lanes_of(body):
@@ -233,6 +258,12 @@ def lanes_of(body):
 def cdf_of(weights):
     w = np.asarray(weights, dtype=np.float64)
     return np.cumsum(w / w.sum() if w.sum() > 0 else w)
+
+
+def grid_holds(lo, hi):
+    """Whether some multiple of 2**-53 in [0, 1) lies in ``[lo, hi)``, for ``lo >= 0``: try the lowest one at or above lo."""
+    x = np.ceil(lo * 2.0**53) / 2.0**53
+    return bool(x < min(hi, 1))
 
 
 def grid_reachable(cdf):
@@ -263,7 +294,7 @@ def grid_reject_pair(cdf_a, cdf_b, gate_dim, valid):
     small=st.lists(TRIAL, min_size=1, max_size=K.SMALL_TRIALS),
     large=st.lists(TRIAL, min_size=K.SMALL_TRIALS + 1, max_size=3 * K.SMALL_TRIALS),
     p=PROB,
-    stages=st.lists(PROB, min_size=1, max_size=4),
+    stages=st.lists(STAGE, min_size=1, max_size=4),
     q=PROB,
     weights=st.lists(PROB, min_size=1, max_size=4),
     target=st.integers(0, 3),
@@ -281,17 +312,25 @@ def test_short_circuits_equal_the_drawn_tally_property(
     labels, gate_dim, joint_a, joint_b, valid,
 ):
     # the reference draws every slot for every trial; a kernel reads a slot only for
-    # the trials it can decide, and draws nothing when nothing can fire
-    stages = np.array(stages)
+    # the trials it can decide, and a plan that is not live draws nothing
+    lo, hi = (np.array(b) for b in zip(*stages))
     lab_cdf = cdf_of(weights)
-    target = min(target, len(weights) - 1)
+    target = min(target, len(weights) - 1)  # the last label is the clamped one
     table = np.reshape(entries or [0.0] * 12, (4, 3))[: len(weights), :n_terms]
     pick_cdf = np.ones(3) if certain else lab_cdf  # cdf[0] == 1: the first outcome is certain
     cdf_a, cdf_b = cdf_of(joint_a[: labels * gate_dim]), cdf_of(joint_b[: labels * gate_dim])
     valid = np.array(valid[:gate_dim])
-    can_reject = K.unique_can_reject(cdf_a, cdf_b, gate_dim, valid)
-    # the check may call a pair reachable that no grid uniform lands on, never the reverse
-    assert can_reject or not grid_reject_pair(cdf_a, cdf_b, gate_dim, valid)
+    # each check may call an interval or pair reachable that no grid uniform lands on, never the reverse
+    for a, b in zip(lo, hi):
+        assert K.holds_uniform(a, b) or not grid_holds(a, b)
+    assert K.unique_can_reject(cdf_a, cdf_b, gate_dim, valid) or not grid_reject_pair(cdf_a, cdf_b, gate_dim, valid)
+    plans = {
+        "bernoulli": _chain_plan(1, (("swap_reject", p),)),
+        "chain": _chain_plan(3, (), lo, hi),
+        "unique": unique_plan(cdf_a, cdf_b, gate_dim, valid),
+        "boundary": _chain_plan(7, (), *boundary_stages(lab_cdf, target, q)),
+        "low": low_plan(lab_cdf, table),
+    }
     for t in (small, large):
         trials = np.array(t, dtype=np.uint64)
         n = trials.size
@@ -302,38 +341,46 @@ def test_short_circuits_equal_the_drawn_tally_property(
             return n - rej, rej
 
         # chain stages 2j, 2j+1 read slot j on the trials that fired every earlier stage
-        slots = [reference_uniforms(seed, stream, trials, draw0 + j) for j in range((len(stages) + 1) // 2)]
-        fired = [slots[k // 2][k % 2] < stages[k] for k in range(len(stages))]
+        slots = [reference_uniforms(seed, stream, trials, draw0 + j) for j in range((len(lo) + 1) // 2)]
+        fired = [(lo[k] <= slots[k // 2][k % 2]) & (slots[k // 2][k % 2] < hi[k]) for k in range(len(lo))]
         chain_lanes = sum(int(np.count_nonzero(np.all(fired[: 2 * j], axis=0))) if j else n for j in range(len(slots)))
         lab = reference_pick(lab_cdf, u[0][0])
         term = np.minimum((u[0][1] * n_terms).astype(np.int64), n_terms - 1)
         entry = table[lab, term]
-        low_lanes = n + np.count_nonzero(entry > 0) if np.any(table > 0) else 0
-        unique = reference_unique(cdf_a, cdf_b, gate_dim, valid, *u[0])
-        cases = [
-            (K.tally_bernoulli, (p,), counts(u[0][0] < p), n if p > 0 else 0),
-            (K.tally_chain, (stages,), counts(np.all(fired, axis=0)), chain_lanes if np.all(stages > 0) else 0),
-            (K.tally_unique, (cdf_a, cdf_b, gate_dim, valid, can_reject), counts(unique), n if can_reject else 0),
-            (K.tally_boundary, (lab_cdf, target, q), counts((lab == target) & (u[0][1] < q)), n if q > 0 else 0),
-            (K.tally_low, (lab_cdf, table), counts(u[1][0] < entry), low_lanes),
-        ]
-        for kernel, args, ref, lanes in cases:
+        # (every-slot reference tally, Philox lanes of a live plan)
+        expected = {
+            "bernoulli": (counts(u[0][0] < p), n),
+            "chain": (counts(np.all(fired, axis=0)), chain_lanes),
+            "unique": (counts(reference_unique(cdf_a, cdf_b, gate_dim, valid, *u[0])), n),
+            "boundary": (counts(reference_boundary(lab_cdf, target, q, *u[0])), n),
+            "low": (counts(u[1][0] < entry), n + np.count_nonzero(entry > 0)),
+        }
+        for name, plan in plans.items():
+            ref, lanes = expected[name]
             with mock.patch.object(K, "_philox", wraps=K._philox) as body:
-                assert kernel(seed, stream, trials, draw0, *args) == ref, kernel.__name__
-            assert lanes_of(body) == lanes, kernel.__name__
+                assert plan.tally(seed, stream, trials, draw0) == ref, name
+            if plan.live:
+                assert lanes_of(body) == lanes, name
+            else:
+                assert ref == (n, 0) and lanes_of(body) == 0, name
         with mock.patch.object(K, "_philox", wraps=K._philox) as body:
             picks = K.select(seed, stream, trials, draw0, pick_cdf)
         assert np.array_equal(picks, reference_pick(pick_cdf, u[0][0]))
         assert lanes_of(body) == (0 if pick_cdf[0] >= 1 else n)
 
 
-def drawn_unique(cdf_a, cdf_b, gate_dim, valid, trials):
-    """(tally, Philox lanes, reference tally) of ``tally_unique`` with the plan-build check."""
-    can_reject = K.unique_can_reject(cdf_a, cdf_b, gate_dim, valid)
+def drawn(plan, trials, reference):
+    """(tally, Philox lanes, reference tally) of ``plan`` on ``trials`` from slot 1 of seed 5, stream 2."""
     with mock.patch.object(K, "_philox", wraps=K._philox) as body:
-        tally = K.tally_unique(5, 2, trials, 1, cdf_a, cdf_b, gate_dim, valid, can_reject)
-    rej = int(np.count_nonzero(reference_unique(cdf_a, cdf_b, gate_dim, valid, *reference_uniforms(5, 2, trials, 1))))
+        tally = plan.tally(5, 2, trials, 1)
+    rej = int(np.count_nonzero(reference(*reference_uniforms(5, 2, trials, 1))))
     return tally, lanes_of(body), (trials.size - rej, rej)
+
+
+def drawn_unique(cdf_a, cdf_b, gate_dim, valid, trials):
+    """(tally, Philox lanes, reference tally) of a test-2 plan on these CDFs."""
+    reference = lambda u, v: reference_unique(cdf_a, cdf_b, gate_dim, valid, u, v)  # noqa: E731
+    return drawn(unique_plan(cdf_a, cdf_b, gate_dim, valid), trials, reference)
 
 
 def test_unique_draws_for_a_reject_pair_on_the_clamped_last_index():
@@ -362,6 +409,35 @@ def test_unique_does_not_draw_past_a_cdf_that_reaches_one():
     assert tally == ref == (trials.size, 0)
 
 
+def test_boundary_stage_on_the_clamped_last_label():
+    # ten labels of weight 0.1: the CDF ends at 1 - 2**-53 by rounding, and u in
+    # [cdf[-1], 1) is clamped onto the last label, so its stage runs up to 1
+    cdf = np.cumsum(np.full(10, 0.1))
+    assert cdf[-1] < 1
+    lo, hi = boundary_stages(cdf, 9, 0.75)
+    assert (lo[0], hi[0]) == (cdf[-2], 1.0)
+    edge = np.array([cdf[-2], cdf[-1], 1 - 2.0**-53])  # the label's lower bound, the last CDF entry, the last grid point
+    assert np.all(reference_pick(cdf, edge) == 9) and np.all((lo[0] <= edge) & (edge < hi[0]))
+    plan = _chain_plan(7, (), lo, hi)
+    assert plan.live
+    trials = np.arange(4000, dtype=np.uint64)
+    tally, lanes, ref = drawn(plan, trials, lambda u, v: reference_boundary(cdf, 9, 0.75, u, v))
+    assert tally == ref and ref[1] > 0
+    assert lanes == trials.size
+
+
+def test_boundary_stage_on_a_zero_weight_label_draws_nothing():
+    # label 1 has weight 0, so its pick interval [0.5, 0.5) holds no u: the
+    # plan is not live even though the swap stage [0, 1) always fires
+    cdf = np.cumsum([0.5, 0.0, 0.5])
+    plan = _chain_plan(7, (), *boundary_stages(cdf, 1, 1.0))
+    assert not plan.live
+    trials = np.arange(4000, dtype=np.uint64)
+    tally, lanes, ref = drawn(plan, trials, lambda u, v: reference_boundary(cdf, 1, 1.0, u, v))
+    assert tally == ref == (trials.size, 0)
+    assert lanes == 0
+
+
 def test_unique_plan_can_reject_only_on_a_mismatched_u():
     from ffgscon.fixtures import builtin_instances, get_fixture
     from ffgscon.harness import demo_magnitude
@@ -371,8 +447,8 @@ def test_unique_plan_can_reject_only_on_a_mismatched_u():
 
     def can_reject(proof, inst):
         plan = branch_plan(2, proof, inst)
-        assert plan.args[-1] == K.unique_can_reject(*plan.args[:-1])
-        return plan.args[-1]
+        assert plan.live == K.unique_can_reject(*plan.args)
+        return plan.live
 
     for fx in builtin_instances():
         for extended in (False, True):
@@ -384,9 +460,10 @@ def test_unique_plan_can_reject_only_on_a_mismatched_u():
 
 
 def test_tally_bernoulli_rate():
+    # a Bernoulli reject of probability p is the one chain stage [0, p)
     n = 200_000
     trials = np.arange(n, dtype=np.uint64)
-    acc, rej = K.tally_bernoulli(3, 1, trials, 0, 0.25)
+    acc, rej = K.tally_chain(3, 1, trials, 0, [0.0], [0.25])
     assert acc + rej == n
     sigma = np.sqrt(0.25 * 0.75 / n)
     assert abs(rej / n - 0.25) <= 4 * sigma
@@ -394,10 +471,10 @@ def test_tally_bernoulli_rate():
 
 def test_partition_invariance():
     trials = np.arange(50_000, dtype=np.uint64)
-    probs = np.array([0.5, 0.25, 0.7])
-    whole = K.tally_chain(9, 3, trials, 0, probs)
+    lo, hi = np.array([0.0, 0.0, 0.1]), np.array([0.5, 0.25, 0.8])
+    whole = K.tally_chain(9, 3, trials, 0, lo, hi)
     for n_chunks in (2, 3, 7, 11):
-        parts = [K.tally_chain(9, 3, c, 0, probs) for c in np.array_split(trials, n_chunks)]
+        parts = [K.tally_chain(9, 3, c, 0, lo, hi) for c in np.array_split(trials, n_chunks)]
         assert whole == (sum(p[0] for p in parts), sum(p[1] for p in parts))
 
 
@@ -411,6 +488,30 @@ def test_counter_stream_matches_kernel_addressing():
     assert uniform_at(sibling.seed, sibling.stream, sibling.trial, sibling.draw) == bulk[0][0][124]
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.draw = 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 2**64 + 5), ("stream", -1), ("stream", 2**32 + 3),
+    ("trial", -1), ("trial", 2**64), ("draw", -1), ("draw", 2**32 - 2), ("draw", 2**32 + 1),
+])
+def test_counter_stream_refuses_fields_outside_their_ranges(field, value):
+    # each would alias a valid address (seed 2**64 + 5 is seed 5, draw 2**32 + 1 is draw 1),
+    # and draw 2**32 - 2 would put a round shot's last slot, draw + 2, past the counter word
+    with pytest.raises(ValueError, match=field):
+        CounterStream(**{"seed": 0, field: value})
+    largest = {"seed": 2**64 - 1, "stream": 2**32 - 1, "trial": 2**64 - 1, "draw": 2**32 - 3}
+    assert getattr(CounterStream(**{"seed": 0, field: largest[field]}), field) == largest[field]
+
+
+def test_run_test_refuses_an_aliased_seed():
+    from ffgscon.fixtures import get_fixture
+    from ffgscon.verifier import MODE_SAMPLED, run_test
+    from ffgscon.witnesses import honest_proof
+
+    fx = get_fixture("idle")
+    proof = honest_proof(fx.instance, fx.certificate)
+    with pytest.raises(ValueError, match="seed"):
+        run_test(1, proof, fx.instance, mode=MODE_SAMPLED, stream=CounterStream(seed=2**64))
 
 
 def test_select_inverse_cdf_frequencies():

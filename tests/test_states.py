@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ffgscon._kernels import select, tally_bernoulli
+from ffgscon._kernels import select, tally_chain
 from ffgscon.states import (
     DimensionCapError,
     LocalGate,
@@ -293,7 +293,7 @@ def test_swap_sample_rates():
     n = 100_000
     for idx, (sa, sb, expect) in enumerate(cases):
         trials = np.arange(n, dtype=np.uint64)
-        _, rejects = tally_bernoulli(31 + idx, 18, trials, 0, float(swap_test_reject_prob(sa, sb)))
+        _, rejects = tally_chain(31 + idx, 18, trials, 0, [0.0], [float(swap_test_reject_prob(sa, sb))])
         sigma = math.sqrt(expect * (1 - expect) / n)
         assert abs(rejects / n - expect) <= 4 * sigma
 
@@ -302,7 +302,7 @@ def test_swap_identical_sample_always_accepts():
     rng = np.random.default_rng(29)
     a = random_registered_state((5,), rng)
     trials = np.arange(500, dtype=np.uint64)
-    assert tally_bernoulli(5, 19, trials, 0, float(swap_test_reject_prob(a, a))) == (500, 0)
+    assert tally_chain(5, 19, trials, 0, [0.0], [float(swap_test_reject_prob(a, a))]) == (500, 0)
 
 
 def test_phase_optimized_distance():
