@@ -26,6 +26,7 @@ from .states import (
     RegisteredState,
     apply_local_gate,
     phase_optimized_distance,
+    precision,
     project_onto,
     swap_test_reject_prob,
     tensor_with,

@@ -28,8 +28,9 @@ from .fixtures import builtin_instances, get_fixture, verify_certificate
 from .instances import GsconInstance, TraversalCertificate, load_instance, validate_instance
 from .ledger import LEDGER_DPS, ParameterLedger, derive_parameters
 from .rng import STREAM_ROUND
+from .states import precision
 from .verifier import MODE_EXACT, TEST_NAMES, branch_plan, exact_round, run_test, sample_round
-from .witnesses import AdversaryKind, AdversarySpec, Proof, forge_adversary, forge_composed, honest_proof, precision
+from .witnesses import AdversaryKind, AdversarySpec, Proof, forge_adversary, forge_composed, honest_proof
 
 DESK_CAPS = {"n": 6, "m": 4, "G": 16}
 BLOCK_TRIALS = 1 << 14  # a block's ~16 live uint64 temporaries (128 KiB each) fit a 2 MiB L2
@@ -58,10 +59,9 @@ class ExperimentConfig:
             raise HarnessError("sampled mode needs trials >= 1")
         if self.workers < 1:
             raise HarnessError("workers must be >= 1")
-        for seed in (self.seed, *(sp.seed for sp in self.adversary if sp.seed is not None)):
-            # a seed is the 64-bit Philox key: any other value would alias one inside the range
-            if not 0 <= seed < 2**64:
-                raise HarnessError(f"seed must be in [0, 2**64), got {seed}")
+        # a seed is the 64-bit Philox key: any other value would alias one inside the range
+        if not 0 <= self.seed < 2**64:
+            raise HarnessError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass

@@ -178,8 +178,11 @@ def validate_instance(inst: GsconInstance) -> ValidationReport:
             all(0 <= q < inst.n for q in term.support),
             detail=f"support={term.support}",
         )
+    etas = (inst.eta2, inst.eta3, inst.eta4, inst.delta)
+    rep.add("eta2, eta3, eta4, delta finite", all(math.isfinite(v) for v in etas), detail=f"values={etas}")
     rep.add("delta > 0", inst.delta > 0, inst.delta)
     rep.add("eta2 - 0 >= delta", inst.eta2 - 0.0 >= inst.delta, inst.eta2)
+    rep.add("eta3 >= 0", inst.eta3 >= 0, inst.eta3)
     rep.add("eta4 - eta3 >= delta", inst.eta4 - inst.eta3 >= inst.delta, inst.eta4 - inst.eta3)
     h = inst.promise_h()
     rep.add("eta3 + h <= sqrt(2)", inst.eta3 + h <= math.sqrt(2.0), inst.eta3 + h)
@@ -218,17 +221,17 @@ def term_energies(inst: GsconInstance, s: RegisteredState) -> list:
     return values
 
 
-def energy_sum(values, extended: bool):
-    """Total of per-term expectations, summed in term order (exact reports depend on it)."""
+def energy_sum(values):
+    """Total of per-term expectations in term order (exact reports depend on it); a float unless they are mpfs."""
     total = 0.0
     for val in values:
         total = total + val
-    return total if extended else float(total)
+    return float(total) if isinstance(total, float) else total
 
 
 def energy_of(inst: GsconInstance, s: RegisteredState) -> float:
     """Sum of per-term expectation values <s|H_i|s> on a data-register state."""
-    return energy_sum(term_energies(inst, s), s.extended)
+    return energy_sum(term_energies(inst, s))
 
 
 def dense_hamiltonian(inst: GsconInstance) -> np.ndarray:
@@ -250,12 +253,12 @@ def dense_hamiltonian(inst: GsconInstance) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def prepare_state_from_circuit(inst: GsconInstance, which: str, *, extended: bool = False) -> RegisteredState:
-    """Run the psi or phi preparation circuit on |0...0>."""
+def prepare_state_from_circuit(inst: GsconInstance, which: str) -> RegisteredState:
+    """Run the psi or phi preparation circuit on |0...0>, at the enclosing ``precision()`` level."""
     if which not in ("psi", "phi"):
         raise ValueError(f"which must be 'psi' or 'phi', got {which!r}")
     circuit = inst.psi_circuit if which == "psi" else inst.phi_circuit
-    state = basis_state((2,) * inst.n, (0,) * inst.n, extended=extended)
+    state = basis_state((2,) * inst.n, (0,) * inst.n)
     for gate in circuit:
         state = apply_local_gate(state, gate, 0)
     return state

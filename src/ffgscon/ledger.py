@@ -185,6 +185,7 @@ def derive_parameters(inst: GsconInstance) -> ParameterLedger:
 
         _require(delta_promise > 0, "delta > 0")
         _require(eta2 >= delta_promise, "eta2 - 0 >= delta")
+        _require(eta3 >= 0, "eta3 >= 0")
         _require(eta4 - eta3 >= delta_promise, "eta4 - eta3 >= delta")
 
         h = min((eta4 - eta3) / 4, mpmath.sqrt(eta2 / R) / 6)

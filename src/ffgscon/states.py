@@ -11,7 +11,8 @@ index ``(v0*d1 + v1)*d2 + v2``.  The order is frozen: every flat view
 Amplitudes are either ``complex128`` numpy arrays (the normal case)
 or ``object`` arrays of mpmath numbers (the extended-precision case used to
 represent adversarial witnesses whose deviations are far below double
-resolution).  Every operation here is generic over the two.
+resolution).  Constructors build at the level of the enclosing :func:`precision`
+block (double outside any); operations on states read their operands' level.
 
 States are immutable after construction; operations are pure functions
 returning new states, safe to share across parallel workers.
@@ -19,6 +20,8 @@ returning new states, safe to share across parallel workers.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -28,6 +31,8 @@ import numpy as np
 EPS_NORM = 1e-9  # slack for stored-state normalization
 EPS_ALGEBRA = 1e-12  # tolerance for algebraic identities (unitarity, ...)
 DIMENSION_CAP = 1 << 20  # exact mode refuses larger joint spaces
+WITNESS_DPS = 120  # digits carried by extended-precision amplitudes
+_SCALAR = contextvars.ContextVar("ffgscon_scalar", default=float)  # set by precision()
 
 
 class ShapeMismatchError(ValueError):
@@ -66,21 +71,17 @@ class RegisteredState:
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, *, normalize: bool = False, check: bool = True):
+    def __init__(self, amplitudes, *, check: bool = True):
         amps = np.asarray(amplitudes)
         amps = np.array(amps, dtype=object if _is_extended(amps) else np.complex128, order="C")
         if amps.ndim == 0 or 0 in amps.shape:
             raise ValueError(f"register dimensions must be >= 1, got {amps.shape}")
-        if check and not _is_extended(amps):
-            if not np.all(np.isfinite(amps.view(np.float64))):
+        if check:
+            if not _is_extended(amps) and not np.all(np.isfinite(amps.view(np.float64))):
                 raise ValueError("amplitudes must be finite")
-        nrm2 = _abs2_sum(amps)
-        if normalize:
-            if float(nrm2) == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            amps = amps / _sqrt(nrm2)
-        elif check and abs(float(nrm2) - 1.0) > EPS_NORM:
-            raise ValueError(f"state is not normalized: |amps|^2 = {float(nrm2)!r}")
+            nrm2 = float(_abs2_sum(amps))
+            if abs(nrm2 - 1.0) > EPS_NORM:
+                raise ValueError(f"state is not normalized: |amps|^2 = {nrm2!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -139,28 +140,42 @@ class LocalGate:
 # ---------------------------------------------------------------------------
 
 
-def zeros_like_dtype(dims, extended: bool) -> np.ndarray:
-    if extended:
-        return np.full(dims, mpmath.mpc(0), dtype=object)
-    return np.zeros(dims, dtype=np.complex128)
+@contextlib.contextmanager
+def precision(extended: bool):
+    """Arithmetic at one precision level; yields its real scalar type.
+
+    Extended builds and branch sums run at :data:`WITNESS_DPS` digits (or the
+    caller's, if higher) on ``mpmath.mpf``; double ones on ``float``, with the
+    mpmath context left as it is.  Constructors build at the innermost block's level.
+    """
+    token = _SCALAR.set(mpmath.mpf if extended else float)
+    try:
+        with mpmath.workdps(max(mpmath.mp.dps, WITNESS_DPS)) if extended else contextlib.nullcontext():
+            yield _SCALAR.get()
+    finally:
+        _SCALAR.reset(token)
 
 
-def basis_state(dims, values, *, extended: bool = False) -> RegisteredState:
+def zeros(dims) -> np.ndarray:
+    if _SCALAR.get() is float:
+        return np.zeros(dims, dtype=np.complex128)
+    return np.full(dims, mpmath.mpc(0), dtype=object)
+
+
+def basis_state(dims, values) -> RegisteredState:
     dims, values = tuple(dims), tuple(values)
     if len(values) != len(dims) or not all(0 <= v < d for v, d in zip(values, dims)):
         raise RegisterRangeError(f"register values {values} out of range for dimensions {dims}")
-    amps = zeros_like_dtype(dims, extended)
-    amps[values] = mpmath.mpf(1) if extended else 1.0
+    amps = zeros(dims)
+    amps[values] = _SCALAR.get()(1)
     return RegisteredState(amps)
 
 
-def uniform_vector(dim: int, *, extended: bool = False) -> np.ndarray:
+def uniform_vector(dim: int) -> np.ndarray:
     """Amplitudes of the uniform superposition over one register."""
-    if extended:
-        arr = np.empty(dim, dtype=object)
-        arr[:] = 1 / mpmath.sqrt(mpmath.mpf(dim))
-        return arr
-    return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
+    arr = zeros(dim)
+    arr[:] = 1 / _sqrt(_SCALAR.get()(dim))
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .states import (
     _apply_matrix_axes,
     _sqrt,
     conditional_state,
+    precision,
     project_onto,
     projection_deficit,
     register_distribution,
@@ -52,7 +53,7 @@ from .states import (
     tensor_with,
     uniform_vector,
 )
-from .witnesses import Proof, precision
+from .witnesses import Proof
 
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
@@ -204,11 +205,11 @@ def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
 def _uniform_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Test 3: uniform gate register, then uniform labels."""
     u = proof.u
-    gbar = uniform_vector(inst.G, extended=u.extended)
+    gbar = uniform_vector(inst.G)
     p_gbar, post = project_onto(u, 1, gbar)
     q_label = None
     if post is not None:
-        lbar = uniform_vector(u.dims[0], extended=u.extended)
+        lbar = uniform_vector(u.dims[0])
         q_label = projection_deficit(post, 0, lbar)
     return _chain_plan(3, (("gate_uniform_prob", p_gbar), ("label_nonuniform_prob", q_label)))
 
@@ -229,7 +230,7 @@ def _sequence_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
         t[:, g] = _apply_matrix_axes(t[:, g], gate.matrix, axes)
     controlled = RegisteredState(t, check=False)
 
-    gbar = uniform_vector(inst.G, extended=proof.extended)
+    gbar = uniform_vector(inst.G)
     p_gate, post = project_onto(controlled, 1, gbar)
     p_label = q_swap = None
     if post is not None:
@@ -256,7 +257,7 @@ def _boundary_plan(test_id, which, proof: Proof, inst: GsconInstance) -> BranchP
     q = None
     if p_label > 0:
         _, data = conditional_state(s, 0, target)
-        anchor = prepare_state_from_circuit(inst, which, extended=s.extended)
+        anchor = prepare_state_from_circuit(inst, which)
         q = swap_test_reject_prob(data, anchor)
     lo, hi = _kernels.pick_bounds(_label_cdf(probs))
     stages = (("label_prob", p_label), ("swap_reject", q))
@@ -287,7 +288,7 @@ def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
         _, data = conditional_state(s, 0, i)
         if data is not None:
             row = term_energies(inst, data)
-            energies[i] = energy_sum(row, s.extended)
+            energies[i] = energy_sum(row)
             reject_table[i] = [min(max(float(v), 0.0), 1.0) for v in row]
     reject = sum(p * e for p, e in zip(probs, energies)) / inst.R
     live = np.any(_kernels.holds_uniform(0.0, reject_table))
@@ -325,8 +326,8 @@ def branch_plan(test_id: int, proof: Proof, inst: GsconInstance) -> BranchPlan:
         return entry[1]
     if test_id not in _PLAN_BUILDERS:
         raise ValueError(f"test id must be one of 1..8, got {test_id!r}")
-    # extended amplitudes carry WITNESS_DPS digits; arithmetic must too,
-    # or the branch sums measure rounding noise instead of the deviation
+    # extended amplitudes carry WITNESS_DPS digits; arithmetic and the vectors built here
+    # must too, or the branch sums measure rounding noise instead of the deviation
     with precision(proof.extended):
         plan = _PLAN_BUILDERS[test_id](proof, inst)
     proof.plans[test_id] = (inst, plan)

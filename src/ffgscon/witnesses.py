@@ -14,19 +14,18 @@ states, never assumed).  No optimization over cheating strategies is
 attempted.  Magnitudes at the protocol's native thresholds are far below
 double-precision resolution of an O(1) amplitude, so every construction can
 also be built on extended-precision amplitudes (``extended=True``), carried
-as mpmath object arrays at :data:`WITNESS_DPS` significant digits.  The
-public builders take that choice once, as their ``extended`` keyword; below
-them it is read off the base proof or the scalar type.
+as mpmath object arrays at :data:`~ffgscon.states.WITNESS_DPS` significant
+digits.  The public builders take that choice once, as their ``extended``
+keyword, and open one :func:`~ffgscon.states.precision` block on it; every
+amplitude built inside reads its level from that block.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import mpmath
 import numpy as np
 
 from .instances import GsconInstance, TraversalCertificate, adjoint_index, dense_hamiltonian, energy_of, prepare_state_from_circuit
@@ -39,26 +38,10 @@ from .states import (
     apply_local_gate,
     conditional_state,
     phase_optimized_distance,
+    precision,
     uniform_vector,
-    zeros_like_dtype,
+    zeros,
 )
-
-WITNESS_DPS = 120  # digits carried by extended-precision witness amplitudes
-
-
-@contextlib.contextmanager
-def precision(extended: bool):
-    """Arithmetic at one precision level; yields its real scalar type.
-
-    Extended builds and branch sums run at :data:`WITNESS_DPS` digits (or the
-    caller's, if higher) on ``mpmath.mpf``; double ones on ``float``, with the
-    mpmath context left as it is.
-    """
-    if not extended:
-        yield float
-        return
-    with mpmath.workdps(max(mpmath.mp.dps, WITNESS_DPS)):
-        yield mpmath.mpf
 
 
 class GateSetNotClosedError(ValueError):
@@ -114,7 +97,11 @@ class AdversarySpec:
 
     kind: AdversaryKind
     magnitude: float | tuple
-    seed: int | None = None
+    seed: int | None = None  # a 64-bit Philox key: any other value would alias one inside the range
+
+    def __post_init__(self):
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            raise ValueError(f"adversary seed must be in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +165,8 @@ def build_honest_U(inst: GsconInstance, cert: TraversalCertificate, *, extended:
     """The label/gate state: label i holds gate i of the honest assignment, at amplitude 1/sqrt(2m)."""
     assignment = honest_gate_assignment(inst, cert)
     two_m = 2 * inst.m
-    amps = zeros_like_dtype((two_m, inst.G), extended)
     with precision(extended) as num:
+        amps = zeros((two_m, inst.G))
         amp = _sqrt(num(1) / two_m)
     for i, u in enumerate(assignment):
         amps[i, u] = amp
@@ -189,7 +176,7 @@ def build_honest_U(inst: GsconInstance, cert: TraversalCertificate, *, extended:
 def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> RegisteredState:
     """The cyclic chain psi_1, ..., psi_2m threaded by the honest gates, at amplitude 1/sqrt(2m) per label."""
     with precision(extended) as num:
-        chain = [prepare_state_from_circuit(inst, "psi", extended=extended)]
+        chain = [prepare_state_from_circuit(inst, "psi")]
         for idx in honest_gate_assignment(inst, cert)[:-1]:
             chain.append(apply_local_gate(chain[-1], inst.gate_set[idx], 0))
         amp = _sqrt(num(1) / len(chain))
@@ -244,7 +231,7 @@ def _orthogonal_state(psi: RegisteredState, seed: int | None) -> RegisteredState
     else:
         j = _seeded_index(seed, 0, dim)
     for k in (j, (j + 1) % dim):  # if psi is concentrated on e_j, any other axis works
-        e = zeros_like_dtype(dim, psi.extended)
+        e = zeros(dim)
         e[k] = 1
         res = e - amps * (np.conj(amps) * e).sum()  # e_k - psi <psi|e_k>
         nrm2 = (np.abs(res) ** 2).sum()
@@ -310,7 +297,6 @@ def _forge(inst, cert, spec, base: Proof, num) -> Proof:
     """Plant ``spec`` on ``base`` inside the :func:`precision` context of the base, whose scalar type is ``num``."""
     assignment = honest_gate_assignment(inst, reference_certificate(inst, cert))
     two_m = 2 * inst.m
-    ext = base.extended
     one = num(1)
     u, u_prime, s, s_prime = base.u, base.u_prime, base.s, base.s_prime
     kind = spec.kind
@@ -333,7 +319,7 @@ def _forge(inst, cert, spec, base: Proof, num) -> Proof:
             raise MagnitudeRangeError(f"need 0 < x <= 1 and 0 < c < 1, got {(float(x), float(c))}")
         u0 = assignment[0]
         alt = _pick_other_index(u0, inst.G, spec.seed)
-        amps = zeros_like_dtype((two_m, inst.G), ext)
+        amps = zeros((two_m, inst.G))
         amps[0, u0] = _sqrt(x * (1 - c))
         amps[0, alt] = _sqrt(x * c)
         rest = (one - x) / (two_m - 1)
@@ -351,8 +337,8 @@ def _forge(inst, cert, spec, base: Proof, num) -> Proof:
             raise MagnitudeRangeError(f"label skew must lie in (0, (2m-1)/2], got {float(f)}")
         boosted = one / two_m + f / inst.m
         others = one / two_m - f / (inst.m * (two_m - 1))
-        gbar = uniform_vector(inst.G, extended=ext)
-        amps = zeros_like_dtype((two_m, inst.G), ext)
+        gbar = uniform_vector(inst.G)
+        amps = zeros((two_m, inst.G))
         amps[0] = gbar * _sqrt(boosted)
         for i in range(1, two_m):
             amps[i] = gbar * _sqrt(others)
@@ -381,7 +367,7 @@ def _forge(inst, cert, spec, base: Proof, num) -> Proof:
         if not 0 < w_req <= math.sqrt(2.0) + 1e-12:
             raise MagnitudeRangeError(f"distance must lie in (0, sqrt(2)], got {float(w_req)}")
         label = 0 if kind is AdversaryKind.WRONG_START else inst.m
-        anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi", extended=ext)
+        anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi")
         planted = _rotate_toward(anchor, one - w_req * w_req / 2, spec.seed)
         s = s_prime = _replace_data_slice(s, label, planted)
         _, got = conditional_state(s, 0, label)

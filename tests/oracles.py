@@ -88,11 +88,18 @@ def norm_sq(state) -> float:
     return float(np.vdot(v, v).real)
 
 
-def random_registered_state(dims, rng):
+def normalized(amplitudes):
+    """The state of double ``amplitudes`` divided by their norm."""
     from ffgscon.states import RegisteredState
 
+    v = np.asarray(amplitudes, dtype=np.complex128)
+    a = np.abs(v.ravel())
+    return RegisteredState(v / np.sqrt((a * a).sum()))
+
+
+def random_registered_state(dims, rng):
     v = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
-    return RegisteredState(v.reshape(dims), normalize=True)
+    return normalized(v.reshape(dims))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from ffgscon.instances import (
     save_instance,
     validate_instance,
 )
-from ffgscon.ledger import derive_parameters
+from ffgscon.ledger import LedgerInvariantError, derive_parameters
 from ffgscon.states import RegisteredState
 from ffgscon.verifier import run_test
 from ffgscon.witnesses import Proof, forge_composed
@@ -219,7 +219,7 @@ def test_cli_reports_byte_identical_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
-FUZZ_VALUES = [None, "x", -1, 0, 2.5, 1e308, "nan", [], {}, True, 10**6]
+FUZZ_VALUES = [None, "x", -1, 0, 2.5, 1e308, "nan", "inf", "-inf", [], {}, True, 10**6]
 FUZZ_VERBS = (["validate"], ["ledger"], ["verify", "--mode", "exact"], ["lemmas"])
 
 
@@ -241,3 +241,18 @@ def test_cli_single_field_fuzz_exits_with_documented_codes(tmp_path, capsys, fie
                 assert out.err.startswith("error: "), (value, verb)
         if codes["validate"]:
             assert codes == dict.fromkeys(codes, 1), value
+
+
+def test_cli_negative_eta3_fails_validation_at_every_verb(tmp_path, capsys):
+    # eta3 = -0.25 and h = 0.25 make eta3 + h, the denominator of mu, exactly 0:
+    # validate passed this document and ledger, verify and lemmas divided by zero
+    doc = {**instance_to_dict(get_fixture("idle").instance), "eta2": "2.5", "eta3": "-0.25", "eta4": "0.75"}
+    path = tmp_path / "eta3.json"
+    path.write_text(json.dumps(doc))
+    for verb in FUZZ_VERBS:
+        assert cli_main([verb[0], str(path), *verb[1:]]) == 1, verb
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err, verb
+        assert "[FAIL] eta3 >= 0" in (out.out if verb[0] == "validate" else out.err), verb
+    with pytest.raises(LedgerInvariantError, match="eta3 >= 0"):
+        derive_parameters(instance_from_dict(doc))

@@ -40,7 +40,7 @@ def test_config_validation():
         ExperimentConfig("idle", mode="sampled", trials=0).check()
     with pytest.raises(HarnessError):
         ExperimentConfig("idle", workers=0).check()
-    with pytest.raises(HarnessError):
+    with pytest.raises(ValueError, match="seed"):  # refused when the spec is built
         ExperimentConfig("idle", adversary=(AdversarySpec(AdversaryKind.MISMATCHED_U, 0.1, seed=-1),)).check()
 
 

@@ -28,9 +28,9 @@ from ffgscon.instances import (
 )
 from ffgscon._kernels import tally_low
 from ffgscon.fixtures import builtin_instances, get_fixture
-from ffgscon.states import RegisteredState, basis_state
+from ffgscon.states import basis_state
 
-from oracles import random_registered_state
+from oracles import normalized, random_registered_state
 
 
 def proj1(q=0):
@@ -98,7 +98,7 @@ def test_energy_basics():
     inst = single_qubit_instance()
     zero = basis_state((2,), (0,))
     one = basis_state((2,), (1,))
-    plus = RegisteredState([1, 1], normalize=True)
+    plus = normalized([1, 1])
     assert energy_of(inst, zero) <= 1e-10
     assert abs(energy_of(inst, one) - 1.0) < 1e-12
     assert abs(energy_of(inst, plus) - 0.5) < 1e-12
@@ -131,7 +131,7 @@ def test_energy_test_maximal_state_rejects_surely():
 
 def test_energy_test_sample_rate_matches_exact():
     inst = single_qubit_instance(terms=(proj1(), HamiltonianTerm(np.diag([0.0, 0.25]), (0,))))
-    s = RegisteredState([1, 1], normalize=True)
+    s = normalized([1, 1])
     p = energy_of(inst, s) / inst.R  # (0.5 + 0.125)/2
     assert abs(p - 0.3125) < 1e-12
     n = 50_000

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffgscon._kernels import select, tally_chain
+from ffgscon.fixtures import get_fixture
+from ffgscon.instances import prepare_state_from_circuit
 from ffgscon.states import (
     DimensionCapError,
     LocalGate,
@@ -25,11 +27,13 @@ from ffgscon.states import (
     projection_deficit,
     register_distribution,
     swap_test_reject_prob,
+    precision,
     tensor_with,
     uniform_vector,
+    zeros,
 )
 
-from oracles import norm_sq, random_registered_state, swap_circuit_reject_prob
+from oracles import norm_sq, normalized, random_registered_state, swap_circuit_reject_prob
 
 X = LocalGate("X", np.array([[0, 1], [1, 0]]), (0,))
 H = LocalGate("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2), (0,))
@@ -55,12 +59,20 @@ def test_shape_rejects_bad_dims_and_values():
 
 
 def test_state_normalization_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normalized"):
         RegisteredState([1.0, 1.0])
-    s = RegisteredState([1.0, 1.0], normalize=True)
+    s = normalized([1.0, 1.0])
     assert abs(s.amplitudes[0] - 1 / math.sqrt(2)) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         RegisteredState([np.nan, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        RegisteredState([np.inf, 0.0])
+    # check=False, for amplitudes an operation has just normalized, computes no norm
+    assert RegisteredState([1.0, 1.0], check=False).amplitudes.tolist() == [1, 1]
+    with precision(True):
+        with pytest.raises(ValueError, match="not normalized"):
+            RegisteredState(uniform_vector(4) * 2)
+        assert RegisteredState(uniform_vector(4) * 2, check=False).extended
 
 
 def test_state_is_immutable():
@@ -81,7 +93,7 @@ def test_tensor_basis_case():
 
 
 def test_tensor_separable_case():
-    plus = RegisteredState([1, 1], normalize=True)
+    plus = normalized([1, 1])
     one = basis_state((2,), (1,))
     joint = tensor_with(plus, one)
     s = 1 / math.sqrt(2)
@@ -117,7 +129,7 @@ def test_apply_x_and_h():
 
 
 def test_apply_cnot_textbook():
-    plus0 = RegisteredState([[1, 0], [1, 0]], normalize=True)  # (|00>+|10>)/sqrt2
+    plus0 = normalized([[1, 0], [1, 0]])  # (|00>+|10>)/sqrt2
     bell = apply_local_gate(plus0, CNOT, 0)
     s = 1 / math.sqrt(2)
     assert abs(bell.amplitudes[0, 0] - s) < 1e-15
@@ -196,7 +208,7 @@ def test_projection_deficit_matches_complement():
 
 
 def test_register_distribution_and_conditional():
-    s = RegisteredState([[1, 0], [0, 1]], normalize=True)
+    s = normalized([[1, 0], [0, 1]])
     probs = register_distribution(s, 0)
     assert np.allclose(probs, [0.5, 0.5])
     p, cond = conditional_state(s, 0, 1)
@@ -313,9 +325,32 @@ def test_phase_optimized_distance():
     assert phase_optimized_distance(zero, spun) < 1e-7
 
 
+def _constructor_dtypes():
+    inst = get_fixture("bell-flip").instance
+    built = (
+        zeros((2, 3)),
+        basis_state((2, 3), (1, 2)).amplitudes,
+        uniform_vector(6),
+        prepare_state_from_circuit(inst, "psi").amplitudes,
+        prepare_state_from_circuit(inst, "phi").amplitudes,
+    )
+    return {a.dtype for a in built}
+
+
+def test_constructors_build_at_the_enclosing_precision():
+    assert _constructor_dtypes() == {np.dtype(np.complex128)}
+    with precision(True):
+        assert _constructor_dtypes() == {np.dtype(object)}
+        assert abs(sum(abs(a) ** 2 for a in uniform_vector(6)) - 1) <= mpmath.mpf("1e-115")
+        with precision(False):
+            assert _constructor_dtypes() == {np.dtype(np.complex128)}
+        assert _constructor_dtypes() == {np.dtype(object)}
+    assert _constructor_dtypes() == {np.dtype(np.complex128)}
+
+
 def test_extended_precision_round_trip():
-    with mpmath.workdps(60):
-        s = basis_state((2, 2), (0, 0), extended=True)
+    with precision(True):
+        s = basis_state((2, 2), (0, 0))
         assert s.extended
         flipped = apply_local_gate(s, X, 1)
         assert abs(complex(flipped.amplitudes[0, 1]) - 1) < 1e-30

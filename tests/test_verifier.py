@@ -18,8 +18,10 @@ from ffgscon.instances import GsconInstance
 from ffgscon.ledger import derive_parameters
 from ffgscon.rng import STREAM_ROUND, CounterStream
 from ffgscon.states import (
+    WITNESS_DPS,
     RegisteredState,
     ShapeMismatchError,
+    precision,
     uniform_vector,
 )
 from ffgscon.verifier import (
@@ -30,7 +32,6 @@ from ffgscon.verifier import (
     sample_round,
 )
 from ffgscon.witnesses import (
-    WITNESS_DPS,
     AdversaryKind,
     AdversarySpec,
     Proof,
@@ -218,10 +219,10 @@ def _tilted_gate_proof(fx, k):
     """Extended honest proof whose U has all label mass on label 0 and gate overlap 10^-k with uniform."""
     inst = fx.instance
     two_m, G = 2 * inst.m, inst.G
-    with mpmath.workdps(WITNESS_DPS):
+    with precision(True):
         eps = mpf(10) ** -k
         perp = np.array([1, -1] + [0] * (G - 2), dtype=object) / mpmath.sqrt(2)  # orthogonal to uniform
-        gate = eps * uniform_vector(G, extended=True) + mpmath.sqrt(1 - eps**2) * perp
+        gate = eps * uniform_vector(G) + mpmath.sqrt(1 - eps**2) * perp
         amps = np.full((two_m, G), mpmath.mpc(0), dtype=object)
         amps[0] = gate
         u = RegisteredState(amps)

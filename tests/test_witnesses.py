@@ -20,12 +20,11 @@ from ffgscon.instances import (
     prepare_state_from_circuit,
 )
 from ffgscon.ledger import derive_parameters
-from ffgscon.states import conditional_state, phase_optimized_distance, register_distribution
+from ffgscon.states import WITNESS_DPS, conditional_state, phase_optimized_distance, register_distribution
 from ffgscon.witnesses import (
     AdversaryKind,
     AdversarySpec,
     GateSetNotClosedError,
-    WITNESS_DPS,
     MagnitudeRangeError,
     TARGETED_TEST,
     apply_W,
@@ -38,7 +37,7 @@ from ffgscon.witnesses import (
     reference_certificate,
 )
 
-from oracles import norm_sq
+from oracles import norm_sq, normalized
 
 S2 = 1 / math.sqrt(2)
 
@@ -335,13 +334,13 @@ def test_composed_adversaries_stack():
 
 
 def test_orthogonal_helper_on_complex_states():
-    from ffgscon.states import RegisteredState, inner_product
+    from ffgscon.states import inner_product
     from ffgscon.witnesses import _orthogonal_state
 
     rng = np.random.default_rng(51)
     for _ in range(20):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi = RegisteredState(v.reshape(2, 2), normalize=True)
+        psi = normalized(v.reshape(2, 2))
         perp = _orthogonal_state(psi, None)
         assert abs(inner_product(psi, perp)) < 1e-12
         assert abs(norm_sq(perp) - 1.0) < 1e-12
@@ -391,3 +390,13 @@ def test_broken_sequence_on_complex_chain():
     m, G = fx.instance.m, fx.instance.G
     assert float(out.reject_probability) >= (1 / (8 * m * G)) * (z / 4)
 
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_forge_refuses_a_seed_outside_the_philox_key_range(seed):
+    # -1 would plant the deviation of seed 2**64 - 1, and 2**64 that of seed 0
+    fx = get_fixture("bell-stepwise")
+    with pytest.raises(ValueError, match="seed"):
+        forge_adversary(fx.instance, fx.certificate, AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed))
+    with pytest.raises(ValueError, match="seed"):
+        forge_composed(fx.instance, fx.certificate, [AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed)])
