@@ -80,7 +80,7 @@ class RegisteredState:
             if not _is_extended(amps) and not np.all(np.isfinite(amps.view(np.float64))):
                 raise ValueError("amplitudes must be finite")
             nrm2 = float(_abs2_sum(amps))
-            if abs(nrm2 - 1.0) > EPS_NORM:
+            if not abs(nrm2 - 1.0) <= EPS_NORM:  # NaN too: extended amplitudes skip the finiteness check
                 raise ValueError(f"state is not normalized: |amps|^2 = {nrm2!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
