@@ -357,9 +357,9 @@ def demo_magnitude(kind: AdversaryKind, inst: GsconInstance, ledger: ParameterLe
 def run_lemma_suite(inst: GsconInstance, cert: TraversalCertificate | None = None, name: str = "") -> RunReport:
     """For each threshold, plant its boundary adversary and check the margin.
 
-    Every row builds the adversary on extended-precision amplitudes, runs the
-    targeted test's exact branch sum, and asserts rejection >= the ledger
-    threshold r_i with a nonnegative margin.
+    Every row plants its adversary on one shared extended-precision honest
+    proof, runs the targeted test's exact branch sum, and asserts rejection
+    >= the ledger threshold r_i with a nonnegative margin.
     """
     enforce_desk_caps(inst)
     require_valid(inst)
@@ -367,8 +367,9 @@ def run_lemma_suite(inst: GsconInstance, cert: TraversalCertificate | None = Non
     report = RunReport({"suite": "lemma"}, name, ledger.as_decimal_dict())
     t0 = time.perf_counter()
 
+    honest = honest_proof(inst, cert, extended=True)
     for spec in boundary_specs(inst, ledger):
-        forged = forge_adversary(inst, cert, spec, extended=True)
+        forged = forge_adversary(honest, inst, cert, spec)
         out = run_test(forged.targeted_test, forged, inst, mode=MODE_EXACT)
         with precision(extended=True):
             reject = mpmath.mpf(out.reject_probability)

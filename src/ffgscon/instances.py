@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
+    DIMENSION_CAP,
     EPS_ALGEBRA,
+    DimensionCapError,
     LocalGate,
     RegisteredState,
     _apply_matrix_axes,
@@ -179,13 +181,18 @@ def validate_instance(inst: GsconInstance) -> ValidationReport:
             detail=f"support={term.support}",
         )
     etas = (inst.eta2, inst.eta3, inst.eta4, inst.delta)
-    rep.add("eta2, eta3, eta4, delta finite", all(math.isfinite(v) for v in etas), detail=f"values={etas}")
+    finite = all(math.isfinite(v) for v in etas)
+    rep.add("eta2, eta3, eta4, delta finite", finite, detail=f"values={etas}")
+    rep.add("eta2 >= 0", inst.eta2 >= 0, inst.eta2)
     rep.add("delta > 0", inst.delta > 0, inst.delta)
     rep.add("eta2 - 0 >= delta", inst.eta2 - 0.0 >= inst.delta, inst.eta2)
     rep.add("eta3 >= 0", inst.eta3 >= 0, inst.eta3)
     rep.add("eta4 - eta3 >= delta", inst.eta4 - inst.eta3 >= inst.delta, inst.eta4 - inst.eta3)
-    h = inst.promise_h()
-    rep.add("eta3 + h <= sqrt(2)", inst.eta3 + h <= math.sqrt(2.0), inst.eta3 + h)
+    if inst.R >= 1 and finite and inst.eta2 >= 0:  # h = min{(eta4-eta3)/4, sqrt(eta2/R)/6} is defined
+        h = inst.promise_h()
+        rep.add("eta3 + h <= sqrt(2)", inst.eta3 + h <= math.sqrt(2.0), inst.eta3 + h)
+    else:
+        rep.add("eta3 + h <= sqrt(2)", False, detail="h needs a hamiltonian term, finite etas and eta2 >= 0")
     for label, circuit in (("psi", inst.psi_circuit), ("phi", inst.phi_circuit)):
         in_range = all(all(0 <= t < inst.n for t in g.targets) for g in circuit)
         rep.add(f"{label} circuit targets within data register", in_range)
@@ -237,6 +244,8 @@ def energy_of(inst: GsconInstance, s: RegisteredState) -> float:
 def dense_hamiltonian(inst: GsconInstance) -> np.ndarray:
     """The full 2^n x 2^n Hamiltonian (for desk-scale eigen-analysis)."""
     dim = 2**inst.n
+    if dim * dim > DIMENSION_CAP:
+        raise DimensionCapError(f"dense hamiltonian of {dim * dim} entries exceeds the exact-mode cap {DIMENSION_CAP}")
     H = np.zeros((dim, dim), dtype=np.complex128)
     eye = np.eye(dim, dtype=np.complex128)
     for term in inst.terms:

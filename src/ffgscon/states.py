@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,6 +158,9 @@ def precision(extended: bool):
 
 
 def zeros(dims) -> np.ndarray:
+    size = math.prod(dims) if np.ndim(dims) else dims
+    if size > DIMENSION_CAP:
+        raise DimensionCapError(f"dimension {size} exceeds the exact-mode cap {DIMENSION_CAP}")
     if _SCALAR.get() is float:
         return np.zeros(dims, dtype=np.complex128)
     return np.full(dims, mpmath.mpc(0), dtype=object)
@@ -191,10 +195,20 @@ def tensor_with(a: RegisteredState, b: RegisteredState) -> RegisteredState:
     return RegisteredState(np.multiply.outer(a.amplitudes, b.amplitudes))
 
 
+@functools.lru_cache(maxsize=256)
+def _mp_matrix(data: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex128 matrix as read-only mpmath entries, converted exactly (at any precision)."""
+    block = np.frompyfunc(mpmath.mpmathify, 1, 1)(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+    block.setflags(write=False)
+    return block
+
+
 def _apply_matrix_axes(tensor: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract ``matrix`` (reshaped to per-axis blocks) onto the given axes."""
+    """Contract ``matrix`` (reshaped to per-axis blocks) onto the given axes; an extended tensor meets its mpmath copy."""
     k = len(axes)
     dims = tuple(tensor.shape[ax] for ax in axes)
+    if _is_extended(tensor) and not _is_extended(matrix):
+        matrix = _mp_matrix(matrix.astype(np.complex128, copy=False).tobytes(), matrix.shape)
     block = np.asarray(matrix).reshape(dims + dims)
     out = np.tensordot(block, tensor, axes=(tuple(range(k, 2 * k)), axes))
     return np.moveaxis(out, tuple(range(k)), axes)

@@ -15,9 +15,9 @@ attempted.  Magnitudes at the protocol's native thresholds are far below
 double-precision resolution of an O(1) amplitude, so every construction can
 also be built on extended-precision amplitudes (``extended=True``), carried
 as mpmath object arrays at :data:`~ffgscon.states.WITNESS_DPS` significant
-digits.  The public builders take that choice once, as their ``extended``
-keyword, and open one :func:`~ffgscon.states.precision` block on it; every
-amplitude built inside reads its level from that block.
+digits.  The honest builders take that choice as their ``extended`` keyword,
+:func:`forge_adversary` reads it off its base proof, and each opens one
+:func:`~ffgscon.states.precision` block on it that every amplitude reads.
 """
 
 from __future__ import annotations
@@ -254,21 +254,111 @@ def _replace_data_slice(s: RegisteredState, label_index: int, new_data: Register
     return RegisteredState(t, check=False)
 
 
-def forge_adversary(
-    inst: GsconInstance,
-    cert: TraversalCertificate | None,
-    spec: AdversarySpec,
-    *,
-    extended: bool = False,
-) -> Proof:
-    """Build the four witnesses with exactly one planted deviation.
+def forge_adversary(base: Proof, inst: GsconInstance, cert: TraversalCertificate | None, spec: AdversarySpec) -> Proof:
+    """Plant ``spec`` on ``base``, at the base's precision: exactly one deviation.
 
-    All witnesses other than the targeted ones are honest (relative to the
-    reference certificate).  The returned ``measured_deviation`` is read back
-    from the constructed states.
+    The witnesses the spec does not target stay as in ``base``; the returned
+    ``measured_deviation`` is read back from the constructed states.
     """
-    with precision(extended) as num:
-        return _forge(inst, cert, spec, honest_proof(inst, cert, extended=extended), num)
+    with precision(base.extended) as num:
+        assignment = honest_gate_assignment(inst, reference_certificate(inst, cert))
+        two_m = 2 * inst.m
+        one = num(1)
+        u, u_prime, s, s_prime = base.u, base.u_prime, base.s, base.s_prime
+        kind = spec.kind
+
+        if kind is AdversaryKind.MISMATCHED_U:
+            delta = num(spec.magnitude)
+            if not 0 < delta <= 1.0 / two_m:
+                raise MagnitudeRangeError(f"probability gap must lie in (0, 1/(2m)], got {float(delta)}")
+            u0 = assignment[0]
+            alt = _pick_other_index(u0, inst.G, spec.seed)
+            amps = u.amplitudes.copy()
+            amps[0, u0] = _sqrt(one / two_m - delta)
+            amps[0, alt] = _sqrt(delta)
+            u_prime = RegisteredState(amps, check=False)
+            measured = np.abs(np.abs(u.amplitudes) ** 2 - np.abs(u_prime.amplitudes) ** 2).max()
+
+        elif kind is AdversaryKind.SMEARED_GATE:
+            x, c = (num(v) for v in spec.magnitude)
+            if not (0 < x <= 1 and 0 < c < 1):
+                raise MagnitudeRangeError(f"need 0 < x <= 1 and 0 < c < 1, got {(float(x), float(c))}")
+            u0 = assignment[0]
+            alt = _pick_other_index(u0, inst.G, spec.seed)
+            amps = zeros((two_m, inst.G))
+            amps[0, u0] = _sqrt(x * (1 - c))
+            amps[0, alt] = _sqrt(x * c)
+            rest = (one - x) / (two_m - 1)
+            for i in range(1, two_m):
+                amps[i, assignment[i]] = _sqrt(rest)
+            u = u_prime = RegisteredState(amps, check=False)
+            probs = np.abs(amps) ** 2
+            label_mass = probs[0].sum()
+            off = (label_mass - probs[0, u0]) / label_mass
+            measured = (label_mass, off)
+
+        elif kind is AdversaryKind.NONUNIFORM_LABELS:
+            f = num(spec.magnitude)
+            if not 0 < f <= (two_m - 1) / 2.0:
+                raise MagnitudeRangeError(f"label skew must lie in (0, (2m-1)/2], got {float(f)}")
+            boosted = one / two_m + f / inst.m
+            others = one / two_m - f / (inst.m * (two_m - 1))
+            gbar = uniform_vector(inst.G)
+            amps = zeros((two_m, inst.G))
+            amps[0] = gbar * _sqrt(boosted)
+            for i in range(1, two_m):
+                amps[i] = gbar * _sqrt(others)
+            u = u_prime = RegisteredState(amps, check=False)
+            label_probs = np.abs(amps) ** 2
+            measured = inst.m * max(abs(label_probs[i].sum() - one / two_m) for i in range(two_m))
+
+        elif kind is AdversaryKind.INCONSISTENT_S:
+            z = num(spec.magnitude)
+            if not 0 < z <= 2.0 / inst.m:
+                raise MagnitudeRangeError(f"per-label defect must lie in (0, 2/m], got {float(z)}")
+            _, psi0 = conditional_state(s, 0, 0)
+            s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, one - inst.m * z, spec.seed))
+            measured = _max_slice_defect(s, s_prime)
+
+        elif kind is AdversaryKind.BROKEN_SEQUENCE:
+            z = num(spec.magnitude)
+            if not 0 < z <= 2.0 / inst.m:
+                raise MagnitudeRangeError(f"link defect must lie in (0, 2/m], got {float(z)}")
+            _, psi1 = conditional_state(s, 0, 1)
+            s = s_prime = _replace_data_slice(s, 1, _rotate_toward(psi1, one - inst.m * z, spec.seed))
+            measured = _max_slice_defect(apply_W(inst, assignment, s), s_prime)
+
+        elif kind in (AdversaryKind.WRONG_START, AdversaryKind.WRONG_END):
+            w_req = num(spec.magnitude)
+            if not 0 < w_req <= math.sqrt(2.0) + 1e-12:
+                raise MagnitudeRangeError(f"distance must lie in (0, sqrt(2)], got {float(w_req)}")
+            label = 0 if kind is AdversaryKind.WRONG_START else inst.m
+            anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi")
+            planted = _rotate_toward(anchor, one - w_req * w_req / 2, spec.seed)
+            s = s_prime = _replace_data_slice(s, label, planted)
+            _, got = conditional_state(s, 0, label)
+            measured = phase_optimized_distance(got, anchor)
+
+        elif kind is AdversaryKind.HIGH_ENERGY:
+            energy = num(spec.magnitude)
+            evals, evecs = np.linalg.eigh(dense_hamiltonian(inst))
+            top = float(evals[-1])
+            if not 0 <= float(energy) <= top + 1e-12:
+                raise MagnitudeRangeError(f"energy must lie in [0, {top}], got {float(energy)}")
+            if float(evals[0]) > 1e-10:
+                raise MagnitudeRangeError("instance is not frustration-free; no zero-energy anchor")
+            sin2 = energy / top
+            # complex128 eigenvectors times an mpf scale are mpc object arrays
+            mixed = evecs[:, 0] * _sqrt(one - sin2) + evecs[:, -1] * _sqrt(sin2)
+            s = s_prime = _replace_data_slice(s, 0, RegisteredState(mixed.reshape((2,) * inst.n), check=False))
+            _, got = conditional_state(s, 0, 0)
+            measured = energy_of(inst, got)
+
+        else:  # pragma: no cover
+            raise ValueError(f"unknown adversary kind {kind!r}")
+
+        _check_measured(spec.magnitude, measured, kind)
+        return Proof(u, u_prime, s, s_prime, spec, measured)
 
 
 def forge_composed(
@@ -278,121 +368,18 @@ def forge_composed(
     *,
     extended: bool = False,
 ) -> Proof:
-    """Apply several deviations in order (no worst-case coverage claims).
+    """Apply several deviations in order, starting from the honest proof (no worst-case coverage claims).
 
     Later kinds rebuild the registers they touch, so order matters; the
     measured deviation of the last spec is reported.
     """
-    forged = None
-    with precision(extended) as num:
-        for spec in specs:
-            base = honest_proof(inst, cert, extended=extended) if forged is None else forged
-            forged = _forge(inst, cert, spec, base, num)
-    if forged is None:
+    specs = list(specs)
+    if not specs:
         raise ValueError("no adversary specs given")
+    forged = honest_proof(inst, cert, extended=extended)
+    for spec in specs:
+        forged = forge_adversary(forged, inst, cert, spec)
     return forged
-
-
-def _forge(inst, cert, spec, base: Proof, num) -> Proof:
-    """Plant ``spec`` on ``base`` inside the :func:`precision` context of the base, whose scalar type is ``num``."""
-    assignment = honest_gate_assignment(inst, reference_certificate(inst, cert))
-    two_m = 2 * inst.m
-    one = num(1)
-    u, u_prime, s, s_prime = base.u, base.u_prime, base.s, base.s_prime
-    kind = spec.kind
-
-    if kind is AdversaryKind.MISMATCHED_U:
-        delta = num(spec.magnitude)
-        if not 0 < delta <= 1.0 / two_m:
-            raise MagnitudeRangeError(f"probability gap must lie in (0, 1/(2m)], got {float(delta)}")
-        u0 = assignment[0]
-        alt = _pick_other_index(u0, inst.G, spec.seed)
-        amps = u.amplitudes.copy()
-        amps[0, u0] = _sqrt(one / two_m - delta)
-        amps[0, alt] = _sqrt(delta)
-        u_prime = RegisteredState(amps, check=False)
-        measured = np.abs(np.abs(u.amplitudes) ** 2 - np.abs(u_prime.amplitudes) ** 2).max()
-
-    elif kind is AdversaryKind.SMEARED_GATE:
-        x, c = (num(v) for v in spec.magnitude)
-        if not (0 < x <= 1 and 0 < c < 1):
-            raise MagnitudeRangeError(f"need 0 < x <= 1 and 0 < c < 1, got {(float(x), float(c))}")
-        u0 = assignment[0]
-        alt = _pick_other_index(u0, inst.G, spec.seed)
-        amps = zeros((two_m, inst.G))
-        amps[0, u0] = _sqrt(x * (1 - c))
-        amps[0, alt] = _sqrt(x * c)
-        rest = (one - x) / (two_m - 1)
-        for i in range(1, two_m):
-            amps[i, assignment[i]] = _sqrt(rest)
-        u = u_prime = RegisteredState(amps, check=False)
-        probs = np.abs(amps) ** 2
-        label_mass = probs[0].sum()
-        off = (label_mass - probs[0, u0]) / label_mass
-        measured = (label_mass, off)
-
-    elif kind is AdversaryKind.NONUNIFORM_LABELS:
-        f = num(spec.magnitude)
-        if not 0 < f <= (two_m - 1) / 2.0:
-            raise MagnitudeRangeError(f"label skew must lie in (0, (2m-1)/2], got {float(f)}")
-        boosted = one / two_m + f / inst.m
-        others = one / two_m - f / (inst.m * (two_m - 1))
-        gbar = uniform_vector(inst.G)
-        amps = zeros((two_m, inst.G))
-        amps[0] = gbar * _sqrt(boosted)
-        for i in range(1, two_m):
-            amps[i] = gbar * _sqrt(others)
-        u = u_prime = RegisteredState(amps, check=False)
-        label_probs = np.abs(amps) ** 2
-        measured = inst.m * max(abs(label_probs[i].sum() - one / two_m) for i in range(two_m))
-
-    elif kind is AdversaryKind.INCONSISTENT_S:
-        z = num(spec.magnitude)
-        if not 0 < z <= 2.0 / inst.m:
-            raise MagnitudeRangeError(f"per-label defect must lie in (0, 2/m], got {float(z)}")
-        _, psi0 = conditional_state(s, 0, 0)
-        s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, one - inst.m * z, spec.seed))
-        measured = _max_slice_defect(s, s_prime)
-
-    elif kind is AdversaryKind.BROKEN_SEQUENCE:
-        z = num(spec.magnitude)
-        if not 0 < z <= 2.0 / inst.m:
-            raise MagnitudeRangeError(f"link defect must lie in (0, 2/m], got {float(z)}")
-        _, psi1 = conditional_state(s, 0, 1)
-        s = s_prime = _replace_data_slice(s, 1, _rotate_toward(psi1, one - inst.m * z, spec.seed))
-        measured = _max_slice_defect(apply_W(inst, assignment, s), s_prime)
-
-    elif kind in (AdversaryKind.WRONG_START, AdversaryKind.WRONG_END):
-        w_req = num(spec.magnitude)
-        if not 0 < w_req <= math.sqrt(2.0) + 1e-12:
-            raise MagnitudeRangeError(f"distance must lie in (0, sqrt(2)], got {float(w_req)}")
-        label = 0 if kind is AdversaryKind.WRONG_START else inst.m
-        anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi")
-        planted = _rotate_toward(anchor, one - w_req * w_req / 2, spec.seed)
-        s = s_prime = _replace_data_slice(s, label, planted)
-        _, got = conditional_state(s, 0, label)
-        measured = phase_optimized_distance(got, anchor)
-
-    elif kind is AdversaryKind.HIGH_ENERGY:
-        energy = num(spec.magnitude)
-        evals, evecs = np.linalg.eigh(dense_hamiltonian(inst))
-        top = float(evals[-1])
-        if not 0 <= float(energy) <= top + 1e-12:
-            raise MagnitudeRangeError(f"energy must lie in [0, {top}], got {float(energy)}")
-        if float(evals[0]) > 1e-10:
-            raise MagnitudeRangeError("instance is not frustration-free; no zero-energy anchor")
-        sin2 = energy / top
-        # complex128 eigenvectors times an mpf scale are mpc object arrays
-        mixed = evecs[:, 0] * _sqrt(one - sin2) + evecs[:, -1] * _sqrt(sin2)
-        s = s_prime = _replace_data_slice(s, 0, RegisteredState(mixed.reshape((2,) * inst.n), check=False))
-        _, got = conditional_state(s, 0, 0)
-        measured = energy_of(inst, got)
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown adversary kind {kind!r}")
-
-    _check_measured(spec.magnitude, measured, kind)
-    return Proof(u, u_prime, s, s_prime, spec, measured)
 
 
 def _check_measured(requested, measured, kind):
@@ -409,7 +396,7 @@ def _check_measured(requested, measured, kind):
         if diff > 1e-6 * abs(r_val):
             raise MagnitudeRangeError(
                 f"{kind.value}: achieved deviation {float(g_val):.6e} is not within 1e-6 of the "
-                f"requested {float(r_val):.6e}; magnitudes below double resolution need extended=True"
+                f"requested {float(r_val):.6e}; magnitudes below double resolution need an extended base proof"
             )
 
 

@@ -256,3 +256,21 @@ def test_cli_negative_eta3_fails_validation_at_every_verb(tmp_path, capsys):
         assert "[FAIL] eta3 >= 0" in (out.out if verb[0] == "validate" else out.err), verb
     with pytest.raises(LedgerInvariantError, match="eta3 >= 0"):
         derive_parameters(instance_from_dict(doc))
+
+
+def test_cli_negative_eta2_lists_its_failing_rows(tmp_path, capsys):
+    # h = min{(eta4-eta3)/4, sqrt(eta2/R)/6} was taken before any row existed, so
+    # validate printed only "error: math domain error"
+    doc = {**instance_to_dict(get_fixture("idle").instance), "eta2": "-1"}
+    path = tmp_path / "eta2.json"
+    path.write_text(json.dumps(doc))
+    for verb in FUZZ_VERBS:
+        assert cli_main([verb[0], str(path), *verb[1:]]) == 1, verb
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err and "math domain error" not in out.out + out.err, verb
+        rows = out.out if verb[0] == "validate" else out.err
+        assert "[FAIL] eta2 >= 0" in rows and "[FAIL] eta3 + h <= sqrt(2)" in rows, verb
+    # no term: h divided by R = 0
+    rep = validate_instance(replace(get_fixture("idle").instance, terms=()))
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert {"at least one hamiltonian term", "eta3 + h <= sqrt(2)"} <= failed

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffgscon import _kernels, harness
+from ffgscon import _kernels, harness, witnesses
 from ffgscon.cli import main as cli_main
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import (
@@ -29,8 +29,8 @@ from ffgscon.harness import (
 from ffgscon.instances import GsconInstance, HamiltonianTerm, gate_i, gate_x, save_instance
 from ffgscon.ledger import derive_parameters
 from ffgscon.rng import STREAM_ROUND, CounterStream
-from ffgscon.verifier import MODE_SAMPLED, branch_plan, run_protocol_round, run_test, sample_round
-from ffgscon.witnesses import AdversaryKind, AdversarySpec
+from ffgscon.verifier import MODE_EXACT, MODE_SAMPLED, branch_plan, run_protocol_round, run_test, sample_round
+from ffgscon.witnesses import TARGETED_TEST, AdversaryKind, AdversarySpec, forge_adversary, honest_proof
 
 
 def test_config_validation():
@@ -489,6 +489,38 @@ def test_lemma_suite_scales_extended_amplitudes_array_first(monkeypatch):
     fx = get_fixture("bell-stepwise")
     run_lemma_suite(fx.instance, fx.certificate, fx.name)
     assert np.ndarray not in seen
+
+
+def test_lemma_suite_builds_one_honest_proof(monkeypatch):
+    # the eight boundary adversaries are planted on one shared 120-digit honest proof
+    calls = []
+    build = witnesses.build_honest_S
+    monkeypatch.setattr(witnesses, "build_honest_S", lambda *a, **kw: calls.append(kw) or build(*a, **kw))
+    fx = get_fixture("bell-stepwise")
+    run_lemma_suite(fx.instance, fx.certificate, fx.name)
+    assert calls == [{"extended": True}]
+
+
+@pytest.mark.parametrize("name", [fx.name for fx in builtin_instances()])
+def test_lemma_rows_equal_one_shot_forges(monkeypatch, name):
+    # forging on the shared honest proof keeps every bit of each row's reject
+    fx = get_fixture(name)
+    inst, cert = fx.instance, fx.certificate
+    rejects = []
+
+    def spy(*a, **kw):
+        out = run_test(*a, **kw)
+        rejects.append(out.reject_probability)
+        return out
+
+    monkeypatch.setattr(harness, "run_test", spy)
+    run_lemma_suite(inst, cert, name)
+    specs = boundary_specs(inst, derive_parameters(inst))
+    assert len(rejects) == len(specs) == 8
+    for spec, got in zip(specs, rejects):
+        forged = forge_adversary(honest_proof(inst, cert, extended=True), inst, cert, spec)
+        want = run_test(TARGETED_TEST[spec.kind], forged, inst, mode=MODE_EXACT).reject_probability
+        assert got._mpf_ == want._mpf_, spec.kind
 
 
 def test_cli_refuses_seeds_outside_the_philox_key(capsys):

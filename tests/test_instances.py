@@ -28,7 +28,7 @@ from ffgscon.instances import (
 )
 from ffgscon._kernels import tally_low
 from ffgscon.fixtures import builtin_instances, get_fixture
-from ffgscon.states import basis_state
+from ffgscon.states import DimensionCapError, basis_state
 
 from oracles import normalized, random_registered_state
 
@@ -113,6 +113,12 @@ def test_energy_matches_dense_hamiltonian():
             v = np.asarray(s.amplitudes, complex).ravel()
             direct = float(np.real(v.conj() @ H @ v))
             assert abs(energy_of(fx.instance, s) - direct) < 1e-12
+
+
+def test_dense_hamiltonian_refuses_over_the_cap():
+    # 4^30 entries: the refusal comes before any array is asked for
+    with pytest.raises(DimensionCapError):
+        dense_hamiltonian(single_qubit_instance(n=30))
 
 
 def energy_test_tally(inst, s, seed, stream, n):

@@ -456,7 +456,8 @@ def test_unique_plan_can_reject_only_on_a_mismatched_u():
     fx = get_fixture("bell-flip")
     kind = AdversaryKind.MISMATCHED_U
     spec = AdversarySpec(kind, demo_magnitude(kind, fx.instance, derive_parameters(fx.instance)))
-    assert can_reject(forge_adversary(fx.instance, fx.certificate, spec), fx.instance)
+    base = honest_proof(fx.instance, fx.certificate)
+    assert can_reject(forge_adversary(base, fx.instance, fx.certificate, spec), fx.instance)
 
 
 def test_tally_bernoulli_rate():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffgscon._kernels import select, tally_chain
-from ffgscon.fixtures import get_fixture
+from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.instances import prepare_state_from_circuit
 from ffgscon.states import (
     DimensionCapError,
@@ -18,6 +18,9 @@ from ffgscon.states import (
     RegisteredState,
     RegisterRangeError,
     ShapeMismatchError,
+    WITNESS_DPS,
+    _apply_matrix_axes,
+    _mp_matrix,
     apply_local_gate,
     basis_state,
     conditional_state,
@@ -119,6 +122,10 @@ def test_tensor_dimension_cap():
     big = RegisteredState(np.eye(1 << 11)[0])
     with pytest.raises(DimensionCapError):
         tensor_with(big, big)
+    # zeros refuses before it allocates, at either precision
+    for extended in (False, True):
+        with precision(extended), pytest.raises(DimensionCapError):
+            zeros((2,) * 21)
 
 
 def test_apply_x_and_h():
@@ -362,6 +369,37 @@ def test_extended_precision_round_trip():
         q = swap_test_reject_prob(s, t)
         # reject = (1 - |<s|t>|^2)/2 = (1 - (1 - 1e-40))/2, far below double eps
         assert abs(q - tiny / 2) / (tiny / 2) < mpmath.mpf("1e-25")
+
+
+def _mixed_dtype_contraction(tensor, matrix, axes):
+    """The contraction as it was: the complex128 block meets the object tensor, converted on every product."""
+    k = len(axes)
+    dims = tuple(tensor.shape[ax] for ax in axes)
+    out = np.tensordot(np.asarray(matrix).reshape(dims + dims), tensor, axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(out, tuple(range(k)), axes)
+
+
+@pytest.mark.parametrize("build_dps", [15, WITNESS_DPS])
+def test_cached_mpmath_block_keeps_every_bit(build_dps):
+    # every gate and term matrix of the six fixtures; the blocks are built at
+    # build_dps digits and used at 120, where the mixed-dtype contraction
+    # converted each entry anew
+    rng = np.random.default_rng(61)
+    _mp_matrix.cache_clear()
+    for fx in builtin_instances():
+        inst = fx.instance
+        gates = (*inst.gate_set, *inst.psi_circuit, *inst.phi_circuit)
+        cases = [(g.matrix, g.targets) for g in gates] + [(t.matrix, t.support) for t in inst.terms]
+        with mpmath.workdps(build_dps):
+            blocks = [_mp_matrix(m.tobytes(), m.shape) for m, _ in cases]
+        with precision(True):
+            for (matrix, axes), block in zip(cases, blocks):
+                assert not block.flags.writeable and _mp_matrix(matrix.tobytes(), matrix.shape) is block
+                re, im = rng.random((2, *(2,) * inst.n))
+                tensor = np.frompyfunc(lambda a, b: mpmath.mpc(mpmath.sqrt(a), -mpmath.cbrt(b)), 2, 1)(re, im)
+                got = _apply_matrix_axes(tensor, matrix, axes)
+                want = _mixed_dtype_contraction(tensor, matrix, axes)
+                assert [z._mpc_ for z in got.ravel()] == [z._mpc_ for z in want.ravel()], (fx.name, axes)
 
 
 def test_inner_product_shape_guard():

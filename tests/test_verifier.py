@@ -56,7 +56,8 @@ def honest(fx):
 
 
 def forge(fx, kind, mag, extended=False):
-    return forge_adversary(fx.instance, fx.certificate, AdversarySpec(kind, mag), extended=extended)
+    base = honest_proof(fx.instance, fx.certificate, extended=extended)
+    return forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, mag))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,8 @@ def test_adversary_round_capped_by_soundness():
             (AdversaryKind.WRONG_END, led.eta3 + led.h),
             (AdversaryKind.HIGH_ENERGY, led.eta2 / 2),
         ]:
-            forged = forge_adversary(fx.instance, fx.certificate, AdversarySpec(kind, mag), extended=True)
+            base = honest_proof(fx.instance, fx.certificate, extended=True)
+            forged = forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, mag))
             out = run_protocol_round(forged, fx.instance, led)
             with mpmath.workdps(120):
                 # accept <= s'  <=>  reject >= 1 - s'
@@ -586,7 +588,9 @@ def test_double_and_extended_proofs_agree(name):
     builds = {"honest": lambda ext: honest_proof(inst, cert, extended=ext)}
     for kind in AdversaryKind:
         spec = AdversarySpec(kind, demo_magnitude(kind, inst, ledger))
-        builds[kind.value] = lambda ext, spec=spec: forge_adversary(inst, cert, spec, extended=ext)
+        builds[kind.value] = lambda ext, spec=spec: forge_adversary(
+            honest_proof(inst, cert, extended=ext), inst, cert, spec
+        )
     for label, build in builds.items():
         f64, ext = build(False), build(True)
         for i in range(1, 9):
@@ -659,9 +663,10 @@ def test_unknown_test_id_is_named(test_id):
 def test_accept_and_reject_branch_sums_are_complementary():
     for fx in builtin_instances():
         settings = [build_witnesses(fx.instance, fx.certificate)]
-        settings.append(forge_adversary(fx.instance, fx.certificate, AdversarySpec(AdversaryKind.WRONG_START, 0.4)))
+        base = honest_proof(fx.instance, fx.certificate)
+        settings.append(forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.WRONG_START, 0.4)))
         settings.append(
-            forge_adversary(fx.instance, fx.certificate, AdversarySpec(AdversaryKind.HIGH_ENERGY, fx.instance.eta2 / 2))
+            forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.HIGH_ENERGY, fx.instance.eta2 / 2))
         )
         for witnesses in settings:
             for i in range(1, 9):

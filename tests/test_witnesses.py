@@ -210,9 +210,10 @@ def test_w_preserves_norm():
 # ---------------------------------------------------------------------------
 
 
-def _forge(fixture_name, kind, magnitude, **kw):
+def _forge(fixture_name, kind, magnitude):
     fx = get_fixture(fixture_name)
-    return fx, forge_adversary(fx.instance, fx.certificate, AdversarySpec(kind, magnitude), **kw)
+    base = honest_proof(fx.instance, fx.certificate)
+    return fx, forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, magnitude))
 
 
 def test_every_kind_self_reports_within_tolerance():
@@ -228,8 +229,9 @@ def test_every_kind_self_reports_within_tolerance():
         AdversaryKind.WRONG_END: float(led.eta3 + led.h),
         AdversaryKind.HIGH_ENERGY: fx.instance.eta2 / 2,
     }
+    base = honest_proof(fx.instance, fx.certificate)
     for kind, mag in mags.items():
-        forged = forge_adversary(fx.instance, fx.certificate, AdversarySpec(kind, mag))
+        forged = forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, mag))
         req = mag if isinstance(mag, tuple) else (mag,)
         got = forged.measured_deviation if isinstance(forged.measured_deviation, tuple) else (forged.measured_deviation,)
         for r, g in zip(req, got):
@@ -284,17 +286,17 @@ def test_magnitude_ranges_enforced():
         (AdversaryKind.HIGH_ENERGY, 7.0),
         (AdversaryKind.SMEARED_GATE, (0.0, 0.5)),
     ]
+    base = honest_proof(fx.instance, fx.certificate)
     for kind, mag in cases:
         with pytest.raises(MagnitudeRangeError):
-            forge_adversary(fx.instance, fx.certificate, AdversarySpec(kind, mag))
+            forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, mag))
 
 
 def test_extended_forge_hits_boundary_exactly():
     fx = get_fixture("idle")
     led = derive_parameters(fx.instance)
-    forged = forge_adversary(
-        fx.instance, fx.certificate, AdversarySpec(AdversaryKind.MISMATCHED_U, led.delta_small), extended=True
-    )
+    base = honest_proof(fx.instance, fx.certificate, extended=True)
+    forged = forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.MISMATCHED_U, led.delta_small))
     with mpmath.workdps(120):
         rel = abs(forged.measured_deviation - led.delta_small) / led.delta_small
         assert rel < mpmath.mpf("1e-30")
@@ -304,15 +306,16 @@ def test_sub_resolution_double_request_raises():
     fx = get_fixture("idle")
     led = derive_parameters(fx.instance)
     f_skew = float(1 / (mpmath.mpf(fx.instance.m) * led.t))
+    base = honest_proof(fx.instance, fx.certificate)
     with pytest.raises(MagnitudeRangeError):
-        forge_adversary(fx.instance, fx.certificate, AdversarySpec(AdversaryKind.NONUNIFORM_LABELS, f_skew))
+        forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.NONUNIFORM_LABELS, f_skew))
 
 
 def test_seeded_choices_are_reproducible():
     fx = get_fixture("bell-flip")
     spec = AdversarySpec(AdversaryKind.MISMATCHED_U, 0.05, seed=11)
-    a = forge_adversary(fx.instance, fx.certificate, spec)
-    b = forge_adversary(fx.instance, fx.certificate, spec)
+    a = forge_adversary(honest_proof(fx.instance, fx.certificate), fx.instance, fx.certificate, spec)
+    b = forge_adversary(honest_proof(fx.instance, fx.certificate), fx.instance, fx.certificate, spec)
     assert np.array_equal(
         np.asarray(a.u_prime.amplitudes, complex), np.asarray(b.u_prime.amplitudes, complex)
     )
@@ -353,7 +356,8 @@ def test_orthogonal_helper_falls_back_off_psi_own_axis():
     from ffgscon.witnesses import _orthogonal_state, _seeded_index
 
     fx = get_fixture("idle")
-    forged = forge_adversary(fx.instance, fx.certificate, AdversarySpec(AdversaryKind.WRONG_START, 0.3, seed=2))
+    base = honest_proof(fx.instance, fx.certificate)
+    forged = forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.WRONG_START, 0.3, seed=2))
     psi = prepare_state_from_circuit(fx.instance, "psi")
     assert _seeded_index(2, 0, psi.amplitudes.size) == int(np.argmax(np.abs(psi.amplitudes)))
     perp = _orthogonal_state(psi, 2)
@@ -370,7 +374,7 @@ def test_inconsistent_copies_on_complex_chain():
     inst = fx.instance
     cert = TraversalCertificate((2, 1))  # Y then H
     z = 0.12
-    forged = forge_adversary(inst, cert, AdversarySpec(AdversaryKind.INCONSISTENT_S, z))
+    forged = forge_adversary(honest_proof(inst, cert), inst, cert, AdversarySpec(AdversaryKind.INCONSISTENT_S, z))
     assert abs(float(forged.measured_deviation) - z) <= 1e-6 * z
     from ffgscon.verifier import run_test
 
@@ -382,7 +386,8 @@ def test_broken_sequence_on_complex_chain():
     fx = get_fixture("blocked-qubit")
     cert = TraversalCertificate((2, 2))  # Y, Y
     z = 0.1
-    forged = forge_adversary(fx.instance, cert, AdversarySpec(AdversaryKind.BROKEN_SEQUENCE, z))
+    base = honest_proof(fx.instance, cert)
+    forged = forge_adversary(base, fx.instance, cert, AdversarySpec(AdversaryKind.BROKEN_SEQUENCE, z))
     assert abs(float(forged.measured_deviation) - z) <= 1e-6 * z
     from ffgscon.verifier import run_test
 
@@ -396,7 +401,8 @@ def test_broken_sequence_on_complex_chain():
 def test_forge_refuses_a_seed_outside_the_philox_key_range(seed):
     # -1 would plant the deviation of seed 2**64 - 1, and 2**64 that of seed 0
     fx = get_fixture("bell-stepwise")
+    base = honest_proof(fx.instance, fx.certificate)
     with pytest.raises(ValueError, match="seed"):
-        forge_adversary(fx.instance, fx.certificate, AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed))
+        forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed))
     with pytest.raises(ValueError, match="seed"):
         forge_composed(fx.instance, fx.certificate, [AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed)])
