@@ -19,10 +19,13 @@ single sample.
 The Philox body is written once, for operands that are Python ints or
 ``uint64`` arrays.  Arrays of at most ``SMALL_TRIALS`` trials go through it
 as Python ints, one trial at a time: on a one-element array numpy's per-call
-overhead makes a block cost about ten times the integer arithmetic.
+overhead makes a block cost about ten times the integer arithmetic.  The
+round keys depend on the key alone, so they are computed once per key.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +44,19 @@ SMALL_TRIALS = 12  # int blocks beat one numpy block below ~15 trials on a 2-vCP
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _round_keys(k0, k1):
+    """The ten ``(k0, k1)`` round keys of the 32-bit key words ``k0, k1``, as Python ints.
+
+    Philox bumps the key by a Weyl constant each round, so round r's key is
+    ``k + r * W`` mod 2**32.  The words are made ints here: a numpy scalar key
+    equals and hashes like its int, so it may fill the entry that an int key
+    reads later.
+    """
+    k0, k1 = int(k0), int(k1)
+    return tuple(((k0 + r * _W0) & _MASK32, (k1 + r * _W1) & _MASK32) for r in range(10))
+
+
 def _philox(c0, c1, c2, c3, k0, k1):
     """One Philox4x32-10 block per lane; returns the four output words.
 
@@ -48,9 +64,10 @@ def _philox(c0, c1, c2, c3, k0, k1):
     work too).  Every product of two 32-bit words fits in 64 bits, so both
     kinds give the same words.  Each round updates only values it has just
     created, in place, so an array block allocates two products and two
-    words per round and never writes to its operands.
+    words per round and never writes to its operands.  The round keys come
+    from :func:`_round_keys`, computed once per key.
     """
-    for _ in range(10):
+    for k0, k1 in _round_keys(k0, k1):
         p0 = _M0 * c0
         p1 = _M1 * c2
         c0 = p1 >> 32
@@ -62,8 +79,6 @@ def _philox(c0, c1, c2, c3, k0, k1):
         p1 &= _MASK32
         p0 &= _MASK32
         c1, c3 = p1, p0
-        k0 = (k0 + _W0) & _MASK32
-        k1 = (k1 + _W1) & _MASK32
     return c0, c1, c2, c3
 
 
@@ -81,7 +96,8 @@ def uniforms(seed, stream, trials, draw):
     """The two uniform doubles in [0, 1) of draw slot ``draw`` for an array of trial indices.
 
     Returns ``(first, second)``: the first from Philox words 0:1, the second
-    from words 2:3 of the slot's block.
+    from words 2:3 of the slot's block.  On the int path they are the two
+    rows of one ``(2, n)`` array.
     """
     trials = np.asarray(trials, dtype=np.uint64)
     seed, stream, draw = int(seed), int(stream), int(draw)
@@ -93,7 +109,7 @@ def uniforms(seed, stream, trials, draw):
             w0, w1, w2, w3 = _philox(t & _MASK32, t >> 32, c2, c3, k0, k1)
             first.append((((w0 << 32) | w1) >> 11) * _INV53)
             second.append((((w2 << 32) | w3) >> 11) * _INV53)
-        return np.array(first, dtype=np.float64), np.array(second, dtype=np.float64)
+        return np.array((first, second), dtype=np.float64)
     w0, w1, w2, w3 = _philox(trials & _MASK32, trials >> 32, c2, c3, k0, k1)
     return _unit(w0, w1), _unit(w2, w3)
 

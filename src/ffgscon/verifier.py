@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import mpmath
@@ -102,6 +103,11 @@ class BranchPlan:
     that realizes the tree per trial, on the float arguments ``args``.
     ``live`` is whether some trial of that kernel can reject, decided at build
     (:func:`ffgscon._kernels.holds_uniform`); a plan that is not live draws nothing.
+
+    The plan's outcomes are built once, each kind on first use, and shared:
+    the exact outcome, the two sampled verdicts, and the two verdicts of a
+    round that picked this test (trace ``(("test", i),) + trace``).  A
+    :class:`TestOutcome` is frozen, so every shot returns one of these.
     """
 
     test_id: int  # 1..8
@@ -112,8 +118,23 @@ class BranchPlan:
     kernel: Callable
     args: tuple
 
-    def exact(self) -> TestOutcome:
+    @cached_property
+    def _exact(self) -> TestOutcome:
         return TestOutcome(self.test_id, MODE_EXACT, self.accept, self.reject, trace=self.trace)
+
+    @cached_property
+    def _verdicts(self) -> tuple[TestOutcome, TestOutcome]:
+        """The sampled (accept, reject) outcomes, indexed by the one trial's reject count."""
+        return tuple(TestOutcome(self.test_id, MODE_SAMPLED, verdict=v, trace=self.trace) for v in ("accept", "reject"))
+
+    @cached_property
+    def _round_verdicts(self) -> tuple[TestOutcome, TestOutcome]:
+        """The (accept, reject) outcomes of a sampled round that picked this test."""
+        trace = (("test", self.test_id),) + self.trace
+        return tuple(TestOutcome("ROUND", MODE_SAMPLED, verdict=v, trace=trace) for v in ("accept", "reject"))
+
+    def exact(self) -> TestOutcome:
+        return self._exact
 
     def tally(self, seed, stream, trials, draw0=0) -> tuple[int, int]:
         """(accepts, rejects) over an array of trial indices, from draw ``draw0`` on."""
@@ -124,7 +145,7 @@ class BranchPlan:
     def shot(self, stream: CounterStream) -> TestOutcome:
         """The sampled verdict at ``stream``: the tally of the one trial ``[stream.trial]``."""
         _, rejected = self.tally(stream.seed, stream.stream, [stream.trial], stream.draw)
-        return TestOutcome(self.test_id, MODE_SAMPLED, verdict="reject" if rejected else "accept", trace=self.trace)
+        return self._verdicts[rejected]
 
 
 def _plan(test_id, trace, reject, live, kernel, *args) -> BranchPlan:
@@ -364,14 +385,17 @@ def sample_round(plan_of: Callable[[int], BranchPlan], cdf, seed, stream, trials
     The first uniform of slot ``draw0`` picks each trial's test from ``cdf``
     (``picks`` holds the test ids 1..8; nothing is drawn when test 1 is
     certain); the picked plan's kernel reads the slots from ``draw0 + 1``
-    on.  ``plan_of(i)`` is called only for tests some trial picked.
+    on.  ``plan_of(i)`` is called only for tests some trial picked.  When one
+    test takes every trial (always so for one trial), its plan gets the
+    trial array itself, not a masked copy.
     """
     trials = np.asarray(trials, dtype=np.uint64)
     picks = _kernels.select(seed, stream, trials, draw0, cdf)
     picks += 1
+    picked = np.flatnonzero(np.bincount(picks)).tolist()
     acc = rej = 0
-    for i in np.flatnonzero(np.bincount(picks)).tolist():
-        a, r = plan_of(i).tally(seed, stream, trials[picks == i], draw0 + 1)
+    for i in picked:
+        a, r = plan_of(i).tally(seed, stream, trials if len(picked) == 1 else trials[picks == i], draw0 + 1)
         acc += a
         rej += r
     return acc, rej, picks
@@ -389,7 +413,5 @@ def run_protocol_round(proof: Proof, inst, ledger, *, mode=MODE_EXACT, stream: C
     _, rejected, picks = sample_round(
         lambda i: branch_plan(i, proof, inst), ledger.round_cdf, stream.seed, stream.stream, [stream.trial], stream.draw
     )
-    pick = int(picks[0])
-    trace = (("test", pick),) + branch_plan(pick, proof, inst).trace
-    return TestOutcome("ROUND", MODE_SAMPLED, verdict="reject" if rejected else "accept", trace=trace)
+    return branch_plan(int(picks[0]), proof, inst)._round_verdicts[rejected]
 

@@ -23,13 +23,27 @@ def philox_words(c0, c1, c2, c3, k0, k1):
     return tuple(int(w) for w in words)
 
 
+# Random123 philox4x32-10 counter/key -> all four output words
+KNOWN_ANSWERS = [
+    ((0, 0, 0, 0, 0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 6, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344, 0xA4093822, 0x299F31D0), (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+]
+
+
 def test_philox_known_answer_vectors():
-    # Random123 philox4x32-10 counter/key -> all four output words
-    assert philox_words(0, 0, 0, 0, 0, 0) == (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)
-    ff = 0xFFFFFFFF
-    assert philox_words(ff, ff, ff, ff, ff, ff) == (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)
-    words = philox_words(0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344, 0xA4093822, 0x299F31D0)
-    assert words == (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
+    for operands, words in KNOWN_ANSWERS:
+        assert philox_words(*operands) == words
+
+
+def test_numpy_key_leaves_the_int_path_int():
+    # np.uint64(k) == k and both hash alike, so the round keys a numpy key
+    # schedules are the ones a later int key reads
+    K._round_keys.cache_clear()
+    for operands, words in KNOWN_ANSWERS:
+        assert philox_words(*operands) == words  # uint64 operands and keys first
+        ints = K._philox(*operands)
+        assert ints == words and [type(w) for w in ints] == [int] * 4
 
 
 def uniform_at(seed, stream, trial, draw, half=0):

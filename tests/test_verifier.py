@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import mpmath
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from ffgscon import verifier
+from ffgscon._kernels import select
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import build_witnesses, demo_magnitude
 from ffgscon.instances import GsconInstance
@@ -496,6 +497,31 @@ def test_shot_equals_bulk(name, kind):
     assert shots == sample_round(lambda i: branch_plan(i, w, inst), led.round_cdf, seed, STREAM_ROUND, trials)[1]
 
 
+def _mixed_round():
+    """bell-flip with four deviations, so that most tests can reject, and a uniform test choice."""
+    fx = get_fixture("bell-flip")
+    inst = fx.instance
+    led = derive_parameters(inst)
+    kinds = (AdversaryKind.MISMATCHED_U, AdversaryKind.NONUNIFORM_LABELS, AdversaryKind.WRONG_START, AdversaryKind.HIGH_ENERGY)
+    w = build_witnesses(inst, fx.certificate, tuple(AdversarySpec(k, demo_magnitude(k, inst, led)) for k in kinds))
+    return w, inst, replace(led, p=(mpf(1) / 8,) * 8)
+
+
+def test_round_over_several_tests_equals_bulk():
+    # every built-in round_cdf has cdf[0] == 1; a uniform choice sends each
+    # test its own masked trials in bulk and the whole one-trial array per shot
+    w, inst, led = _mixed_round()
+    cdf = led.round_cdf
+    n, seed = 800, 43
+    trials = np.arange(n, dtype=np.uint64)
+    _, bulk_rejects, picks = sample_round(lambda i: branch_plan(i, w, inst), cdf, seed, STREAM_ROUND, trials)
+    assert np.array_equal(picks, select(seed, STREAM_ROUND, trials, 0, cdf) + 1)
+    assert set(picks.tolist()) == set(range(1, 9))
+    shots = [run_protocol_round(w, inst, led, mode=MODE_SAMPLED, stream=CounterStream(seed, STREAM_ROUND, t)) for t in range(n)]
+    assert [dict(out.trace)["test"] for out in shots] == picks.tolist()
+    assert sum(out.verdict == "reject" for out in shots) == bulk_rejects > 0
+
+
 # ---------------------------------------------------------------------------
 # plans cached on the proof
 # ---------------------------------------------------------------------------
@@ -673,6 +699,44 @@ def test_accept_and_reject_branch_sums_are_complementary():
                 out = run_test(i, witnesses, fx.instance)
                 total = float(out.accept_probability) + float(out.reject_probability)
                 assert abs(total - 1.0) <= 1e-12, (fx.name, i)
+
+
+def _field_values(outcome):
+    return [getattr(outcome, f.name) for f in fields(outcome)]
+
+
+def test_outcomes_are_built_once_per_plan():
+    TestOutcome = verifier.TestOutcome
+    w, inst, led = _mixed_round()
+    for i in range(1, 9):
+        plan = branch_plan(i, w, inst)
+        assert run_test(i, w, inst) is plan.exact() is plan.exact()
+        assert not {"_verdicts", "_round_verdicts"} & set(vars(plan))  # exact sums build no sampled outcome
+    verdicts = Counter()
+    for t in range(400):
+        for i in range(1, 9):
+            stream = CounterStream(47, i, t)
+            out = run_test(i, w, inst, mode=MODE_SAMPLED, stream=stream)
+            plan = branch_plan(i, w, inst)
+            rejected = plan.tally(47, i, [t])[1]
+            built = TestOutcome(i, MODE_SAMPLED, verdict="reject" if rejected else "accept", trace=plan.trace)
+            assert _field_values(out) == _field_values(built)
+            assert run_test(i, w, inst, mode=MODE_SAMPLED, stream=stream) is out
+            verdicts[i, out.verdict] += 1
+        stream = CounterStream(47, STREAM_ROUND, t)
+        out = run_protocol_round(w, inst, led, mode=MODE_SAMPLED, stream=stream)
+        _, rejected, picks = sample_round(lambda i: branch_plan(i, w, inst), led.round_cdf, 47, STREAM_ROUND, [t])
+        pick = int(picks[0])
+        trace = (("test", pick),) + branch_plan(pick, w, inst).trace
+        built = TestOutcome("ROUND", MODE_SAMPLED, verdict="reject" if rejected else "accept", trace=trace)
+        assert _field_values(out) == _field_values(built)
+        assert run_protocol_round(w, inst, led, mode=MODE_SAMPLED, stream=stream) is out
+        verdicts["ROUND", out.verdict] += 1
+    assert verdicts["ROUND", "reject"] and verdicts["ROUND", "accept"]
+    assert sum(verdicts[i, "reject"] > 0 for i in range(1, 9)) >= 4
+    for out in (run_test(1, w, inst), run_test(1, w, inst, mode=MODE_SAMPLED, stream=CounterStream(47, 1, 0)), out):
+        with pytest.raises(FrozenInstanceError):
+            out.verdict = "accept"
 
 
 def test_outcome_probability_bounds_guard():
