@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ffgscon import _kernels, harness, witnesses
+from ffgscon.cli import build_parser
 from ffgscon.cli import main as cli_main
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import (
@@ -323,17 +324,31 @@ REPORT_SHA256 = {
     "lemmas tilted-target json": "d68e621ecbb48f5281cc1c3101edb880c8c52f2a9c6906b414a6e1f2dc3c1a20",
     "lemmas blocked-bell json": "852c2114ac3caada2c69d28107183139cc1e8c7ff8c7a71eb66f6f96723188c6",
     "lemmas blocked-qubit json": "0e74ace9bf78bcd51d4e5aea9dd505b81735e05dafa63b62304808cfb49ef67d",
+    "lemmas idle csv": "2b8955e93d05d1b3fd4fb3e7ac3edacc52496dcb7085748b41da1f696696b00a",
+    "lemmas bell-flip csv": "e51e080d13e11bbfaf7faa904b99e844f1f58c61fbf037dde00b153e5a053d53",
+    "lemmas bell-stepwise csv": "6d2bb6a463acd07647bacdd8a92338bf9b1bc6c1b7396d46918a05fff7d49fd4",
+    "lemmas tilted-target csv": "04ba0ba25ba88dd710400051a55f7adb736041e60e9bea4da0d740e1cfd77e40",
+    "lemmas blocked-bell csv": "788448c0e73198f44b33eb5c35d1bf4fbd579189a34b67bc5c2ef89c76f1deee",
+    "lemmas blocked-qubit csv": "6cc734019331fbeb00a268ffc3fca8ed297c6ca42afafa4fa4943c23c03b6fbf",
+    "verify idle --mode exact json": "161349c78e004050a2b08a6748fb54150ecc480d2a6072606ff845c2c4f44648",
+    "verify idle --mode exact csv": "9d4792b0acd1c91c15af868acc18502327f00d1542cd99aa63b1848728850501",
+    "verify idle --mode sampled --trials 1 --seed 3 json": "a8e333f76ef1b3c5502cb749b52c51f8afd1c0310681ebc1ec77968d9d86d7b7",
+    "verify idle --mode sampled --trials 1 --seed 3 csv": "fabc4b5c9f5bc0119336217726437a48f1d274efad90cf861486c3444b1f467d",
 }
 
 
 @pytest.mark.parametrize("config", sorted({key.rpartition(" ")[0] for key in REPORT_SHA256}))
 def test_default_report_bytes_are_pinned(config, tmp_path):
-    # verify: --mode both --trials 20000 --seed 7 at each kind's demo magnitude; lemmas: as the CLI runs them
-    verb, _, target = config.partition(" ")
+    # verify: --mode both --trials 20000 --seed 7 at each kind's demo magnitude, or the options given
+    # with the CLI's defaults for the rest; lemmas: as the CLI runs them
+    verb, target, *options = config.split(" ")
     name, *kinds = target.split("+")
     inst, cert, display = resolve_instance(name)
     if verb == "lemmas":
         rep = run_lemma_suite(inst, cert, display)
+    elif options:
+        args = build_parser().parse_args([verb, name, *options])
+        rep = run_monte_carlo(ExperimentConfig(name, mode=args.mode, trials=args.trials, seed=args.seed))
     else:
         ledger = derive_parameters(inst)
         specs = tuple(AdversarySpec(AdversaryKind[k], demo_magnitude(AdversaryKind[k], inst, ledger)) for k in kinds)
