@@ -138,9 +138,8 @@ def _dispatch(args) -> int:
         inst, cert, name = resolve_instance(args.instance)
         report = run_lemma_suite(inst, cert, name)
         for row in report.lemma_rows:
-            status = "pass" if row.passed else "FAIL"
             print(
-                f"[{status}] test {row.targeted_test} vs {row.kind}: reject={row.exact_reject} "
+                f"[{row.status}] test {row.targeted_test} vs {row.kind}: reject={row.exact_reject} "
                 f"threshold={row.threshold} margin={row.margin}"
             )
         for note in report.notes:
@@ -151,7 +150,8 @@ def _dispatch(args) -> int:
         return EXIT_OK if report.ok else EXIT_VALIDATION
 
     if args.verb == "verify":
-        inst, cert, name = resolve_instance(args.instance, _parse_certificate(args.certificate))
+        certificate = _parse_certificate(args.certificate)
+        inst, cert, name = resolve_instance(args.instance, certificate)
         require_valid(inst)
         ledger = derive_parameters(inst)
         adversary = tuple(_parse_adversary(a, inst, ledger) for a in args.adversary)
@@ -161,7 +161,7 @@ def _dispatch(args) -> int:
             trials=args.trials,
             seed=args.seed,
             adversary=adversary,
-            certificate=_parse_certificate(args.certificate),
+            certificate=certificate,
             workers=args.workers,
         )
         report = run_monte_carlo(cfg)

@@ -35,7 +35,7 @@ from .witnesses import AdversaryKind, AdversarySpec, Proof, forge_adversary, for
 DESK_CAPS = {"n": 6, "m": 4, "G": 16}
 BLOCK_TRIALS = 1 << 14  # a block's ~16 live uint64 temporaries (128 KiB each) fit a 2 MiB L2
 CSV_HEADER = "# ffgscon-report-csv-v2"
-CSV_COLUMNS = "section,id,name,mode,accept,reject,trials,accepts,rejects,sigma,extra"
+CSV_COLUMNS = ("section", "id", "name", "mode", "accept", "reject", "trials", "accepts", "rejects", "sigma", "extra")
 
 
 class HarnessError(ValueError):
@@ -77,11 +77,14 @@ class TestRow:
     sigma: str | None = None  # decimal string or "na"
     extra: str = ""
 
-    @property
-    def accept_rate(self) -> float | None:
-        if self.trials:
-            return self.accepts / self.trials
-        return None
+    def csv_cells(self):
+        """One column -> value map per CSV line: the exact line and the sampled one, where the run made each."""
+        row = {"section": self.section, "id": self.test_id, "name": self.name, "extra": self.extra}
+        if self.exact_accept is not None:
+            yield {**row, "mode": "exact", "accept": self.exact_accept, "reject": self.exact_reject}
+        if self.trials is not None:
+            yield {**row, "mode": "sampled", "accept": self.accepts / self.trials, "trials": self.trials,
+                   "accepts": self.accepts, "rejects": self.rejects, "sigma": self.sigma}
 
 
 @dataclass
@@ -95,6 +98,16 @@ class LemmaRow:
     margin: str
     passed: bool
     extra: str = ""
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "FAIL"
+
+    def csv_cells(self):
+        """The lemma's one CSV line as a column -> value map."""
+        extra = f"threshold={self.threshold};margin={self.margin};measured={self.measured};{self.status};{self.extra}"
+        yield {"section": "lemma", "id": self.targeted_test, "name": self.kind, "mode": "exact",
+               "reject": self.exact_reject, "extra": extra}
 
 
 @dataclass
@@ -129,33 +142,18 @@ class RunReport:
         return json.dumps(self.to_json_dict(include_timings), indent=1, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        def cell(v):
-            if v is None:
-                return ""
-            return str(v)
-
-        lines = [CSV_HEADER, CSV_COLUMNS]
-        for r in self.rows:
-            if r.exact_accept is not None:
-                lines.append(
-                    f"{r.section},{r.test_id},{r.name},exact,{r.exact_accept},{r.exact_reject},,,,,{r.extra}"
-                )
-            if r.trials is not None:
-                lines.append(
-                    f"{r.section},{r.test_id},{r.name},sampled,{cell(r.accept_rate)},,"
-                    f"{r.trials},{r.accepts},{r.rejects},{cell(r.sigma)},{r.extra}"
-                )
-        for lr in self.lemma_rows:
-            status = "pass" if lr.passed else "FAIL"
-            lines.append(
-                f"lemma,{lr.targeted_test},{lr.kind},exact,,{lr.exact_reject},,,,,"
-                f"threshold={lr.threshold};margin={lr.margin};measured={lr.measured};{status};{lr.extra}"
-            )
-        return "\n".join(lines) + "\n"
+        """The column-name line, then each row's lines in ``CSV_COLUMNS`` order; a column a line lacks is empty."""
+        lines = [dict(zip(CSV_COLUMNS, CSV_COLUMNS))]
+        for row in self.rows + self.lemma_rows:
+            lines.extend(row.csv_cells())
+        body = (",".join(str(cells.get(c, "")) for c in CSV_COLUMNS) for cells in lines)
+        return "\n".join([CSV_HEADER, *body]) + "\n"
 
 
 def emit_report(report: RunReport, path: str, fmt: str = "json", *, include_timings: bool = False) -> str:
     """Write the report; JSON is the lossless nested form, CSV the flat rows."""
+    if fmt not in ("json", "csv"):
+        raise HarnessError(f"unknown report format {fmt!r}; choose json or csv")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json(include_timings) if fmt == "json" else report.to_csv())
@@ -218,16 +216,17 @@ def build_witnesses(inst: GsconInstance, cert, adversary=()) -> Proof:
 # ---------------------------------------------------------------------------
 
 
-def _prob_str(v) -> str:
-    if v is None:
-        return ""
+def _dec(v, digits: int) -> str:
+    """A report decimal: ``digits`` significant digits of an mpf, ``repr`` of a double; a tuple joins its parts."""
+    if isinstance(v, tuple):
+        return "(" + ", ".join(_dec(x, digits) for x in v) + ")"
     if isinstance(v, mpmath.mpf):
-        return mpmath.nstr(v, 30)
+        return mpmath.nstr(v, digits)
     return repr(float(v))
 
 
 def _sigma_str(p_exact, trials) -> str:
-    if trials is None or trials < 2:
+    if trials < 2:
         return "na"
     p = min(max(float(p_exact), 0.0), 1.0)
     return repr(math.sqrt(p * (1.0 - p) / trials))
@@ -300,8 +299,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
     for key in keys:
         row = TestRow("round", key, "dispatch") if key == "ROUND" else TestRow("test", key, TEST_NAMES[key])
         if key in exact:
-            row.exact_accept = _prob_str(exact[key].accept_probability)
-            row.exact_reject = _prob_str(exact[key].reject_probability)
+            row.exact_accept = _dec(exact[key].accept_probability, 30)
+            row.exact_reject = _dec(exact[key].reject_probability, 30)
         if key in tallies:
             row.trials, row.accepts, row.rejects = cfg.trials, *tallies[key]
             # test rows measure sigma at the exact acceptance when there is one; the round at its own rate
@@ -383,16 +382,16 @@ def run_lemma_suite(inst: GsconInstance, cert: TraversalCertificate | None = Non
             joint = mpmath.mpf(trace["gate_projection_prob"]) * mpmath.mpf(trace["label_match_prob"])
             floor = 1 / (8 * mpmath.mpf(inst.m) * inst.G)
             passed = passed and joint >= floor
-            extra = f"joint_projection={mpmath.nstr(joint, 10)};floor={mpmath.nstr(floor, 10)}"
+            extra = f"joint_projection={_dec(joint, 10)};floor={_dec(floor, 10)}"
         report.lemma_rows.append(
             LemmaRow(
                 spec.kind.value,
                 forged.targeted_test,
-                _mag_str(spec.magnitude),
-                _mag_str(forged.measured_deviation),
-                mpmath.nstr(reject, 25),
-                mpmath.nstr(threshold, 25),
-                mpmath.nstr(margin, 25),
+                _dec(spec.magnitude, 20),
+                _dec(forged.measured_deviation, 20),
+                _dec(reject, 25),
+                _dec(threshold, 25),
+                _dec(margin, 25),
                 bool(passed),
                 extra,
             )
@@ -403,14 +402,6 @@ def run_lemma_suite(inst: GsconInstance, cert: TraversalCertificate | None = Non
         report.notes.append(note)
     report.timings = {"total_s": time.perf_counter() - t0}
     return report
-
-
-def _mag_str(m) -> str:
-    if isinstance(m, tuple):
-        return "(" + ", ".join(_mag_str(v) for v in m) + ")"
-    if isinstance(m, mpmath.mpf):
-        return mpmath.nstr(m, 20)
-    return repr(float(m))
 
 
 def _final_state_note(inst, cert, ledger) -> str:

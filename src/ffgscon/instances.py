@@ -68,6 +68,8 @@ class HamiltonianTerm:
             raise ValueError(f"support must be distinct qubit indices, got {support}")
         if m.shape != (2**k, 2**k):
             raise ValueError(f"matrix shape {m.shape} does not match support of {k} qubit(s)")
+        if not np.isfinite(m).all():
+            raise ValueError(f"term matrix on support {support} has a non-finite entry")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "support", support)

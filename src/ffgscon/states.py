@@ -121,8 +121,9 @@ class LocalGate:
             raise ValueError(f"targets must be 1 or 2 distinct qubit indices, got {targets}")
         if m.shape != (2 ** len(targets),) * 2:
             raise ValueError(f"matrix shape {m.shape} does not match {len(targets)} target(s)")
-        err = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
-        if err > EPS_ALGEBRA:
+        with np.errstate(invalid="ignore"):  # an inf entry makes the deviation NaN, refused below
+            err = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+        if not err <= EPS_ALGEBRA:
             raise NotUnitaryError(f"gate {self.name!r} is not unitary (deviation {err:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

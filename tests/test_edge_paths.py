@@ -243,6 +243,22 @@ def test_cli_single_field_fuzz_exits_with_documented_codes(tmp_path, capsys, fie
             assert codes == dict.fromkeys(codes, 1), value
 
 
+@pytest.mark.parametrize("section, index, entry", [("gate_set", 5, 0), ("terms", 0, 5)])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_matrix_entry_is_refused_at_every_verb(tmp_path, capsys, section, index, entry, value):
+    # a NaN gate passed the unitarity check (NaN > eps is false): validate passed,
+    # verify reported a NaN stage as reject 0 and lemmas printed a FAIL row;
+    # a NaN term stopped validate with "Eigenvalues did not converge"
+    doc = instance_to_dict(get_fixture("bell-flip").instance)
+    doc[section][index]["matrix"][entry][0] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    for verb in FUZZ_VERBS:
+        assert cli_main([verb[0], str(path), *verb[1:]]) == 1, verb
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("not unitary" in err or "non-finite" in err), (verb, err)
+
+
 def test_cli_negative_eta3_fails_validation_at_every_verb(tmp_path, capsys):
     # eta3 = -0.25 and h = 0.25 make eta3 + h, the denominator of mu, exactly 0:
     # validate passed this document and ledger, verify and lemmas divided by zero

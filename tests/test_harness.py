@@ -299,6 +299,28 @@ def test_emit_io_error():
         emit_report(rep, "/no/such/dir/report.json", "json")
 
 
+def test_emit_refuses_an_unknown_format(tmp_path):
+    # an unknown format used to write CSV under any name
+    rep = run_monte_carlo(ExperimentConfig("idle", mode="exact"))
+    path = tmp_path / "r.xml"
+    with pytest.raises(HarnessError, match="'xml'"):
+        emit_report(rep, path, "xml")
+    assert not path.exists()
+
+
+def test_csv_lines_read_their_cells_by_column_name():
+    rep = harness.RunReport({}, "x", {})
+    rep.rows.append(harness.TestRow("test", 3, "uniform", "0.75", "0.25", 4, 3, 1, "0.2", "e"))
+    rep.lemma_rows.append(harness.LemmaRow("WRONG_END", 7, "0.5", "0.4", "0.1", "0.2", "-0.1", False, "x=1"))
+    assert rep.lemma_rows[0].status == "FAIL"
+    assert rep.to_csv().splitlines()[1:] == [
+        ",".join(harness.CSV_COLUMNS),
+        "test,3,uniform,exact,0.75,0.25,,,,,e",
+        "test,3,uniform,sampled,0.75,,4,3,1,0.2,e",
+        "lemma,7,WRONG_END,exact,,0.1,,,,,threshold=0.2;margin=-0.1;measured=0.4;FAIL;x=1",
+    ]
+
+
 # sha256 of the default (no timings) report bytes; a deliberate format change
 # bumps the format version and updates these digests in the same change
 REPORT_SHA256 = {

@@ -59,6 +59,9 @@ def test_term_validation():
         HamiltonianTerm(np.eye(2), (0, 0))
     with pytest.raises(ValueError):
         HamiltonianTerm(np.eye(4), (0,))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            HamiltonianTerm(np.diag([value, 1.0]), (0,))
     t = proj1()
     assert t.hermiticity_error() == 0.0
     assert np.allclose(t.eigenvalues(), [0, 1])

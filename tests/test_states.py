@@ -174,8 +174,9 @@ def test_apply_gate_target_errors():
         apply_local_gate(s, X, 2)  # beyond the layout
     with pytest.raises(RegisterRangeError):
         apply_local_gate(s, X, 0)  # register 0 is not a qubit
-    with pytest.raises(NotUnitaryError):
-        LocalGate("bad", np.array([[1, 0], [0, 2]]), (0,))
+    for bad in (2, np.nan, np.inf):  # NaN > eps is false: a NaN gate used to pass as unitary
+        with pytest.raises(NotUnitaryError):
+            LocalGate("bad", np.array([[1, 0], [0, bad]]), (0,))
 
 
 def test_project_onto_basis_and_uniform():
