@@ -40,7 +40,6 @@ from .witnesses import (
     build_honest_S,
     build_honest_U,
     forge_adversary,
-    forge_composed,
     honest_gate_assignment,
 )
 

@@ -151,16 +151,14 @@ def holds_uniform(lo, hi):
     return ~(np.asarray(lo) >= np.minimum(hi, 1.0))
 
 
-def unique_can_reject(cdf_a, cdf_b, gate_dim, valid):
+def unique_can_reject(cdf_a, cdf_b, mismatch):
     """Whether some trial of :func:`tally_unique` can reject on these arguments.
 
     True when a (label, gate) index that ``cdf_a`` can pick and one that
-    ``cdf_b`` can pick share the label and differ in gate, or the ``cdf_a``
-    gate is invalid.
+    ``cdf_b`` can pick share the label and their gates ``[ga, gb]`` mismatch.
     """
-    ra = holds_uniform(*pick_bounds(cdf_a)).reshape(-1, gate_dim)
-    rb = holds_uniform(*pick_bounds(cdf_b)).reshape(-1, gate_dim)
-    mismatch = ~np.eye(gate_dim, dtype=bool) | ~valid[:, None]  # [ga, gb]
+    ra = holds_uniform(*pick_bounds(cdf_a)).reshape(-1, len(mismatch))
+    rb = holds_uniform(*pick_bounds(cdf_b)).reshape(-1, len(mismatch))
     return bool(np.any(ra[:, :, None] & rb[:, None, :] & mismatch))
 
 
@@ -188,13 +186,12 @@ def tally_chain(seed, stream, trials, draw0, lo, hi):
     return len(trials) - rej, rej
 
 
-def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, gate_dim, valid):
-    """Reject where the two picks share a label and differ in gate, or the gate is invalid."""
+def tally_unique(seed, stream, trials, draw0, cdf_a, cdf_b, mismatch):
+    """Reject where the two (label, gate) picks share a label and ``mismatch[ga, gb]`` holds."""
     u, v = uniforms(seed, stream, trials, draw0)
-    fa, fb = _pick(cdf_a, u), _pick(cdf_b, v)
-    la, ga = fa // gate_dim, fa % gate_dim
-    lb, gb = fb // gate_dim, fb % gate_dim
-    bad = (la == lb) & ((ga != gb) | ~valid[ga])
+    la, ga = np.divmod(_pick(cdf_a, u), len(mismatch))
+    lb, gb = np.divmod(_pick(cdf_b, v), len(mismatch))
+    bad = (la == lb) & mismatch[ga, gb]
     rej = int(np.count_nonzero(bad))
     return len(trials) - rej, rej
 

@@ -180,14 +180,6 @@ def _swap_plan(test_id, a: RegisteredState, b: RegisteredState) -> BranchPlan:
     return _chain_plan(test_id, (("swap_reject", swap_test_reject_prob(a, b)),))
 
 
-def _swap_u_plan(proof: Proof, inst) -> BranchPlan:
-    return _swap_plan(1, proof.u, proof.u_prime)
-
-
-def _swap_s_plan(proof: Proof, inst) -> BranchPlan:
-    return _swap_plan(4, proof.s, proof.s_prime)
-
-
 # ---------------------------------------------------------------------------
 # test 2: label/gate measurements agree and decode
 # ---------------------------------------------------------------------------
@@ -196,26 +188,24 @@ def _swap_s_plan(proof: Proof, inst) -> BranchPlan:
 def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     """Measure (label, gate) on U and U'; reject on equal labels with unequal or out-of-set gates.
 
-    The kernel draws from the float CDFs of the two outcome distributions; the plan is live when
-    a pair it can pick rejects (:func:`ffgscon._kernels.unique_can_reject`, which counts the width
-    the last index gains from the clamp).  The exact reject sum ignores the clamp, so it cannot stand in.
+    ``mismatch[g, g2]`` is the one rejection rule: unequal gates, or an out-of-set first gate.  The
+    exact sum and the kernel both read it.  The kernel draws from the float CDFs of the two outcome
+    distributions; the plan is live when a pair it can pick rejects
+    (:func:`ffgscon._kernels.unique_can_reject`, which counts the width the last index gains from
+    the clamp).  The exact reject sum ignores the clamp, so it cannot stand in.
     """
     pa = np.abs(proof.u.amplitudes) ** 2
     pb = np.abs(proof.u_prime.amplitudes) ** 2
-    n_set = len(inst.gate_set)
     G = inst.G
-    # over joint outcomes; never formed as 1 - accept
+    mismatch = ~np.eye(G, dtype=bool) | (np.arange(G) >= len(inst.gate_set))[:, None]
+    # over joint outcomes in (label, g, g2) order; never formed as 1 - accept
     reject = 0.0
-    for i in range(pa.shape[0]):
-        for g in range(G):
-            for g2 in range(G):
-                if g != g2 or g >= n_set:
-                    reject = reject + pa[i, g] * pb[i, g2]
+    for i, g, g2 in np.argwhere(np.broadcast_to(mismatch, (pa.shape[0], G, G))):
+        reject = reject + pa[i, g] * pb[i, g2]
     cdf_a = np.cumsum(np.asarray(pa, dtype=np.float64).ravel())
     cdf_b = np.cumsum(np.asarray(pb, dtype=np.float64).ravel())
-    valid = np.arange(G) < n_set
-    live = _kernels.unique_can_reject(cdf_a, cdf_b, G, valid)
-    return _plan(2, (("joint_mismatch", reject),), reject, live, _kernels.tally_unique, cdf_a, cdf_b, G, valid)
+    live = _kernels.unique_can_reject(cdf_a, cdf_b, mismatch)
+    return _plan(2, (("joint_mismatch", reject),), reject, live, _kernels.tally_unique, cdf_a, cdf_b, mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +275,6 @@ def _boundary_plan(test_id, which, proof: Proof, inst: GsconInstance) -> BranchP
     return _chain_plan(test_id, stages, [lo[target], 0.0], [hi[target], 0.0 if q is None else q])
 
 
-def _start_plan(proof: Proof, inst) -> BranchPlan:
-    return _boundary_plan(6, "psi", proof, inst)
-
-
-def _end_plan(proof: Proof, inst) -> BranchPlan:
-    return _boundary_plan(7, "phi", proof, inst)
-
-
 # ---------------------------------------------------------------------------
 # test 8: energy of a random sequence entry
 # ---------------------------------------------------------------------------
@@ -321,13 +303,13 @@ def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
 # ---------------------------------------------------------------------------
 
 _PLAN_BUILDERS = {
-    1: _swap_u_plan,
+    1: lambda proof, inst: _swap_plan(1, proof.u, proof.u_prime),
     2: _unique_plan,
     3: _uniform_plan,
-    4: _swap_s_plan,
+    4: lambda proof, inst: _swap_plan(4, proof.s, proof.s_prime),
     5: _sequence_plan,
-    6: _start_plan,
-    7: _end_plan,
+    6: lambda proof, inst: _boundary_plan(6, "psi", proof, inst),
+    7: lambda proof, inst: _boundary_plan(7, "phi", proof, inst),
     8: _low_plan,
 }
 

@@ -16,8 +16,9 @@ double-precision resolution of an O(1) amplitude, so every construction can
 also be built on extended-precision amplitudes (``extended=True``), carried
 as mpmath object arrays at :data:`~ffgscon.states.WITNESS_DPS` significant
 digits.  The honest builders take that choice as their ``extended`` keyword,
-:func:`forge_adversary` reads it off its base proof, and each opens one
-:func:`~ffgscon.states.precision` block on it that every amplitude reads.
+:func:`forge_adversary` reads it (and the certificate) off its base proof,
+and each opens one :func:`~ffgscon.states.precision` block on it that every
+amplitude reads.
 """
 
 from __future__ import annotations
@@ -110,17 +111,20 @@ class Proof:
 
     U and U' are label/gate states on layout (2m, G); S and S' are label/data
     states on layout (2m, 2, ..., 2).  All four are double or all four are
-    extended.  A forged proof also carries the :class:`AdversarySpec` it
-    plants and the deviation measured from its states.  ``plans`` memoizes
-    the verifier's branch plans of this proof (see
-    :func:`ffgscon.verifier.branch_plan`); it is no init argument, so
-    :func:`dataclasses.replace` starts a new proof with an empty cache.
+    extended.  ``certificate`` is the traversal certificate the honest parts
+    encode; None reads as :func:`reference_certificate`'s fixed one.  A
+    forged proof also carries the :class:`AdversarySpec` it plants and the
+    deviation measured from its states.  ``plans`` memoizes the verifier's
+    branch plans of this proof (see :func:`ffgscon.verifier.branch_plan`); it
+    is no init argument, so :func:`dataclasses.replace` starts a new proof
+    with an empty cache.
     """
 
     u: RegisteredState
     u_prime: RegisteredState
     s: RegisteredState
     s_prime: RegisteredState
+    certificate: TraversalCertificate | None = None
     spec: AdversarySpec | None = None
     measured_deviation: object = None
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -184,11 +188,11 @@ def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended:
 
 
 def honest_proof(inst: GsconInstance, cert: TraversalCertificate | None, *, extended: bool = False) -> Proof:
-    """U' = U and S' = S, built on the reference certificate."""
+    """U' = U and S' = S, built on the reference certificate, which the proof records."""
     cert = reference_certificate(inst, cert)
     u = build_honest_U(inst, cert, extended=extended)
     s = build_honest_S(inst, cert, extended=extended)
-    return Proof(u, u, s, s)
+    return Proof(u, u, s, s, cert)
 
 
 def apply_W(inst: GsconInstance, assignment, s: RegisteredState) -> RegisteredState:
@@ -254,14 +258,15 @@ def _replace_data_slice(s: RegisteredState, label_index: int, new_data: Register
     return RegisteredState(t, check=False)
 
 
-def forge_adversary(base: Proof, inst: GsconInstance, cert: TraversalCertificate | None, spec: AdversarySpec) -> Proof:
-    """Plant ``spec`` on ``base``, at the base's precision: exactly one deviation.
+def forge_adversary(base: Proof, inst: GsconInstance, spec: AdversarySpec) -> Proof:
+    """Plant ``spec`` on ``base``, at the base's precision and on its certificate: exactly one deviation.
 
-    The witnesses the spec does not target stay as in ``base``; the returned
+    The witnesses the spec does not target stay as in ``base``, and the
+    forged proof records the base's certificate; the returned
     ``measured_deviation`` is read back from the constructed states.
     """
     with precision(base.extended) as num:
-        assignment = honest_gate_assignment(inst, reference_certificate(inst, cert))
+        assignment = honest_gate_assignment(inst, reference_certificate(inst, base.certificate))
         two_m = 2 * inst.m
         one = num(1)
         u, u_prime, s, s_prime = base.u, base.u_prime, base.s, base.s_prime
@@ -358,28 +363,7 @@ def forge_adversary(base: Proof, inst: GsconInstance, cert: TraversalCertificate
             raise ValueError(f"unknown adversary kind {kind!r}")
 
         _check_measured(spec.magnitude, measured, kind)
-        return Proof(u, u_prime, s, s_prime, spec, measured)
-
-
-def forge_composed(
-    inst: GsconInstance,
-    cert: TraversalCertificate | None,
-    specs,
-    *,
-    extended: bool = False,
-) -> Proof:
-    """Apply several deviations in order, starting from the honest proof (no worst-case coverage claims).
-
-    Later kinds rebuild the registers they touch, so order matters; the
-    measured deviation of the last spec is reported.
-    """
-    specs = list(specs)
-    if not specs:
-        raise ValueError("no adversary specs given")
-    forged = honest_proof(inst, cert, extended=extended)
-    for spec in specs:
-        forged = forge_adversary(forged, inst, cert, spec)
-    return forged
+        return Proof(u, u_prime, s, s_prime, base.certificate, spec, measured)
 
 
 def _check_measured(requested, measured, kind):

@@ -24,7 +24,7 @@ from ffgscon.instances import (
 from ffgscon.ledger import LedgerInvariantError, derive_parameters
 from ffgscon.states import RegisteredState
 from ffgscon.verifier import run_test
-from ffgscon.witnesses import Proof, forge_composed
+from ffgscon.witnesses import Proof
 
 
 def test_degenerate_eta3_zero_is_perfectly_complete():
@@ -102,12 +102,6 @@ def test_shrunken_gate_register_flagged():
     )
     rep = validate_instance(inst)
     assert any("gate register" in c.name and not c.passed for c in rep.checks)
-
-
-def test_forge_composed_rejects_empty():
-    fx = get_fixture("idle")
-    with pytest.raises(ValueError):
-        forge_composed(fx.instance, fx.certificate, ())
 
 
 def test_cli_file_instance_with_certificate(tmp_path, capsys):

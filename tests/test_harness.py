@@ -555,7 +555,7 @@ def test_lemma_rows_equal_one_shot_forges(monkeypatch, name):
     specs = boundary_specs(inst, derive_parameters(inst))
     assert len(rejects) == len(specs) == 8
     for spec, got in zip(specs, rejects):
-        forged = forge_adversary(honest_proof(inst, cert, extended=True), inst, cert, spec)
+        forged = forge_adversary(honest_proof(inst, cert, extended=True), inst, spec)
         want = run_test(TARGETED_TEST[spec.kind], forged, inst, mode=MODE_EXACT).reject_probability
         assert got._mpf_ == want._mpf_, spec.kind
 

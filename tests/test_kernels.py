@@ -94,10 +94,16 @@ def boundary_stages(lab_cdf, target, q):
     return [lo[target], 0.0], [hi[target], q]
 
 
-def unique_plan(cdf_a, cdf_b, gate_dim, valid):
+def mismatch_table(valid):
+    """Test 2's ``[ga, gb]`` reject table over ``len(valid)`` gates: unequal gates, or an invalid first gate."""
+    return ~np.eye(len(valid), dtype=bool) | ~np.asarray(valid)[:, None]
+
+
+def unique_plan(cdf_a, cdf_b, valid):
     """A test-2 plan on these CDFs, live as ``verifier._unique_plan`` decides it."""
-    live = K.unique_can_reject(cdf_a, cdf_b, gate_dim, valid)
-    return BranchPlan(2, (), 0.0, 1.0, live, K.tally_unique, (cdf_a, cdf_b, gate_dim, valid))
+    mismatch = mismatch_table(valid)
+    live = K.unique_can_reject(cdf_a, cdf_b, mismatch)
+    return BranchPlan(2, (), 0.0, 1.0, live, K.tally_unique, (cdf_a, cdf_b, mismatch))
 
 
 def low_plan(lab_cdf, table):
@@ -178,7 +184,7 @@ def test_philox_int_and_array_paths_agree():
     tallies = [
         (K.tally_chain, ([0.0], [0.37])),
         (K.tally_chain, (np.zeros(3), probs)),
-        (K.tally_unique, (cdf12, cdf12, 4, valid)),
+        (K.tally_unique, (cdf12, cdf12, mismatch_table(valid[:4]))),
         (K.tally_chain, boundary_stages(lab_cdf, 2, 0.4)),
         (K.tally_low, (lab_cdf, table)),
     ]
@@ -250,7 +256,7 @@ def test_tally_kernels_match_numpy_reference():
     pairs = [
         (K.tally_chain(9, 1, trials, 0, [0.0], [0.37]), counts(u(9, 1, 0)[0] < 0.37)),
         (K.tally_chain(9, 3, trials, 1, np.zeros(3), probs), counts(chain)),
-        (K.tally_unique(4, 2, trials, 0, cdf12, cdf12, 4, valid), counts(unique)),
+        (K.tally_unique(4, 2, trials, 0, cdf12, cdf12, mismatch_table(valid[:4])), counts(unique)),
         (K.tally_chain(8, 6, trials, 0, *boundary_stages(lab_cdf, 2, 0.4)), counts(boundary)),
         (K.tally_low(8, 8, trials, 0, lab_cdf, table), counts(low)),
     ]
@@ -337,11 +343,11 @@ def test_short_circuits_equal_the_drawn_tally_property(
     # each check may call an interval or pair reachable that no grid uniform lands on, never the reverse
     for a, b in zip(lo, hi):
         assert K.holds_uniform(a, b) or not grid_holds(a, b)
-    assert K.unique_can_reject(cdf_a, cdf_b, gate_dim, valid) or not grid_reject_pair(cdf_a, cdf_b, gate_dim, valid)
+    assert K.unique_can_reject(cdf_a, cdf_b, mismatch_table(valid)) or not grid_reject_pair(cdf_a, cdf_b, gate_dim, valid)
     plans = {
         "bernoulli": _chain_plan(1, (("swap_reject", p),)),
         "chain": _chain_plan(3, (), lo, hi),
-        "unique": unique_plan(cdf_a, cdf_b, gate_dim, valid),
+        "unique": unique_plan(cdf_a, cdf_b, valid),
         "boundary": _chain_plan(7, (), *boundary_stages(lab_cdf, target, q)),
         "low": low_plan(lab_cdf, table),
     }
@@ -394,7 +400,7 @@ def drawn(plan, trials, reference):
 def drawn_unique(cdf_a, cdf_b, gate_dim, valid, trials):
     """(tally, Philox lanes, reference tally) of a test-2 plan on these CDFs."""
     reference = lambda u, v: reference_unique(cdf_a, cdf_b, gate_dim, valid, u, v)  # noqa: E731
-    return drawn(unique_plan(cdf_a, cdf_b, gate_dim, valid), trials, reference)
+    return drawn(unique_plan(cdf_a, cdf_b, valid), trials, reference)
 
 
 def test_unique_draws_for_a_reject_pair_on_the_clamped_last_index():
@@ -405,7 +411,7 @@ def test_unique_draws_for_a_reject_pair_on_the_clamped_last_index():
     valid = np.array([True, True])
     trials = np.arange(4000, dtype=np.uint64)
     tally, lanes, ref = drawn_unique(cdf, cdf, 2, valid, trials)
-    assert K.unique_can_reject(cdf, cdf, 2, valid)
+    assert K.unique_can_reject(cdf, cdf, mismatch_table(valid))
     assert lanes == trials.size
     assert tally == ref and ref[1] > 0
 
@@ -418,7 +424,7 @@ def test_unique_does_not_draw_past_a_cdf_that_reaches_one():
     valid = np.array([True, True])
     trials = np.arange(4000, dtype=np.uint64)
     tally, lanes, ref = drawn_unique(cdf, cdf, 2, valid, trials)
-    assert not K.unique_can_reject(cdf, cdf, 2, valid)
+    assert not K.unique_can_reject(cdf, cdf, mismatch_table(valid))
     assert lanes == 0
     assert tally == ref == (trials.size, 0)
 
@@ -471,7 +477,7 @@ def test_unique_plan_can_reject_only_on_a_mismatched_u():
     kind = AdversaryKind.MISMATCHED_U
     spec = AdversarySpec(kind, demo_magnitude(kind, fx.instance, derive_parameters(fx.instance)))
     base = honest_proof(fx.instance, fx.certificate)
-    assert can_reject(forge_adversary(base, fx.instance, fx.certificate, spec), fx.instance)
+    assert can_reject(forge_adversary(base, fx.instance, spec), fx.instance)
 
 
 def test_tally_bernoulli_rate():

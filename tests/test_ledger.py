@@ -243,6 +243,18 @@ def test_ledger_report_adds_the_two_paper_claims():
 # ---------------------------------------------------------------------------
 
 
+def test_ledger_report_mirrors_values_outside_double_range():
+    # eta4 = delta = 4e-160 makes h = 1e-160: t overflows a double, and every
+    # quantity built from 1/t or 1 - s' underflows
+    from dataclasses import replace
+
+    inst = replace(get_fixture("idle").instance, eta3=0.0, eta4=4e-160, delta=4e-160)
+    assert validate_instance(inst).ok
+    lines = derive_parameters(inst).report_lines()
+    assert [line.split("=")[0].strip() for line in lines if "double: overflow" in line] == ["t"]
+    assert sum("double: underflow" in line for line in lines) == 16
+
+
 def test_gap_estimate_monomial_scaling():
     with mpmath.workdps(60):
         est0 = derive_parameters(get_fixture("idle").instance).gap_monomial

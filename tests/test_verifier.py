@@ -58,7 +58,7 @@ def honest(fx):
 
 def forge(fx, kind, mag, extended=False):
     base = honest_proof(fx.instance, fx.certificate, extended=extended)
-    return forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, mag))
+    return forge_adversary(base, fx.instance, AdversarySpec(kind, mag))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_adversary_round_capped_by_soundness():
             (AdversaryKind.HIGH_ENERGY, led.eta2 / 2),
         ]:
             base = honest_proof(fx.instance, fx.certificate, extended=True)
-            forged = forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, mag))
+            forged = forge_adversary(base, fx.instance, AdversarySpec(kind, mag))
             out = run_protocol_round(forged, fx.instance, led)
             with mpmath.workdps(120):
                 # accept <= s'  <=>  reject >= 1 - s'
@@ -379,6 +379,30 @@ def test7_exact_endpoint_accepts_perfectly():
     assert abs(float(out.accept_probability) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("extended", [False, True])
+def test_empty_end_label_reads_zero_in_tests_7_and_8(extended):
+    # S holds |psi> on label 0 and no mass on label m: the end test cannot pick
+    # that label, and the energy test gives it energy 0
+    from ffgscon.instances import prepare_state_from_circuit
+    from ffgscon.states import conditional_state, zeros
+
+    fx = get_fixture("bell-flip")
+    inst = fx.instance
+    base = honest_proof(inst, fx.certificate, extended=extended)
+    with precision(extended):
+        t = zeros(base.s.dims)
+        t[0] = prepare_state_from_circuit(inst, "psi").amplitudes
+    s = RegisteredState(t)
+    assert conditional_state(s, 0, inst.m) == (0, None)
+    proof = replace(base, s=s, s_prime=s)
+    end, low = branch_plan(7, proof, inst), branch_plan(8, proof, inst)
+    assert end.reject == 0 and not end.live
+    assert low.reject == 0 and not np.any(low.args[1][inst.m])  # label m's row of the reject table
+    trials = np.arange(2000, dtype=np.uint64)
+    for plan in (end, low):
+        assert plan.tally(5, plan.test_id, trials) == (trials.size, 0)
+
+
 def test7_wrong_end_beats_threshold():
     fx = get_fixture("blocked-qubit")
     led = derive_parameters(fx.instance)
@@ -615,7 +639,7 @@ def test_double_and_extended_proofs_agree(name):
     for kind in AdversaryKind:
         spec = AdversarySpec(kind, demo_magnitude(kind, inst, ledger))
         builds[kind.value] = lambda ext, spec=spec: forge_adversary(
-            honest_proof(inst, cert, extended=ext), inst, cert, spec
+            honest_proof(inst, cert, extended=ext), inst, spec
         )
     for label, build in builds.items():
         f64, ext = build(False), build(True)
@@ -690,9 +714,9 @@ def test_accept_and_reject_branch_sums_are_complementary():
     for fx in builtin_instances():
         settings = [build_witnesses(fx.instance, fx.certificate)]
         base = honest_proof(fx.instance, fx.certificate)
-        settings.append(forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.WRONG_START, 0.4)))
+        settings.append(forge_adversary(base, fx.instance, AdversarySpec(AdversaryKind.WRONG_START, 0.4)))
         settings.append(
-            forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.HIGH_ENERGY, fx.instance.eta2 / 2))
+            forge_adversary(base, fx.instance, AdversarySpec(AdversaryKind.HIGH_ENERGY, fx.instance.eta2 / 2))
         )
         for witnesses in settings:
             for i in range(1, 9):

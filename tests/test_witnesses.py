@@ -1,12 +1,14 @@
 """Honest witness construction, the shift-and-gate unitary, and adversaries."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
 from ffgscon.fixtures import builtin_instances, get_fixture
+from ffgscon.harness import build_witnesses
 from ffgscon.instances import (
     GsconInstance,
     HamiltonianTerm,
@@ -20,7 +22,7 @@ from ffgscon.instances import (
     prepare_state_from_circuit,
 )
 from ffgscon.ledger import derive_parameters
-from ffgscon.states import WITNESS_DPS, conditional_state, phase_optimized_distance, register_distribution
+from ffgscon.states import WITNESS_DPS, RegisteredState, conditional_state, phase_optimized_distance, register_distribution
 from ffgscon.witnesses import (
     AdversaryKind,
     AdversarySpec,
@@ -31,7 +33,6 @@ from ffgscon.witnesses import (
     build_honest_S,
     build_honest_U,
     forge_adversary,
-    forge_composed,
     honest_gate_assignment,
     honest_proof,
     reference_certificate,
@@ -213,7 +214,7 @@ def test_w_preserves_norm():
 def _forge(fixture_name, kind, magnitude):
     fx = get_fixture(fixture_name)
     base = honest_proof(fx.instance, fx.certificate)
-    return fx, forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, magnitude))
+    return fx, forge_adversary(base, fx.instance, AdversarySpec(kind, magnitude))
 
 
 def test_every_kind_self_reports_within_tolerance():
@@ -231,7 +232,7 @@ def test_every_kind_self_reports_within_tolerance():
     }
     base = honest_proof(fx.instance, fx.certificate)
     for kind, mag in mags.items():
-        forged = forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, mag))
+        forged = forge_adversary(base, fx.instance, AdversarySpec(kind, mag))
         req = mag if isinstance(mag, tuple) else (mag,)
         got = forged.measured_deviation if isinstance(forged.measured_deviation, tuple) else (forged.measured_deviation,)
         for r, g in zip(req, got):
@@ -289,14 +290,14 @@ def test_magnitude_ranges_enforced():
     base = honest_proof(fx.instance, fx.certificate)
     for kind, mag in cases:
         with pytest.raises(MagnitudeRangeError):
-            forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(kind, mag))
+            forge_adversary(base, fx.instance, AdversarySpec(kind, mag))
 
 
 def test_extended_forge_hits_boundary_exactly():
     fx = get_fixture("idle")
     led = derive_parameters(fx.instance)
     base = honest_proof(fx.instance, fx.certificate, extended=True)
-    forged = forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.MISMATCHED_U, led.delta_small))
+    forged = forge_adversary(base, fx.instance, AdversarySpec(AdversaryKind.MISMATCHED_U, led.delta_small))
     with mpmath.workdps(120):
         rel = abs(forged.measured_deviation - led.delta_small) / led.delta_small
         assert rel < mpmath.mpf("1e-30")
@@ -308,14 +309,14 @@ def test_sub_resolution_double_request_raises():
     f_skew = float(1 / (mpmath.mpf(fx.instance.m) * led.t))
     base = honest_proof(fx.instance, fx.certificate)
     with pytest.raises(MagnitudeRangeError):
-        forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.NONUNIFORM_LABELS, f_skew))
+        forge_adversary(base, fx.instance, AdversarySpec(AdversaryKind.NONUNIFORM_LABELS, f_skew))
 
 
 def test_seeded_choices_are_reproducible():
     fx = get_fixture("bell-flip")
     spec = AdversarySpec(AdversaryKind.MISMATCHED_U, 0.05, seed=11)
-    a = forge_adversary(honest_proof(fx.instance, fx.certificate), fx.instance, fx.certificate, spec)
-    b = forge_adversary(honest_proof(fx.instance, fx.certificate), fx.instance, fx.certificate, spec)
+    a = forge_adversary(honest_proof(fx.instance, fx.certificate), fx.instance, spec)
+    b = forge_adversary(honest_proof(fx.instance, fx.certificate), fx.instance, spec)
     assert np.array_equal(
         np.asarray(a.u_prime.amplitudes, complex), np.asarray(b.u_prime.amplitudes, complex)
     )
@@ -327,13 +328,69 @@ def test_composed_adversaries_stack():
         AdversarySpec(AdversaryKind.MISMATCHED_U, 0.1),
         AdversarySpec(AdversaryKind.WRONG_START, 0.3),
     )
-    forged = forge_composed(fx.instance, fx.certificate, specs)
+    forged = build_witnesses(fx.instance, fx.certificate, specs)
     pa = np.asarray(np.abs(forged.u.amplitudes) ** 2, float)
     pb = np.asarray(np.abs(forged.u_prime.amplitudes) ** 2, float)
     assert np.abs(pa - pb).max() > 0.09
     _, data = conditional_state(forged.s, 0, 0)
     psi = prepare_state_from_circuit(fx.instance, "psi")
     assert abs(phase_optimized_distance(data, psi) - 0.3) < 1e-9
+
+
+def test_forged_proof_records_the_base_certificate():
+    fx = get_fixture("bell-flip")
+    base = honest_proof(fx.instance, fx.certificate)
+    assert base.certificate == fx.certificate
+    for kind, mag in ((AdversaryKind.MISMATCHED_U, 0.1), (AdversaryKind.WRONG_START, 0.3)):
+        forged = forge_adversary(base, fx.instance, AdversarySpec(kind, mag))
+        assert forged.certificate is base.certificate
+        assert replace(forged, spec=None).certificate is base.certificate
+    # without a certificate the proof records the fixed one it was built on
+    assert honest_proof(fx.instance, None).certificate == reference_certificate(fx.instance, None)
+
+
+def test_smeared_gate_keeps_the_base_gates():
+    # bell-flip's certificate is (3,); a smear built on the fixed reference
+    # certificate (0,) instead would move labels 1.. off the base's gates and
+    # test 5 from 0.0054 to 1/24
+    from ffgscon.verifier import run_test
+    from ffgscon.witnesses import Proof
+
+    fx = get_fixture("bell-flip")
+    inst = fx.instance
+    two_m = 2 * inst.m
+    x, c = 0.5, 0.25
+    base = honest_proof(inst, fx.certificate)
+    forged = forge_adversary(base, inst, AdversarySpec(AdversaryKind.SMEARED_GATE, (x, c)))
+    gates = honest_gate_assignment(inst, fx.certificate)
+    probs = np.abs(forged.u.amplitudes) ** 2
+    for i in range(1, two_m):
+        assert np.flatnonzero(probs[i]).tolist() == [gates[i]]
+    amps = np.zeros((two_m, inst.G), dtype=complex)  # the smear on label 0, the rest on the certificate's gates
+    amps[0, gates[0]], amps[0, (gates[0] + 1) % inst.G] = math.sqrt(x * (1 - c)), math.sqrt(x * c)
+    for i in range(1, two_m):
+        amps[i, gates[i]] = math.sqrt((1 - x) / (two_m - 1))
+    u = RegisteredState(amps)
+    want = run_test(5, Proof(u, u, base.s, base.s), inst).reject_probability
+    got = run_test(5, forged, inst).reject_probability
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert 0 < float(got) < 0.01
+
+
+def test_seeded_gate_choice_redraws_past_the_honest_gate():
+    # on bell-flip (G = 6, honest label-0 gate 3) seed 3's draws 0 and 1 both
+    # land on gate 3, so the alternative gate comes from draw 2
+    from ffgscon.witnesses import _seeded_index
+
+    fx = get_fixture("bell-flip")
+    inst = fx.instance
+    u0 = honest_gate_assignment(inst, fx.certificate)[0]
+    draws = [_seeded_index(3, d, inst.G) for d in range(3)]
+    assert draws[:2] == [u0, u0] and draws[2] != u0
+    base = honest_proof(inst, fx.certificate)
+    forged = forge_adversary(base, inst, AdversarySpec(AdversaryKind.MISMATCHED_U, 0.1, seed=3))
+    moved = np.flatnonzero(np.asarray(np.abs(forged.u_prime.amplitudes[0]), float)).tolist()
+    assert moved == sorted([u0, draws[2]])
 
 
 def test_orthogonal_helper_on_complex_states():
@@ -357,7 +414,7 @@ def test_orthogonal_helper_falls_back_off_psi_own_axis():
 
     fx = get_fixture("idle")
     base = honest_proof(fx.instance, fx.certificate)
-    forged = forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.WRONG_START, 0.3, seed=2))
+    forged = forge_adversary(base, fx.instance, AdversarySpec(AdversaryKind.WRONG_START, 0.3, seed=2))
     psi = prepare_state_from_circuit(fx.instance, "psi")
     assert _seeded_index(2, 0, psi.amplitudes.size) == int(np.argmax(np.abs(psi.amplitudes)))
     perp = _orthogonal_state(psi, 2)
@@ -374,7 +431,7 @@ def test_inconsistent_copies_on_complex_chain():
     inst = fx.instance
     cert = TraversalCertificate((2, 1))  # Y then H
     z = 0.12
-    forged = forge_adversary(honest_proof(inst, cert), inst, cert, AdversarySpec(AdversaryKind.INCONSISTENT_S, z))
+    forged = forge_adversary(honest_proof(inst, cert), inst, AdversarySpec(AdversaryKind.INCONSISTENT_S, z))
     assert abs(float(forged.measured_deviation) - z) <= 1e-6 * z
     from ffgscon.verifier import run_test
 
@@ -387,7 +444,7 @@ def test_broken_sequence_on_complex_chain():
     cert = TraversalCertificate((2, 2))  # Y, Y
     z = 0.1
     base = honest_proof(fx.instance, cert)
-    forged = forge_adversary(base, fx.instance, cert, AdversarySpec(AdversaryKind.BROKEN_SEQUENCE, z))
+    forged = forge_adversary(base, fx.instance, AdversarySpec(AdversaryKind.BROKEN_SEQUENCE, z))
     assert abs(float(forged.measured_deviation) - z) <= 1e-6 * z
     from ffgscon.verifier import run_test
 
@@ -403,6 +460,6 @@ def test_forge_refuses_a_seed_outside_the_philox_key_range(seed):
     fx = get_fixture("bell-stepwise")
     base = honest_proof(fx.instance, fx.certificate)
     with pytest.raises(ValueError, match="seed"):
-        forge_adversary(base, fx.instance, fx.certificate, AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed))
+        forge_adversary(base, fx.instance, AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed))
     with pytest.raises(ValueError, match="seed"):
-        forge_composed(fx.instance, fx.certificate, [AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed)])
+        build_witnesses(fx.instance, fx.certificate, [AdversarySpec(AdversaryKind.INCONSISTENT_S, 0.05, seed=seed)])
