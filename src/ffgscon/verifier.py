@@ -200,8 +200,10 @@ def _unique_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     mismatch = ~np.eye(G, dtype=bool) | (np.arange(G) >= len(inst.gate_set))[:, None]
     # over joint outcomes in (label, g, g2) order; never formed as 1 - accept
     reject = 0.0
-    for i, g, g2 in np.argwhere(np.broadcast_to(mismatch, (pa.shape[0], G, G))):
-        reject = reject + pa[i, g] * pb[i, g2]
+    cells = np.argwhere(mismatch).tolist()
+    for i in range(pa.shape[0]):
+        for g, g2 in cells:
+            reject = reject + pa[i, g] * pb[i, g2]
     cdf_a = np.cumsum(np.asarray(pa, dtype=np.float64).ravel())
     cdf_b = np.cumsum(np.asarray(pb, dtype=np.float64).ravel())
     live = _kernels.unique_can_reject(cdf_a, cdf_b, mismatch)
