@@ -31,7 +31,7 @@ from .harness import (
 )
 from .instances import validate_instance
 from .ledger import derive_parameters
-from .witnesses import AdversaryKind
+from .witnesses import AdversaryKind, AdversarySpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -39,8 +39,6 @@ EXIT_IO = 2
 
 
 def _parse_adversary(text: str, inst, ledger):
-    from .witnesses import AdversarySpec
-
     kind_s, _, mag_s = text.partition(":")
     try:
         kind = AdversaryKind(kind_s.upper())
@@ -177,8 +175,6 @@ def _dispatch(args) -> int:
             emit_report(report, args.out, args.format, include_timings=args.timings)
             print(f"report written to {args.out}")
         return EXIT_OK
-
-    raise HarnessError(f"unknown verb {args.verb!r}")
 
 
 if __name__ == "__main__":

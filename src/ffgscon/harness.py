@@ -281,7 +281,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
         "trials": cfg.trials,
         "seed": cfg.seed,
         "adversary": [
-            {"kind": sp.kind.value, "magnitude": str(sp.magnitude), "seed": sp.seed} for sp in cfg.adversary
+            # "seed" is a v2 field an adversary no longer has; v3 drops it
+            {"kind": sp.kind.value, "magnitude": str(sp.magnitude), "seed": None} for sp in cfg.adversary
         ],
         "certificate": list(cfg.certificate) if cfg.certificate is not None else None,
     }

@@ -16,7 +16,7 @@ Stream ids (documented, frozen):
 * k      -- verifier test k (1..8) run stand-alone: the stream id is the test id
 * 0      -- protocol round: slot 0's first uniform picks the test, slots 1..
   feed the test
-* 16+    -- free for callers (seeded adversaries, ad-hoc sampling in tests)
+* 16+    -- free for callers (ad-hoc sampling in tests)
 """
 
 from __future__ import annotations

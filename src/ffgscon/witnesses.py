@@ -11,7 +11,9 @@ Adversaries are *analytic*: each kind writes amplitudes directly so that it
 violates exactly one structural property by a requested magnitude, and
 reports the deviation it actually achieved (measured from the constructed
 states, never assumed).  No optimization over cheating strategies is
-attempted.  Magnitudes at the protocol's native thresholds are far below
+attempted, and no choice is random: a forge reads only its base proof and
+the spec's kind and magnitude, and refuses a base that records no
+certificate.  Magnitudes at the protocol's native thresholds are far below
 double-precision resolution of an O(1) amplitude, so every construction can
 also be built on extended-precision amplitudes (``extended=True``), carried
 as mpmath object arrays at :data:`~ffgscon.states.WITNESS_DPS` significant
@@ -30,8 +32,6 @@ from enum import Enum
 import numpy as np
 
 from .instances import GsconInstance, TraversalCertificate, adjoint_index, dense_hamiltonian, energy_of, prepare_state_from_circuit
-from ._kernels import uniforms
-from .rng import STREAM_USER
 from .states import (
     RegisteredState,
     ShapeMismatchError,
@@ -78,7 +78,7 @@ TARGETED_TEST = {
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """One targeted deviation.
+    """One targeted deviation: a kind, checked when the spec is built, and a magnitude.
 
     ``magnitude`` semantics per kind:
 
@@ -98,11 +98,10 @@ class AdversarySpec:
 
     kind: AdversaryKind
     magnitude: float | tuple
-    seed: int | None = None  # a 64-bit Philox key: any other value would alias one inside the range
 
     def __post_init__(self):
-        if self.seed is not None and not 0 <= self.seed < 2**64:
-            raise ValueError(f"adversary seed must be in [0, 2**64), got {self.seed!r}")
+        if not isinstance(self.kind, AdversaryKind):
+            raise ValueError(f"adversary kind must be an AdversaryKind, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,8 @@ class Proof:
     U and U' are label/gate states on layout (2m, G); S and S' are label/data
     states on layout (2m, 2, ..., 2).  All four are double or all four are
     extended.  ``certificate`` is the traversal certificate the honest parts
-    encode; None reads as :func:`reference_certificate`'s fixed one.  A
+    encode; a proof built directly from states records None, and
+    :func:`forge_adversary` refuses it as a base.  A
     forged proof also carries the :class:`AdversarySpec` it plants and the
     deviation measured from its states.  ``plans`` memoizes the verifier's
     branch plans of this proof (see :func:`ffgscon.verifier.branch_plan`); it
@@ -187,6 +187,16 @@ def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended:
         return RegisteredState(np.stack([psi.amplitudes * amp for psi in chain]))
 
 
+def reference_certificate(inst: GsconInstance, cert: TraversalCertificate | None) -> TraversalCertificate:
+    """The certificate if given, else an arbitrary fixed assignment.
+
+    :func:`honest_proof` builds on it, so an instance without a certificate
+    still gets a well-formed base to forge on; the deviations the
+    adversaries plant do not rely on the base being a YES witness.
+    """
+    return cert if cert is not None else TraversalCertificate((0,) * inst.m)
+
+
 def honest_proof(inst: GsconInstance, cert: TraversalCertificate | None, *, extended: bool = False) -> Proof:
     """U' = U and S' = S, built on the reference certificate, which the proof records."""
     cert = reference_certificate(inst, cert)
@@ -212,42 +222,23 @@ def apply_W(inst: GsconInstance, assignment, s: RegisteredState) -> RegisteredSt
 # ---------------------------------------------------------------------------
 
 
-def reference_certificate(inst: GsconInstance, cert: TraversalCertificate | None) -> TraversalCertificate:
-    """The certificate if given, else an arbitrary fixed assignment.
-
-    Adversary constructions only need *some* well-formed base witness; the
-    deviations they plant do not rely on the base being a YES witness.
-    """
-    return cert if cert is not None else TraversalCertificate((0,) * inst.m)
-
-
-def _seeded_index(seed: int, draw: int, dim: int) -> int:
-    """Index in range(dim) from the first uniform of slot (seed, STREAM_USER, trial 0, draw)."""
-    return int(uniforms(seed, STREAM_USER, [0], draw)[0][0] * dim) % dim
-
-
-def _orthogonal_state(psi: RegisteredState, seed: int | None) -> RegisteredState:
+def _orthogonal_state(psi: RegisteredState) -> RegisteredState:
     """A normalized state orthogonal to psi (data dimension >= 2)."""
     amps = psi.amplitudes.ravel()
     dim = amps.size
-    if seed is None:
-        j = int(np.argmin(np.abs(np.asarray(amps, dtype=np.complex128))))
-    else:
-        j = _seeded_index(seed, 0, dim)
-    for k in (j, (j + 1) % dim):  # if psi is concentrated on e_j, any other axis works
-        e = zeros(dim)
-        e[k] = 1
-        res = e - amps * (np.conj(amps) * e).sum()  # e_k - psi <psi|e_k>
-        nrm2 = (np.abs(res) ** 2).sum()
-        if float(nrm2) >= 1e-12:
-            break
+    j = int(np.argmin(np.abs(np.asarray(amps, dtype=np.complex128))))
+    e = zeros(dim)
+    e[j] = 1
+    # e_j is psi's smallest-magnitude axis, so |<psi|e_j>|^2 <= 1/dim <= 1/2 and the residual keeps squared norm >= 1/2
+    res = e - amps * (np.conj(amps) * e).sum()  # e_j - psi <psi|e_j>
+    nrm2 = (np.abs(res) ** 2).sum()
     return RegisteredState((res / _sqrt(nrm2)).reshape(psi.dims), check=False)
 
 
-def _rotate_toward(base: RegisteredState, cos_theta, seed) -> RegisteredState:
+def _rotate_toward(base: RegisteredState, cos_theta) -> RegisteredState:
     """cos(t) base + sin(t) base_perp with the requested cosine."""
     sin_theta = _sqrt(1 - cos_theta * cos_theta)
-    perp = _orthogonal_state(base, seed)
+    perp = _orthogonal_state(base)
     return RegisteredState(base.amplitudes * cos_theta + perp.amplitudes * sin_theta, check=False)
 
 
@@ -263,10 +254,14 @@ def forge_adversary(base: Proof, inst: GsconInstance, spec: AdversarySpec) -> Pr
 
     The witnesses the spec does not target stay as in ``base``, and the
     forged proof records the base's certificate; the returned
-    ``measured_deviation`` is read back from the constructed states.
+    ``measured_deviation`` is read back from the constructed states.  A
+    base that records no certificate is refused: which gates its U holds
+    is then unknown.
     """
+    if base.certificate is None:
+        raise ValueError("base proof records no certificate; build it with honest_proof, which records one")
     with precision(base.extended) as num:
-        assignment = honest_gate_assignment(inst, reference_certificate(inst, base.certificate))
+        assignment = honest_gate_assignment(inst, base.certificate)
         two_m = 2 * inst.m
         one = num(1)
         u, u_prime, s, s_prime = base.u, base.u_prime, base.s, base.s_prime
@@ -277,7 +272,7 @@ def forge_adversary(base: Proof, inst: GsconInstance, spec: AdversarySpec) -> Pr
             if not 0 < delta <= 1.0 / two_m:
                 raise MagnitudeRangeError(f"probability gap must lie in (0, 1/(2m)], got {float(delta)}")
             u0 = assignment[0]
-            alt = _pick_other_index(u0, inst.G, spec.seed)
+            alt = _pick_other_index(u0, inst.G)
             amps = u.amplitudes.copy()
             amps[0, u0] = _sqrt(one / two_m - delta)
             amps[0, alt] = _sqrt(delta)
@@ -289,7 +284,7 @@ def forge_adversary(base: Proof, inst: GsconInstance, spec: AdversarySpec) -> Pr
             if not (0 < x <= 1 and 0 < c < 1):
                 raise MagnitudeRangeError(f"need 0 < x <= 1 and 0 < c < 1, got {(float(x), float(c))}")
             u0 = assignment[0]
-            alt = _pick_other_index(u0, inst.G, spec.seed)
+            alt = _pick_other_index(u0, inst.G)
             amps = zeros((two_m, inst.G))
             amps[0, u0] = _sqrt(x * (1 - c))
             amps[0, alt] = _sqrt(x * c)
@@ -322,7 +317,7 @@ def forge_adversary(base: Proof, inst: GsconInstance, spec: AdversarySpec) -> Pr
             if not 0 < z <= 2.0 / inst.m:
                 raise MagnitudeRangeError(f"per-label defect must lie in (0, 2/m], got {float(z)}")
             _, psi0 = conditional_state(s, 0, 0)
-            s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, one - inst.m * z, spec.seed))
+            s_prime = _replace_data_slice(s_prime, 0, _rotate_toward(psi0, one - inst.m * z))
             measured = _max_slice_defect(s, s_prime)
 
         elif kind is AdversaryKind.BROKEN_SEQUENCE:
@@ -330,7 +325,7 @@ def forge_adversary(base: Proof, inst: GsconInstance, spec: AdversarySpec) -> Pr
             if not 0 < z <= 2.0 / inst.m:
                 raise MagnitudeRangeError(f"link defect must lie in (0, 2/m], got {float(z)}")
             _, psi1 = conditional_state(s, 0, 1)
-            s = s_prime = _replace_data_slice(s, 1, _rotate_toward(psi1, one - inst.m * z, spec.seed))
+            s = s_prime = _replace_data_slice(s, 1, _rotate_toward(psi1, one - inst.m * z))
             measured = _max_slice_defect(apply_W(inst, assignment, s), s_prime)
 
         elif kind in (AdversaryKind.WRONG_START, AdversaryKind.WRONG_END):
@@ -339,7 +334,7 @@ def forge_adversary(base: Proof, inst: GsconInstance, spec: AdversarySpec) -> Pr
                 raise MagnitudeRangeError(f"distance must lie in (0, sqrt(2)], got {float(w_req)}")
             label = 0 if kind is AdversaryKind.WRONG_START else inst.m
             anchor = prepare_state_from_circuit(inst, "psi" if kind is AdversaryKind.WRONG_START else "phi")
-            planted = _rotate_toward(anchor, one - w_req * w_req / 2, spec.seed)
+            planted = _rotate_toward(anchor, one - w_req * w_req / 2)
             s = s_prime = _replace_data_slice(s, label, planted)
             _, got = conditional_state(s, 0, label)
             measured = phase_optimized_distance(got, anchor)
@@ -358,9 +353,6 @@ def forge_adversary(base: Proof, inst: GsconInstance, spec: AdversarySpec) -> Pr
             s = s_prime = _replace_data_slice(s, 0, RegisteredState(mixed.reshape((2,) * inst.n), check=False))
             _, got = conditional_state(s, 0, 0)
             measured = energy_of(inst, got)
-
-        else:  # pragma: no cover
-            raise ValueError(f"unknown adversary kind {kind!r}")
 
         _check_measured(spec.magnitude, measured, kind)
         return Proof(u, u_prime, s, s_prime, base.certificate, spec, measured)
@@ -384,15 +376,10 @@ def _check_measured(requested, measured, kind):
             )
 
 
-def _pick_other_index(taken: int, dim: int, seed) -> int:
+def _pick_other_index(taken: int, dim: int) -> int:
     if dim < 2:
         raise MagnitudeRangeError("gate register of dimension 1 admits no mismatch")
-    if seed is None:
-        return (taken + 1) % dim
-    draw = 0
-    while (j := _seeded_index(seed, draw, dim)) == taken:
-        draw += 1
-    return j
+    return (taken + 1) % dim
 
 
 def _max_slice_defect(sa: RegisteredState, sb: RegisteredState):

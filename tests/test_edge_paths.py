@@ -174,12 +174,46 @@ def test_cli_instance_without_terms_exits_one(tmp_path, capsys, verb):
     assert err.startswith("error: ") and "Traceback" not in err and "terms" in err
 
 
-@pytest.mark.parametrize("index", ["99", "6", "-1", "-7"])
-def test_cli_certificate_index_outside_gate_set_exits_one(capsys, index):
-    # bell-flip has six gates; -1 must not silently pick the last one
-    assert cli_main(["verify", "bell-flip", "--mode", "exact", "--certificate", index]) == 1
+@pytest.mark.parametrize(
+    "certificate, message",
+    [pytest.param(i, i, id=i) for i in ("99", "6", "-1", "-7")]
+    + [pytest.param("1,2", "certificate length 2 != m = 1", id="1,2")],
+)
+def test_cli_certificate_index_outside_gate_set_exits_one(capsys, certificate, message):
+    # bell-flip has six gates and m = 1; -1 must not silently pick the last one
+    assert cli_main(["verify", "bell-flip", "--mode", "exact", "--certificate", certificate]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err and index in err
+    assert err.startswith("error: ") and "Traceback" not in err and message in err
+
+
+def _cli_error(argv, capsys) -> str:
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_cli_adversary_magnitude_out_of_range_exits_one(capsys):
+    err = _cli_error(["verify", "bell-stepwise", "--adversary", "BROKEN_SEQUENCE:5"], capsys)
+    assert "link defect must lie in (0, 2/m]" in err
+
+
+def test_cli_term_matrix_of_wrong_size_exits_one(tmp_path, capsys):
+    doc = instance_to_dict(get_fixture("idle").instance)
+    doc["terms"][0]["matrix"] = doc["terms"][0]["matrix"][:3]
+    path = tmp_path / "short-term.json"
+    path.write_text(json.dumps(doc))
+    assert "expected 4 matrix entries, got 3" in _cli_error(["verify", str(path)], capsys)
+
+
+def test_cli_mismatch_on_a_one_gate_register_exits_one(tmp_path, capsys):
+    # idle cut to its identity gate: no second gate to move U' mass onto
+    doc = instance_to_dict(get_fixture("idle").instance)
+    doc["gate_set"], doc["gate_register_dim"] = doc["gate_set"][:1], 1
+    path = tmp_path / "one-gate.json"
+    path.write_text(json.dumps(doc))
+    err = _cli_error(["verify", str(path), "--certificate", "0", "--adversary", "MISMATCHED_U"], capsys)
+    assert "gate register of dimension 1 admits no mismatch" in err
 
 
 def test_validation_failure_exit_code_on_lemmas(tmp_path, capsys):

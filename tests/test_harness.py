@@ -41,8 +41,8 @@ def test_config_validation():
         ExperimentConfig("idle", mode="sampled", trials=0).check()
     with pytest.raises(HarnessError):
         ExperimentConfig("idle", workers=0).check()
-    with pytest.raises(ValueError, match="seed"):  # refused when the spec is built
-        ExperimentConfig("idle", adversary=(AdversarySpec(AdversaryKind.MISMATCHED_U, 0.1, seed=-1),)).check()
+    with pytest.raises(ValueError, match="kind"):  # refused when the spec is built
+        ExperimentConfig("idle", adversary=(AdversarySpec("MISMATCHED_U", 0.1),)).check()
 
 
 def test_desk_caps_enforced():

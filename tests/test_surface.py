@@ -5,8 +5,7 @@ of those classes, must be referenced somewhere in the package outside its
 own definition (``__init__``'s re-exports do not count), or be listed below
 with the reason it is public without a caller.  Test-only helpers and
 oracles belong in ``tests/``.  Every sampled verdict comes from a tally
-kernel: outside ``_kernels``, only the seeded adversary choice draws
-uniforms itself.
+kernel: nothing outside ``_kernels`` draws uniforms.
 """
 
 import ast
@@ -90,5 +89,4 @@ def _users(name: str, trees: dict) -> set:
 
 def test_only_tally_kernels_draw_uniforms():
     users = _users("uniforms", _modules())
-    assert {stem for stem, _ in users} == {"_kernels", "witnesses"}
-    assert {top for stem, top in users if stem == "witnesses"} == {"_seeded_index"}
+    assert {stem for stem, _ in users} == {"_kernels"}
