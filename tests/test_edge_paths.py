@@ -174,6 +174,13 @@ def test_cli_instance_without_terms_exits_one(tmp_path, capsys, verb):
     assert err.startswith("error: ") and "Traceback" not in err and "terms" in err
 
 
+def _cli_error(argv, capsys) -> str:
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
 @pytest.mark.parametrize(
     "certificate, message",
     [pytest.param(i, i, id=i) for i in ("99", "6", "-1", "-7")]
@@ -181,16 +188,7 @@ def test_cli_instance_without_terms_exits_one(tmp_path, capsys, verb):
 )
 def test_cli_certificate_index_outside_gate_set_exits_one(capsys, certificate, message):
     # bell-flip has six gates and m = 1; -1 must not silently pick the last one
-    assert cli_main(["verify", "bell-flip", "--mode", "exact", "--certificate", certificate]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err and message in err
-
-
-def _cli_error(argv, capsys) -> str:
-    assert cli_main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    return err
+    assert message in _cli_error(["verify", "bell-flip", "--mode", "exact", "--certificate", certificate], capsys)
 
 
 def test_cli_adversary_magnitude_out_of_range_exits_one(capsys):
