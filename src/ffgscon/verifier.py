@@ -157,16 +157,22 @@ def _label_cdf(probs) -> np.ndarray:
     return np.cumsum(np.clip(np.asarray(probs, dtype=np.float64), 0, 1))
 
 
+def _grid(p):
+    """The nearest multiple of 2**-53 to the double ``p`` (half to even): a uniform's grid, so dust is 0."""
+    return np.round(p * 2**53) * 2**-53
+
+
 def _chain_plan(test_id, stages, lo=None, hi=None) -> BranchPlan:
     """A plan of :func:`ffgscon._kernels.tally_chain`: reject iff ``lo[k] <= u_k < hi[k]`` at every stage k.
 
     ``stages`` names the stage probabilities in order; the reject sum is their product, and the bounds
-    default to ``[0, p_k)``.  A stage of None had no surviving mass and never fires.
+    default to ``[0, p_k)`` with ``p_k`` on the uniform grid (:func:`_grid`).  A stage of None had no
+    surviving mass and never fires.
     """
     probs = [p for _, p in stages]
     reject = 0.0 if any(p is None for p in probs) else math.prod(probs)
     if hi is None:
-        lo, hi = [0.0] * len(probs), [0.0 if p is None else p for p in probs]
+        lo, hi = [0.0] * len(probs), [0.0 if p is None else _grid(float(p)) for p in probs]
     lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
     return _plan(test_id, stages, reject, np.all(_kernels.holds_uniform(lo, hi)), _kernels.tally_chain, lo, hi)
 
@@ -274,7 +280,7 @@ def _boundary_plan(test_id, which, proof: Proof, inst: GsconInstance) -> BranchP
         q = swap_test_reject_prob(data, anchor)
     lo, hi = _kernels.pick_bounds(_label_cdf(probs))
     stages = (("label_prob", p_label), ("swap_reject", q))
-    return _chain_plan(test_id, stages, [lo[target], 0.0], [hi[target], 0.0 if q is None else q])
+    return _chain_plan(test_id, stages, [lo[target], 0.0], [hi[target], 0.0 if q is None else _grid(float(q))])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +294,7 @@ def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
     probs = register_distribution(s, 0)
     two_m = s.dims[0]
     energies = [0.0] * two_m  # per label; 0 where the label has no mass
-    reject_table = np.zeros((two_m, inst.R))  # per label and term: the clamped float expectation
+    reject_table = np.zeros((two_m, inst.R))  # per label and term: the clamped float expectation, gridded below
     for i in range(two_m):
         _, data = conditional_state(s, 0, i)
         if data is not None:
@@ -296,6 +302,7 @@ def _low_plan(proof: Proof, inst: GsconInstance) -> BranchPlan:
             energies[i] = energy_sum(row)
             reject_table[i] = [min(max(float(v), 0.0), 1.0) for v in row]
     reject = sum(p * e for p, e in zip(probs, energies)) / inst.R
+    reject_table = _grid(reject_table)
     live = np.any(_kernels.holds_uniform(0.0, reject_table))
     return _plan(8, (("mean_energy_over_R", reject),), reject, live, _kernels.tally_low, _label_cdf(probs), reject_table)
 

@@ -204,24 +204,35 @@ def counting_philox(monkeypatch):
 
 def test_philox_lanes_per_trial(monkeypatch):
     # one Philox block gives two uniforms, and plans that cannot reject draw
-    # nothing: on honest idle only tests 3 and 5 draw (about 2.1 lanes per
-    # trial); test 2 drawing again needs about 3.1, every plan about 11.1
+    # nothing: every reject argument of honest idle is 0 on the uniform grid,
+    # so no plan is live and the run reads no block (test 3 and 5 dust drew
+    # about 2.1 lanes per trial, test 2 drawing too about 3.1)
     lanes = counting_philox(monkeypatch)
-    trials = 2 * BLOCK_TRIALS
-    run_monte_carlo(ExperimentConfig("idle", mode="sampled", trials=trials))
-    assert sum(lanes) / trials <= 2.5
+    run_monte_carlo(ExperimentConfig("idle", mode="sampled", trials=2 * BLOCK_TRIALS))
+    assert lanes == []
 
 
-# Philox lanes of run_monte_carlo(mode="sampled", trials=200_000, seed=0) per sampled-bulk config
+HONEST = ((200_000, 0),) * 9
+
+# Philox lanes of run_monte_carlo(mode="sampled", trials=200_000, seed=0) per sampled-bulk config, and its
+# (accepts, rejects) of tests 1..8 and the round; the lanes moved when dust reject arguments went to 0 on the
+# uniform grid (idle 425088, bell-flip 416755, bell-stepwise 408471, tilted-target 625088, the two adversarial
+# configs 1216755 and 858636), and the tallies did not
 SAMPLED_BULK_LANES = {
-    "idle": 425_088,
-    "bell-flip": 416_755,
-    "bell-stepwise": 408_471,
-    "tilted-target": 625_088,
-    "blocked-bell": 450_147,
-    "blocked-qubit": 300_144,
-    "bell-flip+WRONG_END+MISMATCHED_U": 1_216_755,
-    "bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY": 858_636,
+    "idle": (0, HONEST),
+    "bell-flip": (0, HONEST),
+    "bell-stepwise": (0, HONEST),
+    "tilted-target": (200_000, HONEST[:6] + ((196_916, 3084),) + HONEST[:2]),
+    "blocked-bell": (450_147, HONEST[:6] + ((175_090, 24_910), (149_853, 50_147), (200_000, 0))),
+    "blocked-qubit": (300_144, HONEST[:7] + ((99_856, 100_144), (200_000, 0))),
+    "bell-flip+WRONG_END+MISMATCHED_U": (1_016_755, (
+        (187_070, 12_930), (187_574, 12_426), (200_000, 0), (200_000, 0), (199_090, 910),
+        (200_000, 0), (194_584, 5416), (200_000, 0), (187_037, 12_963),
+    )),
+    "bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY": (658_636, (
+        (200_000, 0), (200_000, 0), (200_000, 0), (200_000, 0), (199_307, 693),
+        (193_757, 6243), (200_000, 0), (184_668, 15_332), (200_000, 0),
+    )),
 }
 
 
@@ -234,21 +245,22 @@ def test_sampled_bulk_lane_totals_are_pinned(config, monkeypatch):
     ledger = derive_parameters(inst)
     specs = tuple(AdversarySpec(AdversaryKind[k], demo_magnitude(AdversaryKind[k], inst, ledger)) for k in kinds)
     lanes = counting_philox(monkeypatch)
-    run_monte_carlo(ExperimentConfig(name, mode="sampled", trials=200_000, seed=0, adversary=specs))
-    assert sum(lanes) == SAMPLED_BULK_LANES[config]
+    rep = run_monte_carlo(ExperimentConfig(name, mode="sampled", trials=200_000, seed=0, adversary=specs))
+    assert (sum(lanes), tuple((r.accepts, r.rejects) for r in rep.rows)) == SAMPLED_BULK_LANES[config]
 
 
 def test_shots_without_reject_mass_draw_nothing(monkeypatch):
-    # honest idle: tests 1, 4, 6, 7 and 8 have float reject mass 0, test 2 has
-    # no reachable mismatching pair, and the round picks test 1 surely, so
-    # none of their shots reads a Philox block
+    # honest idle: every test's float reject mass is 0 on the uniform grid
+    # (tests 3 and 5 carry double dust below 2**-54), test 2 has no reachable
+    # mismatching pair, and the round picks test 1 surely, so no shot reads a
+    # Philox block
     fx = get_fixture("idle")
     proof = build_witnesses(fx.instance, fx.certificate)
     ledger = derive_parameters(fx.instance)
     run_protocol_round(proof, fx.instance, ledger)  # builds the eight plans
     lanes = counting_philox(monkeypatch)
     for trial in range(50):
-        for i in (1, 2, 4, 6, 7, 8):
+        for i in range(1, 9):
             stream = CounterStream(3, i, trial)
             assert run_test(i, proof, fx.instance, mode=MODE_SAMPLED, stream=stream).verdict == "accept"
         stream = CounterStream(3, STREAM_ROUND, trial)

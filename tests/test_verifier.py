@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from ffgscon import verifier
-from ffgscon._kernels import select
+from ffgscon._kernels import holds_uniform, select
 from ffgscon.fixtures import builtin_instances, get_fixture
 from ffgscon.harness import build_witnesses, demo_magnitude
 from ffgscon.instances import GsconInstance
@@ -703,6 +703,48 @@ def test_unknown_test_id_is_named(test_id):
         with pytest.raises(ValueError, match=f"test id must be one of 1..8, got {test_id!r}"):
             entry(test_id, proof, fx.instance)
     assert proof.plans == {}
+
+
+# ---------------------------------------------------------------------------
+# reject arguments on the uniform grid
+# ---------------------------------------------------------------------------
+
+UNIT_FLOATS = st.one_of(
+    st.floats(0, 1),
+    st.floats(0, 2.0**-1022),  # subnormals
+    st.floats(0, 2.0**-50),  # dust
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-53),  # grid multiples, 0 and 1.0 among them
+    st.sampled_from([2.0**-54, math.nextafter(2.0**-54, 1), 3 * 2.0**-54, 1.0, 1 / 3]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(UNIT_FLOATS)
+def test_grid_moves_a_reject_argument_to_the_nearest_uniform(p):
+    g = verifier._grid(p)
+    assert float(g * 2**53).is_integer()
+    assert abs(g - p) <= 2**-54
+    if p <= 2**-54:
+        assert g == 0
+
+
+def test_grid_keeps_nan_live():
+    g = verifier._grid(math.nan)
+    assert math.isnan(g) and holds_uniform(0.0, g)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("name", ["idle", "bell-flip", "bell-stepwise", "tilted-target"])
+def test_honest_dust_leaves_no_plan_live(name, extended):
+    # double rounding leaves reject dust far below 2**-54 in tests 3, 5 and 7;
+    # on the grid it is 0, so only tilted-target's real end-test mass is live
+    fx = get_fixture(name)
+    proof = honest_proof(fx.instance, fx.certificate, extended=extended)
+    plans = [branch_plan(i, proof, fx.instance) for i in range(1, 9)]
+    assert [p.test_id for p in plans if p.live] == ([7] if name == "tilted-target" else [])
+    if name == "idle" and not extended:
+        # the exact sum keeps its dust; only the kernel argument moved
+        assert plans[4].reject == 1.5407439555097894e-33 and plans[4].args[1][2] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,13 @@ def test_w_cycles_back_after_2m_steps():
     assert np.linalg.norm(diff) <= 1e-9
 
 
+def test_w_refuses_an_assignment_of_the_wrong_length():
+    fx = get_fixture("bell-flip")
+    s = build_honest_S(fx.instance, fx.certificate)
+    with pytest.raises(ValueError, match="assignment must list 2 gates, got 1"):
+        apply_W(fx.instance, (1,), s)
+
+
 def test_w_preserves_norm():
     fx = get_fixture("bell-flip")
     inst = fx.instance
@@ -291,6 +298,15 @@ def test_magnitude_ranges_enforced():
     for kind, mag in cases:
         with pytest.raises(MagnitudeRangeError):
             forge_adversary(base, fx.instance, AdversarySpec(kind, mag))
+
+
+def test_high_energy_refuses_an_instance_that_is_not_frustration_free():
+    # an identity term gives every state energy at least 1, so no zero-energy anchor exists
+    fx = get_fixture("bell-flip")
+    first, *rest = fx.instance.terms
+    inst = replace(fx.instance, terms=(replace(first, matrix=np.eye(len(first.matrix))), *rest))
+    with pytest.raises(MagnitudeRangeError, match="instance is not frustration-free"):
+        forge_adversary(honest_proof(inst, fx.certificate), inst, AdversarySpec(AdversaryKind.HIGH_ENERGY, 0.5))
 
 
 def test_extended_forge_hits_boundary_exactly():
