@@ -14,6 +14,8 @@ document unless explicitly requested, and the worker count never enters it).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -34,7 +36,7 @@ from .witnesses import AdversaryKind, AdversarySpec, Proof, forge_adversary, hon
 
 DESK_CAPS = {"n": 6, "m": 4, "G": 16}
 BLOCK_TRIALS = 1 << 14  # a block's ~16 live uint64 temporaries (128 KiB each) fit a 2 MiB L2
-CSV_HEADER = "# ffgscon-report-csv-v2"
+CSV_HEADER = "# ffgscon-report-csv-v3"
 CSV_COLUMNS = ("section", "id", "name", "mode", "accept", "reject", "trials", "accepts", "rejects", "sigma", "extra")
 
 
@@ -126,7 +128,7 @@ class RunReport:
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         doc = {
-            "format": "ffgscon-report-v2",
+            "format": "ffgscon-report-v3",
             "config": self.config,
             "instance": self.instance_name,
             "ledger": self.ledger,
@@ -142,12 +144,17 @@ class RunReport:
         return json.dumps(self.to_json_dict(include_timings), indent=1, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        """The column-name line, then each row's lines in ``CSV_COLUMNS`` order; a column a line lacks is empty."""
-        lines = [dict(zip(CSV_COLUMNS, CSV_COLUMNS))]
+        """The column-name line, then each row's lines in ``CSV_COLUMNS`` order; a column a line lacks is empty.
+
+        A cell that holds a comma, such as a SMEARED_GATE lemma's ``measured=(x, c)``, is quoted.
+        """
+        out = io.StringIO()
+        out.write(CSV_HEADER + "\n")
+        writer = csv.DictWriter(out, CSV_COLUMNS, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writeheader()
         for row in self.rows + self.lemma_rows:
-            lines.extend(row.csv_cells())
-        body = (",".join(str(cells.get(c, "")) for c in CSV_COLUMNS) for cells in lines)
-        return "\n".join([CSV_HEADER, *body]) + "\n"
+            writer.writerows(row.csv_cells())
+        return out.getvalue()
 
 
 def emit_report(report: RunReport, path: str, fmt: str = "json", *, include_timings: bool = False) -> str:
@@ -280,11 +287,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
         "mode": cfg.mode,
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "adversary": [
-            # "seed" is a v2 field an adversary no longer has; v3 drops it
-            {"kind": sp.kind.value, "magnitude": str(sp.magnitude), "seed": None} for sp in cfg.adversary
-        ],
-        "certificate": list(cfg.certificate) if cfg.certificate is not None else None,
+        "adversary": [{"kind": sp.kind.value, "magnitude": str(sp.magnitude)} for sp in cfg.adversary],
+        "certificate": list(proof.certificate.gates),  # the one the proof encodes, given or not
     }
     report = RunReport(config_echo, name, ledger.as_decimal_dict())
     t_setup = time.perf_counter()

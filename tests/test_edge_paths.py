@@ -1,5 +1,6 @@
 """Edge behaviors: degenerate thresholds, absorbing branches, odd registers."""
 
+import csv
 import json
 import math
 from dataclasses import replace
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from ffgscon.cli import main as cli_main
-from ffgscon.fixtures import get_fixture
-from ffgscon.harness import CSV_HEADER, build_witnesses, run_lemma_suite
+from ffgscon.fixtures import builtin_instances, get_fixture
+from ffgscon.harness import CSV_COLUMNS, CSV_HEADER, build_witnesses, run_lemma_suite
 from ffgscon.instances import (
     GsconInstance,
     HamiltonianTerm,
@@ -118,6 +119,33 @@ def test_cli_file_instance_with_certificate(tmp_path, capsys):
     # with the honest certificate every test row accepts perfectly except test 7's slack
     accepts = {row["test_id"]: row["exact_accept"] for row in doc["tests"] if row["section"] == "test"}
     assert float(accepts[1]) == 1.0 and float(accepts[6]) == 1.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("given", [[], ["--certificate", "3"]], ids=["file", "file-with-certificate"])
+def test_cli_report_echoes_the_certificate_the_proof_encodes(given, tmp_path, capsys):
+    # without --certificate a file instance is verified on the reference (0,)*m; the echo names it
+    fx = get_fixture("bell-flip")
+    path = tmp_path / "bf.json"
+    save_instance(fx.instance, path)
+    assert cli_main(["verify", str(path), *given, "--mode", "exact", "--out", str(tmp_path / "r.json")]) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    rejects = {row["test_id"]: float(row["exact_reject"]) for row in doc["tests"]}
+    assert (doc["config"]["certificate"], rejects[7]) == (([3], 0.0) if given else ([0], pytest.approx(0.25)))
+    assert cli_main(["verify", "bell-flip", "--mode", "exact", "--out", str(tmp_path / "f.json")]) == 0
+    assert json.loads((tmp_path / "f.json").read_text())["config"]["certificate"] == list(fx.certificate.gates)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", [fx.name for fx in builtin_instances()])
+def test_cli_lemmas_csv_lines_have_one_cell_per_column(name, tmp_path, capsys):
+    # a SMEARED_GATE line's measured=(x, c) holds a comma; the cell is quoted, so a CSV reader keeps it whole
+    out = tmp_path / "lemmas.csv"
+    assert cli_main(["lemmas", name, "--out", str(out), "--format", "csv"]) == 0
+    with open(out, newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert header == [CSV_HEADER] and lines[0] == list(CSV_COLUMNS) and len(lines) == 9
+    assert [len(cells) for cells in lines] == [len(CSV_COLUMNS)] * 9
     capsys.readouterr()
 
 

@@ -336,38 +336,38 @@ def test_csv_lines_read_their_cells_by_column_name():
 # sha256 of the default (no timings) report bytes; a deliberate format change
 # bumps the format version and updates these digests in the same change
 REPORT_SHA256 = {
-    "verify idle json": "8e0811bd2176e56320f959dd9d1c3b0c733474a67245980cdb31c14733feb4a2",
-    "verify idle csv": "62ad1d005e84254a68f5440ef6ae7288eff587e4fb68d3c1c8e62cccccfb25ae",
-    "verify bell-flip json": "c94745feb09bc794ade33f1b82be12f5ef3f01cff275d3501976674f3312f39e",
-    "verify bell-flip csv": "80dbd7ce57d7ae8ebda82d7b21c7eefa6b10b9260d8d28baf844202a98b7e621",
-    "verify bell-stepwise json": "31a837a227160faf450b36037b561ef38e3ef9695a60763d71a955c24ac4f20b",
-    "verify bell-stepwise csv": "b5e587f4bb1f9a2ad450522c41d51874abe606bd905f3869f78ddbc5bd618381",
-    "verify tilted-target json": "ed2029548e7913fb3261f6ef5f912bafcb28019e328e69387a91d4ff14c3b616",
-    "verify tilted-target csv": "6bfe66bb48dd5000ea5f439c30dfbe1f38ee2fca826bf725b5ecba82ebf5aaa6",
-    "verify blocked-bell json": "0ff9697c4d13d05e22f1c4b1a373871768cabc55a0fa0009099e670a916992fb",
-    "verify blocked-bell csv": "bedaf99b5ee0b26bd08961e073988e1b6766ad35f99c33df9ec9b37dc9607fb6",
-    "verify blocked-qubit json": "690e4ef93e5e55ca172edd6e546bb202fa5d70a806d9435c43fbd9b11041ebe9",
-    "verify blocked-qubit csv": "382004f30e268cb3323efd7c3e5530fa1ed2abb12f0dc5c0b1e9ff602b1a66e8",
-    "verify bell-flip+WRONG_END+MISMATCHED_U json": "40653a97cbd094c5d10d5c6c34c805ab3c3525e71bc8155979eafef74eaa2e20",
-    "verify bell-flip+WRONG_END+MISMATCHED_U csv": "073df50951b6d21fbe8f3fb3bb50ab9be1edbabaa1b0a6b6261badca35d36e5d",
-    "verify bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY json": "72ea5a19a3409a715433cfded15327e04433d4ec715295f14b2438769cc647a1",
-    "verify bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY csv": "1b757a82a6b13b6353750fd72b1d57dc7384de87e116d64328b357134dccbcc6",
-    "lemmas idle json": "e1bd45f9e3d03989308403f022458abdb8c3263590cb20c34d6477eb1deef477",
-    "lemmas bell-flip json": "97405584cd7b37ea02cf687779466b37b756db74353f723fde5fa1e00e2996fc",
-    "lemmas bell-stepwise json": "bca29148425273b3462eb1974d116f90da8cf4adf9123aee85b0bd1fa2dd04d0",
-    "lemmas tilted-target json": "d68e621ecbb48f5281cc1c3101edb880c8c52f2a9c6906b414a6e1f2dc3c1a20",
-    "lemmas blocked-bell json": "852c2114ac3caada2c69d28107183139cc1e8c7ff8c7a71eb66f6f96723188c6",
-    "lemmas blocked-qubit json": "0e74ace9bf78bcd51d4e5aea9dd505b81735e05dafa63b62304808cfb49ef67d",
-    "lemmas idle csv": "2b8955e93d05d1b3fd4fb3e7ac3edacc52496dcb7085748b41da1f696696b00a",
-    "lemmas bell-flip csv": "e51e080d13e11bbfaf7faa904b99e844f1f58c61fbf037dde00b153e5a053d53",
-    "lemmas bell-stepwise csv": "6d2bb6a463acd07647bacdd8a92338bf9b1bc6c1b7396d46918a05fff7d49fd4",
-    "lemmas tilted-target csv": "04ba0ba25ba88dd710400051a55f7adb736041e60e9bea4da0d740e1cfd77e40",
-    "lemmas blocked-bell csv": "788448c0e73198f44b33eb5c35d1bf4fbd579189a34b67bc5c2ef89c76f1deee",
-    "lemmas blocked-qubit csv": "6cc734019331fbeb00a268ffc3fca8ed297c6ca42afafa4fa4943c23c03b6fbf",
-    "verify idle --mode exact json": "161349c78e004050a2b08a6748fb54150ecc480d2a6072606ff845c2c4f44648",
-    "verify idle --mode exact csv": "9d4792b0acd1c91c15af868acc18502327f00d1542cd99aa63b1848728850501",
-    "verify idle --mode sampled --trials 1 --seed 3 json": "a8e333f76ef1b3c5502cb749b52c51f8afd1c0310681ebc1ec77968d9d86d7b7",
-    "verify idle --mode sampled --trials 1 --seed 3 csv": "fabc4b5c9f5bc0119336217726437a48f1d274efad90cf861486c3444b1f467d",
+    "verify idle json": "7b8d7fc30327c716c357bc791237085f027715645c4ae3ae8f73c5a362e111ac",
+    "verify idle csv": "ca39d79333246564f915157e9012a5cf6e204d92129f472ca024fd2a0254d403",
+    "verify bell-flip json": "a79f6ad648124cd8b527235edcaa6d36495ca168f3f4edeab325b1e04980fea1",
+    "verify bell-flip csv": "556e7c1fb262fa3205e2c77803f4ce8eed9293ec4dcde17b6cb875d091afb3c1",
+    "verify bell-stepwise json": "e87539fc24d5b9d72aef5f696fe4aa846f901bdee46ffa38d9634c084d05ff6d",
+    "verify bell-stepwise csv": "924e62b5f8a6664a0046395adefbe19059745db6d20d805cd3b28f1967b20ef9",
+    "verify tilted-target json": "0e6df53e770f35de42ead37510b35d27a15941e782a3dbd9d6eaafdfee4f5405",
+    "verify tilted-target csv": "58ba79fe4ce5ea44924c2cbf640acd3f0199d8a2d6c199565bdd713ff7f8d804",
+    "verify blocked-bell json": "551d6ddd29096c8c89778830086f02da9900a466499987e785c1833759a711da",
+    "verify blocked-bell csv": "9d5f23584be6c16685ae672f6ec549624d1cd0fd946337740e2052e157bdfca2",
+    "verify blocked-qubit json": "64d125620a1948b7530136db56c85eaf487b6c28e82f75d5c67d78610880f21f",
+    "verify blocked-qubit csv": "0e70876e9ce36fe12ae96a071bec77e6cd079a95e323f6b370ecc686147223d9",
+    "verify bell-flip+WRONG_END+MISMATCHED_U json": "775afafd28951409a323f6028a6962b70edf5a93c9b598fd347f6bc3534dd704",
+    "verify bell-flip+WRONG_END+MISMATCHED_U csv": "833f390b0f374fdc5bef1d5f2cc71e93ed4f96353536f82cad6e9396b10ff2b1",
+    "verify bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY json": "dc6ba3ba3b837cb6bc3c0ef3799737f5ecd2a21e8b77d8682c42eade494b1191",
+    "verify bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY csv": "1f564b8ad361cbf8171a5fbaacb9249d422a7b1a66957f932190c3d505ea2136",
+    "lemmas idle json": "934bf76a8391dad391b75ae339a7b0eb547799e09c58a5b19feea3eac8ffd896",
+    "lemmas bell-flip json": "9660918e1af914a4bcb50ccbc14fe5a6c510c8567c649d5993835167a03ca411",
+    "lemmas bell-stepwise json": "6de230e17792cfe8310d541332a53e6e29416e434377e6dae6e1d18a62a0a186",
+    "lemmas tilted-target json": "fae959b053e11a0f398c70ee876a8ea770eb2308bac02edadb0022a8fcda078e",
+    "lemmas blocked-bell json": "f800813ca0d5f3e5e41f20f00f4f969fa0e9b2e1169b8d596da756783dea0d29",
+    "lemmas blocked-qubit json": "26fc8eff40a6aa2e0d991221beb78aacd0f8c7b754b51602ee6852e47b43face",
+    "lemmas idle csv": "096d0e8a567ba1865cd45acde8dae048d1ff41b21ff0bf100c87130e0537c71d",
+    "lemmas bell-flip csv": "4aae4942fb5ef93f3933b2a748da26cef5ee4f478ffee7f3d4162e1ff15031dd",
+    "lemmas bell-stepwise csv": "730cff42e641ce834ab4413a385c9739dfd1680bce32fe77a82b4559d5867a0d",
+    "lemmas tilted-target csv": "20b85ccb8d97f2241a40ceb6c901c98f3614b527faf1fca1fdfde1d91a5308db",
+    "lemmas blocked-bell csv": "d75911f562993ba58b501275eb7e301816df8e2a48ded0771a151f1c71ed425e",
+    "lemmas blocked-qubit csv": "1e42435d822a2008c3a99c36f0f6c08c3cf06cb12e9bf48f9c56ef99ea78e89a",
+    "verify idle --mode exact json": "bb372bc94da1c4a4ecf3ae9f04f929213764453453b4ee29a440235039a4ffd8",
+    "verify idle --mode exact csv": "aff9177151b511f520ce509a004a120e79d52a765bd97bbb28f65f6984618e17",
+    "verify idle --mode sampled --trials 1 --seed 3 json": "4c083605d21a0f26cb34df21cbacf53af39183eb1a20143093f464918159d5fd",
+    "verify idle --mode sampled --trials 1 --seed 3 csv": "b11a4c9d560c660b8bfc29f1ed3341b60cb2df77c46c72e8da159cb84d4189e8",
 }
 
 
