@@ -122,16 +122,15 @@ def test_cli_file_instance_with_certificate(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("given", [[], ["--certificate", "3"]], ids=["file", "file-with-certificate"])
-def test_cli_report_echoes_the_certificate_the_proof_encodes(given, tmp_path, capsys):
+def test_cli_report_echoes_the_certificate_the_proof_encodes(tmp_path, capsys):
     # without --certificate a file instance is verified on the reference (0,)*m; the echo names it
     fx = get_fixture("bell-flip")
     path = tmp_path / "bf.json"
     save_instance(fx.instance, path)
-    assert cli_main(["verify", str(path), *given, "--mode", "exact", "--out", str(tmp_path / "r.json")]) == 0
+    assert cli_main(["verify", str(path), "--mode", "exact", "--out", str(tmp_path / "r.json")]) == 0
     doc = json.loads((tmp_path / "r.json").read_text())
     rejects = {row["test_id"]: float(row["exact_reject"]) for row in doc["tests"]}
-    assert (doc["config"]["certificate"], rejects[7]) == (([3], 0.0) if given else ([0], pytest.approx(0.25)))
+    assert doc["config"]["certificate"] == [0] and rejects[7] == pytest.approx(0.25)
     assert cli_main(["verify", "bell-flip", "--mode", "exact", "--out", str(tmp_path / "f.json")]) == 0
     assert json.loads((tmp_path / "f.json").read_text())["config"]["certificate"] == list(fx.certificate.gates)
     capsys.readouterr()

@@ -203,43 +203,40 @@ def counting_philox(monkeypatch):
 
 
 def test_philox_lanes_per_trial(monkeypatch):
-    # one Philox block gives two uniforms, and plans that cannot reject draw
-    # nothing: every reject argument of honest idle is 0 on the uniform grid,
-    # so no plan is live and the run reads no block (test 3 and 5 dust drew
-    # about 2.1 lanes per trial, test 2 drawing too about 3.1)
+    # plans that cannot reject draw nothing, and every reject argument of
+    # honest idle is 0 on the uniform grid (tests 3 and 5 hold double dust),
+    # so no plan is live and the run reads no Philox block
     lanes = counting_philox(monkeypatch)
     run_monte_carlo(ExperimentConfig("idle", mode="sampled", trials=2 * BLOCK_TRIALS))
     assert lanes == []
 
 
-HONEST = ((200_000, 0),) * 9
+NONE = (200_000, 0)  # every trial accepted
 
 # Philox lanes of run_monte_carlo(mode="sampled", trials=200_000, seed=0) per sampled-bulk config, and its
-# (accepts, rejects) of tests 1..8 and the round; the lanes moved when dust reject arguments went to 0 on the
-# uniform grid (idle 425088, bell-flip 416755, bell-stepwise 408471, tilted-target 625088, the two adversarial
-# configs 1216755 and 858636), and the tallies did not
+# (accepts, rejects) of tests 1..8 and the round
 SAMPLED_BULK_LANES = {
-    "idle": (0, HONEST),
-    "bell-flip": (0, HONEST),
-    "bell-stepwise": (0, HONEST),
-    "tilted-target": (200_000, HONEST[:6] + ((196_916, 3084),) + HONEST[:2]),
-    "blocked-bell": (450_147, HONEST[:6] + ((175_090, 24_910), (149_853, 50_147), (200_000, 0))),
-    "blocked-qubit": (300_144, HONEST[:7] + ((99_856, 100_144), (200_000, 0))),
+    "idle": (0, (NONE,) * 9),
+    "bell-flip": (0, (NONE,) * 9),
+    "bell-stepwise": (0, (NONE,) * 9),
+    "tilted-target": (200_000, (NONE,) * 6 + ((196_916, 3084), NONE, NONE)),
+    "blocked-bell": (450_147, (NONE,) * 6 + ((175_090, 24_910), (149_853, 50_147), NONE)),
+    "blocked-qubit": (300_144, (NONE,) * 7 + ((99_856, 100_144), NONE)),
     "bell-flip+WRONG_END+MISMATCHED_U": (1_016_755, (
-        (187_070, 12_930), (187_574, 12_426), (200_000, 0), (200_000, 0), (199_090, 910),
-        (200_000, 0), (194_584, 5416), (200_000, 0), (187_037, 12_963),
+        (187_070, 12_930), (187_574, 12_426), NONE, NONE, (199_090, 910),
+        NONE, (194_584, 5416), NONE, (187_037, 12_963),
     )),
     "bell-stepwise+BROKEN_SEQUENCE+HIGH_ENERGY": (658_636, (
-        (200_000, 0), (200_000, 0), (200_000, 0), (200_000, 0), (199_307, 693),
-        (193_757, 6243), (200_000, 0), (184_668, 15_332), (200_000, 0),
+        NONE, NONE, NONE, NONE, (199_307, 693),
+        (193_757, 6243), NONE, (184_668, 15_332), NONE,
     )),
 }
 
 
 @pytest.mark.parametrize("config", SAMPLED_BULK_LANES)
 def test_sampled_bulk_lane_totals_are_pinned(config, monkeypatch):
-    # a kernel or plan change that keeps every tally's bits keeps these totals;
-    # each adversary runs at its kind's demo magnitude
+    # a kernel or plan change that keeps every tally's bits keeps these totals
+    # and tallies; each adversary runs at its kind's demo magnitude
     name, *kinds = config.split("+")
     inst = get_fixture(name).instance
     ledger = derive_parameters(inst)
