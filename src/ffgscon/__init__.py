@@ -10,8 +10,8 @@ and soundness margins empirically on built-in fixtures.
 from .instances import (
     GsconInstance,
     HamiltonianTerm,
-    TraversalCertificate,
     energy_of,
+    gate_indices,
     load_instance,
     prepare_state_from_circuit,
     save_instance,

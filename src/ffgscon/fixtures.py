@@ -18,12 +18,12 @@ from .instances import (
     ENERGY_FLOOR,
     GsconInstance,
     HamiltonianTerm,
-    TraversalCertificate,
     energy_of,
     gate_cnot,
     gate_givens00_11,
     gate_h,
     gate_i,
+    gate_indices,
     gate_ry,
     gate_x,
     gate_xx,
@@ -40,7 +40,7 @@ PROMISE_TOL = 1e-9  # slack for replayed-certificate and brute-force comparisons
 class Fixture:
     name: str
     instance: GsconInstance
-    certificate: TraversalCertificate | None  # None marks a NO fixture
+    certificate: tuple[int, ...] | None  # None marks a NO fixture
     note: str = ""
 
     @property
@@ -67,7 +67,7 @@ def _fixture_idle() -> Fixture:
         phi_circuit=(),
         gate_set=(gate_i(0), gate_x(0), gate_h(0), gate_z(0)),
     )
-    return Fixture("idle", inst, TraversalCertificate((0,)), "m=1 with psi=phi; the identity certificate")
+    return Fixture("idle", inst, (0,), "m=1 with psi=phi; the identity certificate")
 
 
 def _fixture_bell_flip() -> Fixture:
@@ -88,7 +88,7 @@ def _fixture_bell_flip() -> Fixture:
         phi_circuit=(gate_x(0), gate_x(1)),
         gate_set=gate_set,
     )
-    return Fixture("bell-flip", inst, TraversalCertificate((3,)), "|00> -> |11> in one two-qubit flip")
+    return Fixture("bell-flip", inst, (3,), "|00> -> |11> in one two-qubit flip")
 
 
 def _fixture_bell_stepwise() -> Fixture:
@@ -117,12 +117,7 @@ def _fixture_bell_stepwise() -> Fixture:
         phi_circuit=(gate_x(0), gate_x(1)),
         gate_set=gate_set,
     )
-    return Fixture(
-        "bell-stepwise",
-        inst,
-        TraversalCertificate((0, 0)),
-        "|00> -> |11> through the entangled midpoint, two quarter turns",
-    )
+    return Fixture("bell-stepwise", inst, (0, 0), "|00> -> |11> through the entangled midpoint, two quarter turns")
 
 
 def _fixture_tilted_target() -> Fixture:
@@ -142,12 +137,7 @@ def _fixture_tilted_target() -> Fixture:
         phi_circuit=(gate_ry(2 * a, 0),),
         gate_set=gate_set,
     )
-    return Fixture(
-        "tilted-target",
-        inst,
-        TraversalCertificate((0,)),
-        "honest endpoint sits exactly eta3 away from the target state",
-    )
+    return Fixture("tilted-target", inst, (0,), "honest endpoint sits exactly eta3 away from the target state")
 
 
 def _fixture_blocked_bell() -> Fixture:
@@ -218,14 +208,13 @@ class CertificateReplay:
     ok: bool
 
 
-def verify_certificate(inst: GsconInstance, cert: TraversalCertificate) -> CertificateReplay:
-    """Replay a certificate through the exact energy and distance checks."""
-    if len(cert.gates) != inst.m:
-        raise ValueError(f"certificate length {len(cert.gates)} != m = {inst.m}")
+def verify_certificate(inst: GsconInstance, cert: tuple[int, ...]) -> CertificateReplay:
+    """Replay a checked certificate through the exact energy and distance checks."""
+    cert = gate_indices(inst, cert)
     state = prepare_state_from_circuit(inst, "psi")
     phi = prepare_state_from_circuit(inst, "phi")
     worst = 0.0
-    for idx in cert.gates:
+    for idx in cert:
         state = apply_local_gate(state, inst.gate_set[idx], 0)
         worst = max(worst, energy_of(inst, state))
     dist = phase_optimized_distance(state, phi)

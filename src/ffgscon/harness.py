@@ -27,7 +27,7 @@ import mpmath
 import numpy as np
 
 from .fixtures import builtin_instances, get_fixture, verify_certificate
-from .instances import GsconInstance, TraversalCertificate, load_instance, validate_instance
+from .instances import GsconInstance, load_instance, validate_instance
 from .ledger import LEDGER_DPS, ParameterLedger, derive_parameters
 from .rng import STREAM_ROUND
 from .states import precision
@@ -178,15 +178,13 @@ def resolve_instance(source: str, certificate=None):
     """(instance, certificate-or-None, display name) from a fixture name or file path."""
     try:
         fx = get_fixture(source)
-        cert = TraversalCertificate(certificate) if certificate is not None else fx.certificate
-        return fx.instance, cert, fx.name
+        return fx.instance, certificate if certificate is not None else fx.certificate, fx.name
     except KeyError:
         pass
     if os.path.exists(source):
         inst = load_instance(source)
         enforce_desk_caps(inst)
-        cert = TraversalCertificate(certificate) if certificate is not None else None
-        return inst, cert, os.path.basename(source)
+        return inst, certificate, os.path.basename(source)
     raise HarnessError(
         f"{source!r} is neither a built-in fixture ({[f.name for f in builtin_instances()]}) nor a file"
     )
@@ -288,7 +286,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> RunReport:
         "trials": cfg.trials,
         "seed": cfg.seed,
         "adversary": [{"kind": sp.kind.value, "magnitude": str(sp.magnitude)} for sp in cfg.adversary],
-        "certificate": list(proof.certificate.gates),  # the one the proof encodes, given or not
+        "certificate": list(proof.certificate),  # the one the proof encodes, given or not
     }
     report = RunReport(config_echo, name, ledger.as_decimal_dict())
     t_setup = time.perf_counter()
@@ -363,7 +361,7 @@ def demo_magnitude(kind: AdversaryKind, inst: GsconInstance, ledger: ParameterLe
     }[kind]
 
 
-def run_lemma_suite(inst: GsconInstance, cert: TraversalCertificate | None = None, name: str = "") -> RunReport:
+def run_lemma_suite(inst: GsconInstance, cert: tuple[int, ...] | None = None, name: str = "") -> RunReport:
     """For each threshold, plant its boundary adversary and check the margin.
 
     Every row plants its adversary on one shared extended-precision honest

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,16 +80,6 @@ class HamiltonianTerm:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-
-@dataclass(frozen=True)
-class TraversalCertificate:
-    """A claimed YES witness: gate-set indices for the m traversal steps."""
-
-    gates: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(int(g) for g in self.gates))
 
 
 @dataclass(frozen=True)
@@ -276,8 +267,30 @@ def prepare_state_from_circuit(inst: GsconInstance, which: str) -> RegisteredSta
 
 
 # ---------------------------------------------------------------------------
-# adjoint bookkeeping for the gate set
+# gate sequences and adjoint bookkeeping for the gate set
 # ---------------------------------------------------------------------------
+
+
+def gate_indices(inst: GsconInstance, gates, *, doubled: bool = False) -> tuple[int, ...]:
+    """``gates`` as Python ints: a certificate's m gate-set indices, or with ``doubled`` U's 2m.
+
+    The one check of a gate sequence.  A wrong length, an entry that is not an
+    integer (a string or float is not coerced; ``True`` reads as 1) and an
+    index outside the gate set are each refused with a ValueError naming it.
+    """
+    what, length_name, length = ("assignment", "2m", 2 * inst.m) if doubled else ("certificate", "m", inst.m)
+    if len(gates) != length:
+        raise ValueError(f"{what} length {len(gates)} != {length_name} = {length}")
+    checked = []
+    for pos, entry in enumerate(gates):
+        try:
+            idx = operator.index(entry)
+        except TypeError:
+            raise ValueError(f"{what} entry {pos} is {entry!r}, not a gate index") from None
+        if idx not in range(len(inst.gate_set)):
+            raise ValueError(f"{what} gate index {idx} outside the gate set 0..{len(inst.gate_set) - 1}")
+        checked.append(idx)
+    return tuple(checked)
 
 
 def adjoint_index(gate_set, idx: int) -> int | None:

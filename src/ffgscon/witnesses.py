@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .instances import GsconInstance, TraversalCertificate, adjoint_index, dense_hamiltonian, energy_of, prepare_state_from_circuit
+from .instances import GsconInstance, adjoint_index, dense_hamiltonian, energy_of, gate_indices, prepare_state_from_circuit
 from .states import (
     RegisteredState,
     ShapeMismatchError,
@@ -110,7 +110,7 @@ class Proof:
 
     U and U' are label/gate states on layout (2m, G); S and S' are label/data
     states on layout (2m, 2, ..., 2).  All four are double or all four are
-    extended.  ``certificate`` is the traversal certificate the honest parts
+    extended.  ``certificate`` is the tuple of gate indices the honest parts
     encode; a proof built directly from states records None, and
     :func:`forge_adversary` refuses it as a base.  A
     forged proof also carries the :class:`AdversarySpec` it plants and the
@@ -124,7 +124,7 @@ class Proof:
     u_prime: RegisteredState
     s: RegisteredState
     s_prime: RegisteredState
-    certificate: TraversalCertificate | None = None
+    certificate: tuple[int, ...] | None = None
     spec: AdversarySpec | None = None
     measured_deviation: object = None
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -147,25 +147,21 @@ class Proof:
 # ---------------------------------------------------------------------------
 
 
-def honest_gate_assignment(inst: GsconInstance, cert: TraversalCertificate) -> tuple[int, ...]:
-    """The 2m gate indices: the certificate, then its reversed adjoints."""
-    if len(cert.gates) != inst.m:
-        raise ValueError(f"certificate length {len(cert.gates)} != m = {inst.m}")
-    for idx in cert.gates:
-        if idx not in range(len(inst.gate_set)):
-            raise ValueError(f"certificate gate index {idx} outside the gate set 0..{len(inst.gate_set) - 1}")
+def honest_gate_assignment(inst: GsconInstance, cert: tuple[int, ...]) -> tuple[int, ...]:
+    """The 2m gate indices: the checked certificate, then its reversed adjoints."""
+    cert = gate_indices(inst, cert)
     back = []
-    for idx in reversed(cert.gates):
+    for idx in reversed(cert):
         adj = adjoint_index(inst.gate_set, idx)
         if adj is None:
             raise GateSetNotClosedError(
                 f"gate set has no adjoint for gate {idx} ({inst.gate_set[idx].name!r}); extend the set first"
             )
         back.append(adj)
-    return tuple(cert.gates) + tuple(back)
+    return cert + tuple(back)
 
 
-def build_honest_U(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> RegisteredState:
+def build_honest_U(inst: GsconInstance, cert: tuple[int, ...], *, extended: bool = False) -> RegisteredState:
     """The label/gate state: label i holds gate i of the honest assignment, at amplitude 1/sqrt(2m)."""
     assignment = honest_gate_assignment(inst, cert)
     two_m = 2 * inst.m
@@ -177,7 +173,7 @@ def build_honest_U(inst: GsconInstance, cert: TraversalCertificate, *, extended:
     return RegisteredState(amps)
 
 
-def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended: bool = False) -> RegisteredState:
+def build_honest_S(inst: GsconInstance, cert: tuple[int, ...], *, extended: bool = False) -> RegisteredState:
     """The cyclic chain psi_1, ..., psi_2m threaded by the honest gates, at amplitude 1/sqrt(2m) per label."""
     with precision(extended) as num:
         chain = [prepare_state_from_circuit(inst, "psi")]
@@ -187,19 +183,14 @@ def build_honest_S(inst: GsconInstance, cert: TraversalCertificate, *, extended:
         return RegisteredState(np.stack([psi.amplitudes * amp for psi in chain]))
 
 
-def reference_certificate(inst: GsconInstance, cert: TraversalCertificate | None) -> TraversalCertificate:
-    """The certificate if given, else an arbitrary fixed assignment.
+def honest_proof(inst: GsconInstance, cert: tuple[int, ...] | None, *, extended: bool = False) -> Proof:
+    """U' = U and S' = S, built on the checked certificate, which the proof records.
 
-    :func:`honest_proof` builds on it, so an instance without a certificate
-    still gets a well-formed base to forge on; the deviations the
+    Without a certificate it builds on the fixed ``(0,) * m``, so such an
+    instance still gets a well-formed base to forge on; the deviations the
     adversaries plant do not rely on the base being a YES witness.
     """
-    return cert if cert is not None else TraversalCertificate((0,) * inst.m)
-
-
-def honest_proof(inst: GsconInstance, cert: TraversalCertificate | None, *, extended: bool = False) -> Proof:
-    """U' = U and S' = S, built on the reference certificate, which the proof records."""
-    cert = reference_certificate(inst, cert)
+    cert = gate_indices(inst, cert if cert is not None else (0,) * inst.m)
     u = build_honest_U(inst, cert, extended=extended)
     s = build_honest_S(inst, cert, extended=extended)
     return Proof(u, u, s, s, cert)
@@ -207,9 +198,7 @@ def honest_proof(inst: GsconInstance, cert: TraversalCertificate | None, *, exte
 
 def apply_W(inst: GsconInstance, assignment, s: RegisteredState) -> RegisteredState:
     """The shift-and-gate unitary on a label/data state: |i>|x> -> |i+1> U_i|x>, cyclically."""
-    two_m = 2 * inst.m
-    if len(assignment) != two_m:
-        raise ValueError(f"assignment must list {two_m} gates, got {len(assignment)}")
+    assignment = gate_indices(inst, assignment, doubled=True)
     moved = [
         apply_local_gate(RegisteredState(piece, check=False), inst.gate_set[idx], 0).amplitudes
         for piece, idx in zip(s.amplitudes, assignment)

@@ -80,11 +80,7 @@ def test_criterion_3_w_invariance_and_cycle_identity():
     with criterion(3, "honest sequences are fixed points of the shift-and-gate unitary; the gate cycle composes to 1"):
         for fx in FIXTURES:
             inst = fx.instance
-            cert = fx.certificate
-            if cert is None:
-                from ffgscon.witnesses import reference_certificate
-
-                cert = reference_certificate(inst, None)
+            cert = fx.certificate if fx.certificate is not None else (0,) * inst.m
             assignment = honest_gate_assignment(inst, cert)
             s = build_honest_S(inst, cert)
             moved = apply_W(inst, assignment, s)

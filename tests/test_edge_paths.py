@@ -132,7 +132,7 @@ def test_cli_report_echoes_the_certificate_the_proof_encodes(tmp_path, capsys):
     rejects = {row["test_id"]: float(row["exact_reject"]) for row in doc["tests"]}
     assert doc["config"]["certificate"] == [0] and rejects[7] == pytest.approx(0.25)
     assert cli_main(["verify", "bell-flip", "--mode", "exact", "--out", str(tmp_path / "f.json")]) == 0
-    assert json.loads((tmp_path / "f.json").read_text())["config"]["certificate"] == list(fx.certificate.gates)
+    assert json.loads((tmp_path / "f.json").read_text())["config"]["certificate"] == list(fx.certificate)
     capsys.readouterr()
 
 
@@ -229,6 +229,16 @@ def test_cli_term_matrix_of_wrong_size_exits_one(tmp_path, capsys):
     path = tmp_path / "short-term.json"
     path.write_text(json.dumps(doc))
     assert "expected 4 matrix entries, got 3" in _cli_error(["verify", str(path)], capsys)
+
+
+def test_cli_three_target_gate_exits_one(tmp_path, capsys):
+    doc = instance_to_dict(get_fixture("idle").instance)
+    doc["gate_set"].append(
+        {"name": "I3", "targets": [0, 1, 2], "matrix": [["1.0" if r == c else "0.0", "0.0"] for r in range(8) for c in range(8)]}
+    )
+    path = tmp_path / "three-target.json"
+    path.write_text(json.dumps(doc))
+    assert "targets must be 1 or 2 distinct qubit indices, got (0, 1, 2)" in _cli_error(["validate", str(path)], capsys)
 
 
 def test_cli_mismatch_on_a_one_gate_register_exits_one(tmp_path, capsys):

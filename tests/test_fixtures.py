@@ -1,9 +1,12 @@
 """Built-in fixtures: label certification."""
 
+import re
+
 import pytest
 
 from ffgscon.fixtures import PROMISE_TOL, builtin_instances, get_fixture, verify_certificate
 from ffgscon.instances import validate_instance
+from ffgscon.witnesses import honest_gate_assignment
 
 from oracles import brute_force_no_check
 
@@ -38,6 +41,23 @@ def test_tilted_target_endpoint_distance_is_exactly_eta3():
     fx = get_fixture("tilted-target")
     replay = verify_certificate(fx.instance, fx.certificate)
     assert abs(replay.final_distance - fx.instance.eta3) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "cert, message",
+    [
+        pytest.param((-3,), "certificate gate index -3 outside the gate set 0..5", id="-3"),  # not gate 3 (XX)
+        pytest.param((6,), "certificate gate index 6 outside the gate set 0..5", id="6"),
+        pytest.param(("3",), "certificate entry 0 is '3', not a gate index", id="str"),
+        pytest.param((2.9,), "certificate entry 0 is 2.9, not a gate index", id="float"),
+        pytest.param((3, 3), "certificate length 2 != m = 1", id="length"),
+    ],
+)
+def test_replay_refuses_what_the_honest_builders_refuse(cert, message):
+    fx = get_fixture("bell-flip")
+    for check in (verify_certificate, honest_gate_assignment):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(fx.instance, cert)
 
 
 def test_no_fixtures_certified_by_exhaustion():

@@ -85,9 +85,15 @@ def test_resolve_instance_paths(tmp_path):
     loaded, cert2, name2 = resolve_instance(str(path))
     assert cert2 is None and name2 == "inst.json" and loaded.n == inst.n
     _, cert3, _ = resolve_instance(str(path), certificate=(3,))
-    assert cert3.gates == (3,)
+    assert cert3 == (3,)
     with pytest.raises(HarnessError):
         resolve_instance("no-such-thing")
+
+
+def test_config_echo_writes_a_numpy_certificate_as_ints():
+    rep = run_monte_carlo(ExperimentConfig("bell-flip", mode="exact", certificate=(np.int64(3),)))
+    assert rep.config["certificate"] == [3]
+    assert json.loads(rep.to_json())["config"]["certificate"] == [3]
 
 
 def test_exact_mode_report_contents():

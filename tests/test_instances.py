@@ -15,6 +15,7 @@ from ffgscon.instances import (
     gate_cnot,
     gate_h,
     gate_i,
+    gate_indices,
     gate_ry,
     gate_x,
     gate_y,
@@ -105,6 +106,20 @@ def test_energy_basics():
     assert energy_of(inst, zero) <= 1e-10
     assert abs(energy_of(inst, one) - 1.0) < 1e-12
     assert abs(energy_of(inst, plus) - 0.5) < 1e-12
+
+
+def test_energy_refuses_an_imaginary_expectation():
+    # a term that is not hermitian: <+|[[0, i], [0, 0]]|+> = i/2
+    inst = single_qubit_instance(terms=(HamiltonianTerm(np.array([[0, 1j], [0, 0]]), (0,)),))
+    with pytest.raises(ValueError, match="energy acquired imaginary residue 5.000e-01"):
+        energy_of(inst, normalized([1, 1]))
+
+
+def test_gate_indices_read_true_as_one_and_refuse_a_float():
+    inst = get_fixture("bell-flip").instance
+    assert gate_indices(inst, (True,)) == (1,)
+    with pytest.raises(ValueError, match="assignment entry 1 is 0.0, not a gate index"):
+        gate_indices(inst, (0, 0.0), doubled=True)
 
 
 def test_energy_matches_dense_hamiltonian():

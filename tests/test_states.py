@@ -177,6 +177,10 @@ def test_apply_gate_target_errors():
     for bad in (2, np.nan, np.inf):  # NaN > eps is false: a NaN gate used to pass as unitary
         with pytest.raises(NotUnitaryError):
             LocalGate("bad", np.array([[1, 0], [0, bad]]), (0,))
+    with pytest.raises(ValueError, match=r"targets must be 1 or 2 distinct qubit indices, got \(0, 1, 2\)"):
+        LocalGate("CCX", np.eye(8), (0, 1, 2))
+    with pytest.raises(ValueError, match=r"matrix shape \(4, 4\) does not match 1 target\(s\)"):
+        LocalGate("XX", np.eye(4), (0,))
 
 
 def test_project_onto_basis_and_uniform():
@@ -215,6 +219,8 @@ def test_projection_deficit_matches_complement():
     v = uniform_vector(4)
     p, _ = project_onto(s, 0, v)
     assert abs((1.0 - p) - projection_deficit(s, 0, v)) < 1e-12
+    with pytest.raises(ShapeMismatchError, match="target vector does not match register dimension"):
+        projection_deficit(s, 0, uniform_vector(3))
 
 
 def test_register_distribution_and_conditional():

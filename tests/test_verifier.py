@@ -625,6 +625,15 @@ def test_proof_refuses_mixed_precision(field):
         replace(ext, **{field: getattr(f64, field)})
 
 
+def test_energy_test_refuses_a_sequence_of_the_wrong_data_layout():
+    # S on (2m, 4) rather than (2m, 2, 2): the data register is not n qubits
+    fx = get_fixture("bell-flip")
+    h = honest_proof(fx.instance, fx.certificate)
+    s = RegisteredState(h.s.amplitudes.reshape(2, 4))
+    with pytest.raises(ValueError, match=r"expected a 2-qubit data state, got layout \(4,\)"):
+        run_test(8, Proof(h.u, h.u, s, s), fx.instance)
+
+
 EXTENDED_AGREEMENT = 1e-13  # absolute, on every test's reject sum, for every proof below
 
 

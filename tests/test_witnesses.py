@@ -12,7 +12,6 @@ from ffgscon.harness import build_witnesses
 from ffgscon.instances import (
     GsconInstance,
     HamiltonianTerm,
-    TraversalCertificate,
     energy_of,
     gate_cnot,
     gate_h,
@@ -35,7 +34,6 @@ from ffgscon.witnesses import (
     forge_adversary,
     honest_gate_assignment,
     honest_proof,
-    reference_certificate,
 )
 
 from oracles import norm_sq, normalized
@@ -61,20 +59,20 @@ def two_qubit_instance():
 def test_assignment_reverses_adjoints():
     # m=2 with certificate (H, CNOT): back half is (CNOT, H), both self-adjoint
     inst = two_qubit_instance()
-    assignment = honest_gate_assignment(inst, TraversalCertificate((0, 1)))
+    assignment = honest_gate_assignment(inst, (0, 1))
     assert assignment == (0, 1, 1, 0)
 
 
 def test_assignment_self_adjoint_m1():
     fx = get_fixture("idle")
     x_idx = 1  # gate X in the idle gate set
-    assignment = honest_gate_assignment(fx.instance, TraversalCertificate((x_idx,)))
+    assignment = honest_gate_assignment(fx.instance, (x_idx,))
     assert assignment == (x_idx, x_idx)
 
 
 def test_assignment_uses_paired_adjoints():
     fx = get_fixture("tilted-target")  # gate 0 = RY(2b), gate 1 = RY(-2b)
-    assignment = honest_gate_assignment(fx.instance, TraversalCertificate((0,)))
+    assignment = honest_gate_assignment(fx.instance, (0,))
     assert assignment == (0, 1)
 
 
@@ -85,12 +83,12 @@ def test_assignment_requires_closure():
            "gate_set": (gate_ry(0.3, 0), gate_ry(0.7, 0))}
     )
     with pytest.raises(GateSetNotClosedError):
-        honest_gate_assignment(open_inst, TraversalCertificate((0, 1)))
+        honest_gate_assignment(open_inst, (0, 1))
 
 
 def test_honest_u_m1_self_adjoint_gate():
     fx = get_fixture("idle")
-    u = build_honest_U(fx.instance, TraversalCertificate((1,)))  # cert [X]
+    u = build_honest_U(fx.instance, (1,))  # cert [X]
     t = np.asarray(u.amplitudes, complex)
     assert abs(t[0, 1] - S2) < 1e-15 and abs(t[1, 1] - S2) < 1e-15
     assert np.count_nonzero(t) == 2
@@ -98,7 +96,7 @@ def test_honest_u_m1_self_adjoint_gate():
 
 def test_honest_u_label_marginals_uniform():
     for fx in builtin_instances():
-        cert = reference_certificate(fx.instance, fx.certificate)
+        cert = fx.certificate if fx.certificate is not None else (0,) * fx.instance.m
         u = build_honest_U(fx.instance, cert)
         probs = np.asarray(np.abs(u.amplitudes) ** 2, float)
         two_m = 2 * fx.instance.m
@@ -114,14 +112,14 @@ def test_extended_honest_build_carries_witness_digits():
     proof = honest_proof(fx.instance, fx.certificate, extended=True)
     with mpmath.workdps(WITNESS_DPS):
         amp = 1 / mpmath.sqrt(2 * fx.instance.m)
-        assert abs(proof.u.amplitudes[0, fx.certificate.gates[0]] - amp) < mpmath.mpf(10) ** -100
+        assert abs(proof.u.amplitudes[0, fx.certificate[0]] - amp) < mpmath.mpf(10) ** -100
         assert abs(proof.s.amplitudes[0, 0] - amp) < mpmath.mpf(10) ** -100
 
 
 def test_cycle_product_is_identity():
     for fx in builtin_instances():
         inst = fx.instance
-        cert = reference_certificate(inst, fx.certificate)
+        cert = fx.certificate if fx.certificate is not None else (0,) * inst.m
         assignment = honest_gate_assignment(inst, cert)
         dim = 2**inst.n
         full = np.eye(dim, dtype=complex)
@@ -141,7 +139,7 @@ def test_cycle_product_is_identity():
 
 def test_honest_s_m1_flip():
     fx = get_fixture("idle")
-    s = build_honest_S(fx.instance, TraversalCertificate((1,)))  # cert [X]: |1>|0> + |2>|1>
+    s = build_honest_S(fx.instance, (1,))  # cert [X]: |1>|0> + |2>|1>
     t = np.asarray(s.amplitudes, complex)
     assert abs(t[0, 0] - S2) < 1e-15 and abs(t[1, 1] - S2) < 1e-15
 
@@ -164,7 +162,7 @@ def test_honest_s_energies_and_endpoint():
 def test_w_fixes_honest_sequences():
     for fx in builtin_instances():
         inst = fx.instance
-        cert = reference_certificate(inst, fx.certificate)
+        cert = fx.certificate if fx.certificate is not None else (0,) * inst.m
         assignment = honest_gate_assignment(inst, cert)
         s = build_honest_S(inst, cert)
         moved = apply_W(inst, assignment, s)
@@ -197,8 +195,17 @@ def test_w_cycles_back_after_2m_steps():
 def test_w_refuses_an_assignment_of_the_wrong_length():
     fx = get_fixture("bell-flip")
     s = build_honest_S(fx.instance, fx.certificate)
-    with pytest.raises(ValueError, match="assignment must list 2 gates, got 1"):
+    with pytest.raises(ValueError, match="assignment length 1 != 2m = 2"):
         apply_W(fx.instance, (1,), s)
+
+
+@pytest.mark.parametrize("assignment", [(-3, -3), (6, 6)])
+def test_w_refuses_an_index_outside_the_gate_set(assignment):
+    # (-3, -3) must not act as (3, 3), nor (6, 6) raise a bare IndexError
+    fx = get_fixture("bell-flip")
+    s = build_honest_S(fx.instance, fx.certificate)
+    with pytest.raises(ValueError, match=f"assignment gate index {assignment[0]} outside the gate set 0..5"):
+        apply_W(fx.instance, assignment, s)
 
 
 def test_w_preserves_norm():
@@ -352,7 +359,7 @@ def test_forged_proof_records_the_base_certificate():
         assert forged.certificate is base.certificate
         assert replace(forged, spec=None).certificate is base.certificate
     # without a certificate the proof records the fixed one it was built on
-    assert honest_proof(fx.instance, None).certificate == reference_certificate(fx.instance, None)
+    assert honest_proof(fx.instance, None).certificate == (0,) * fx.instance.m
 
 
 def test_smeared_gate_keeps_the_base_gates():
@@ -413,7 +420,7 @@ def test_inconsistent_copies_on_complex_chain():
     # planted per-label defect must still land exactly on the request
     fx = get_fixture("blocked-qubit")  # gate set (X, H, Y)
     inst = fx.instance
-    cert = TraversalCertificate((2, 1))  # Y then H
+    cert = (2, 1)  # Y then H
     z = 0.12
     forged = forge_adversary(honest_proof(inst, cert), inst, AdversarySpec(AdversaryKind.INCONSISTENT_S, z))
     assert abs(float(forged.measured_deviation) - z) <= 1e-6 * z
@@ -425,7 +432,7 @@ def test_inconsistent_copies_on_complex_chain():
 
 def test_broken_sequence_on_complex_chain():
     fx = get_fixture("blocked-qubit")
-    cert = TraversalCertificate((2, 2))  # Y, Y
+    cert = (2, 2)  # Y, Y
     z = 0.1
     base = honest_proof(fx.instance, cert)
     forged = forge_adversary(base, fx.instance, AdversarySpec(AdversaryKind.BROKEN_SEQUENCE, z))
